@@ -649,6 +649,8 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
     algebra, and minimality is certified by checking that every kernel
     element has all its generator coordinates inside the radical.
     """
+    if s_max < 0:
+        raise ValueError("s_max must be >= 0")
     p = alg.p
     rng = random.Random(shuffle_seed)
     rad = radical_basis(alg)

@@ -438,6 +438,8 @@ def _cmd_betti(args):
 
 
 def _cmd_nakayama(args):
+    if args.count < 0:
+        raise ValueError("count must be >= 0")
     alg = _load_algebra(args)
     rng = random.Random(args.seed)
     checks = 0

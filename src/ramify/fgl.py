@@ -4,15 +4,11 @@ Two families are implemented: the multiplicative law F(x, y) =
 x + y + x y with exact integer coefficients, and the Honda law of
 height n at a prime p, whose logarithm is sum_i y^(p^(n i)) / p^i.
 
-The Honda p-series is found by solving the scaled functional equation
-
-    L(psi) = p * L(y),    L = p^imax * log,  truncated below y^M,
-
-by a fixed point iteration.  One pass gains p^n - 1 correct degrees and
-performs a single division by p^imax, which is exact provided the
-series is truncated progressively to its settled prefix; working modulo
-p^(N + imax) leaves every retained coefficient correct mod p^N.  The
-same iteration run over Fraction verifies the prefix at construction.
+The Honda p-series [p^r](y) solves L(psi) = p^r L(y), L = p^imax log
+truncated below y^M, by Newton's method modulo p^(N + imax) in
+O(M^2 log M); the same equation, checked on all M coefficients, then
+certifies it mod p^N (proofs at _honda_pseries).  The multiplicative
+p-series is the closed form (1 + y)^(p^r) - 1.
 
 Weierstrass preparation factors a series with some unit coefficient as
 (distinguished monic polynomial) * (unit series) by quadratic Hensel
@@ -26,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -324,75 +319,100 @@ def _honda_imax(p: int, n: int, M: int) -> int:
     return imax
 
 
-def _eval_scaled_log(psi, p, n, imax, modulus, out_len):
-    """L(psi) truncated to out_len, L = sum_i p^(imax - i) y^(p^(n i))."""
+def _log_residual(psi, p, n, r, imax, modulus, out_len):
+    """L(psi) - p^r L(y) mod modulus below y^out_len, where
+    L = sum_(i <= imax) p^(imax - i) y^(p^(n i))."""
     acc = [0] * out_len
     cur = list(psi[:out_len]) + [0] * max(0, out_len - len(psi))
     for i in range(imax + 1):
-        if p ** (n * i) >= out_len:
+        q = p ** (n * i)
+        if q >= out_len:
             break
         if i > 0:
             cur = _pow_raw(cur, p**n, modulus, out_len)
         c = p ** (imax - i)
-        if modulus is None:
-            acc = [a + c * v for a, v in zip(acc, cur)]
-        else:
-            acc = [(a + c * v) % modulus for a, v in zip(acc, cur)]
+        acc = [(a + c * v) % modulus for a, v in zip(acc, cur)]
+        acc[q] = (acc[q] - c * p**r) % modulus
     return acc
 
 
-def _honda_pseries_mod(p, n, M, N):
-    """[p](y) for the height-n Honda law, length M, correct mod p^N."""
+def _honda_pseries(p, n, r, M, N):
+    """[p^r](y) of the height-n Honda law at p, length M, correct mod p^N.
+
+    Newton's method on L(psi) = p^r L(y) mod p^(N + imax), where
+    L = p^imax log has its last term y^(p^(n imax)) below y^M.  The
+    true psi* = [p^r](y) is integral (Hazewinkel's functional-equation
+    lemma), and the terms of p^imax log left out of L start at y^M.
+
+    Lemma.  If phi and delta have zero constant term and delta_j = 0
+    mod p^N for j < m, then mod p^(N + imax)
+
+        L(phi + delta)_m = L(phi)_m + p^imax (U(phi) delta)_m,
+        U(phi) = sum_i p^((n - 1) i) phi^(p^(n i) - 1),  U(phi)_0 = 1.
+
+    Expand (phi + delta)^q, q = p^(n i): the terms linear in delta sum
+    to p^imax U(phi) delta.  For k >= 2, (delta^k)_m uses only delta_j
+    with j < m, so it is divisible by p^(k N), while p^(imax - i)
+    binom(q, k) has valuation imax - i + n i - v_p(k) >= imax - (k-1) N.
+
+    Step.  Let psi = psi* mod p^N below degree D and write psi* =
+    psi + p^N a + e with deg a < D and e = O(y^D).  The lemma at every
+    degree removes p^N a, and (e^2)_j = 0 for j < 2D, so the residual
+    R = L(psi) - p^r L(y) satisfies R = -p^imax U(psi) e mod
+    (p^(N + imax), y^(2D)).  Hence R vanishes below degree D, p^imax
+    divides R, and e = -U(psi)^(-1) R / p^imax mod (p^N, y^(2D)); both
+    facts are checked at every step.  From psi = p^r y (D = 2), D
+    doubles each step: O(log M) evaluations of L at doubling lengths.
+    """
     imax = _honda_imax(p, n, M)
     scale = p**imax
     modulus = p ** (N + imax)
-    target = [0] * M
-    for i in range(imax + 1):
-        target[p ** (n * i)] = p ** (imax - i + 1) % modulus
-    psi = [0] * M
-    psi[1] = p % modulus
+    psi = [0, p**r % modulus]
     D = 2
-    gain = p**n - 1
     while D < M:
-        D2 = min(M, D + gain)
-        lhs = _eval_scaled_log(psi, p, n, imax, modulus, D2)
+        D2 = min(M, 2 * D)
+        res = _log_residual(psi, p, n, r, imax, modulus, D2)
         for k in range(D):
-            if (lhs[k] - target[k]) % modulus:
+            if res[k]:
                 raise PrecisionError("settled prefix moved at degree %d" % k)
         for k in range(D, D2):
-            r = (lhs[k] - target[k]) % modulus
-            if r % scale:
+            if res[k] % scale:
                 raise PrecisionError(
                     "functional equation correction not divisible by p^%d at degree %d"
                     % (imax, k)
                 )
-            psi[k] = (-(r // scale)) % modulus
+        L = D2 - D
+        unit = [1] + [0] * (L - 1)
+        for i in range(1, imax + 1):
+            if p ** (n * i) - 1 < L:
+                term = _pow_raw(psi, p ** (n * i) - 1, modulus, L)
+                unit = [(u + p ** ((n - 1) * i) * t) % modulus for u, t in zip(unit, term)]
+        eps = _mul_raw([v // scale for v in res[D:]], _inv_raw(unit, modulus, L), modulus, L)
+        psi += [(-v) % modulus for v in eps]
         D = D2
-    pn = p**N
-    return [v % pn for v in psi]
+    return [v % p**N for v in psi]
 
 
-def _honda_pseries_rational(p, n, M):
-    """Same fixed point over Fraction; the reference for small prefixes."""
+def certify_honda_pseries(psi, p, n, r, N):
+    """Raise PrecisionError unless psi is [p^r](y) mod p^N below y^len(psi).
+
+    The check does not depend on how psi was found: with M = len(psi)
+    and L, imax as in _honda_pseries, it asks psi_0 = 0 mod p^N and
+    L(psi) = p^r L(y) mod (p^(N + imax), y^M).  That pins psi mod p^N:
+    were m the least degree with psi_m != psi*_m mod p^N (m >= 1), the
+    lemma of _honda_pseries with phi = psi* and delta = psi - psi* would
+    give L(psi)_m - L(psi*)_m = p^imax delta_m != 0 mod p^(N + imax).
+    """
+    M = len(psi)
+    if psi[0] % p**N:
+        raise PrecisionError("p-series has a nonzero constant term")
     imax = _honda_imax(p, n, M)
-    scale = p**imax
-    target = [Fraction(0)] * M
-    for i in range(imax + 1):
-        target[p ** (n * i)] = Fraction(p ** (imax - i + 1))
-    psi = [Fraction(0)] * M
-    psi[1] = Fraction(p)
-    D = 2
-    gain = p**n - 1
-    while D < M:
-        D2 = min(M, D + gain)
-        lhs = _eval_scaled_log(psi, p, n, imax, None, D2)
-        for k in range(D):
-            if lhs[k] != target[k]:
-                raise PrecisionError("settled prefix moved at degree %d" % k)
-        for k in range(D, D2):
-            psi[k] = -(lhs[k] - target[k]) / scale
-        D = D2
-    return psi
+    res = _log_residual(psi, p, n, r, imax, p ** (N + imax), M)
+    for k, v in enumerate(res):
+        if v:
+            raise PrecisionError(
+                "[p^%d](y) fails its functional equation at degree %d" % (r, k)
+            )
 
 
 def _dict_mul(d1, d2, cap, modulus):
@@ -481,7 +501,6 @@ class FormalGroupLaw:
         self.context = context
         self._pseries = {}
         self._table = None
-        self._prefix_checked = False
 
     @property
     def height(self):
@@ -498,8 +517,9 @@ class FormalGroupLaw:
     def p_series(self, r: int) -> TruncatedSeries:
         """[p^r](y) in the law's own context.
 
-        Multiplicative laws give exact polynomials of degree p^r; Honda
-        laws give length-M series correct mod p^N.
+        Multiplicative laws give the exact polynomial (1 + y)^(p^r) - 1;
+        Honda laws give a length-M series correct mod p^N, solved by
+        Newton's method and certified by its functional equation.
         """
         if r < 0:
             raise ValueError("r must be >= 0")
@@ -512,46 +532,19 @@ class FormalGroupLaw:
             )
         if r in self._pseries:
             return self._pseries[r]
-        if r == 0:
+        if self.kind == "multiplicative":
+            q = self.p**r
+            vals = (0,) + tuple(math.comb(q, k) for k in range(1, q + 1))
+            out = TruncatedSeries(self.context, vals, True)
+        elif r == 0:
             out = y_series(self.context)
-        elif self.kind == "multiplicative":
-            if r == 1:
-                y = y_series(self.context)
-                t = y
-                for _ in range(self.p - 1):
-                    t = t + y + t * y
-                out = t
-            else:
-                out = self.p_series(r - 1).compose(self.p_series(1))
         else:
-            if r == 1:
-                N = self.context.prec
-                vals = _honda_pseries_mod(self.p, self.n, self.M, N)
-                out = TruncatedSeries(self.context, tuple(vals), False)
-                self._verify_prefix(vals, N)
-            else:
-                out = self.p_series(r - 1).compose(self.p_series(1))
+            N = self.context.prec
+            vals = _honda_pseries(self.p, self.n, r, self.M, N)
+            certify_honda_pseries(vals, self.p, self.n, r, N)
+            out = TruncatedSeries(self.context, tuple(vals), False)
         self._pseries[r] = out
         return out
-
-    def _verify_prefix(self, vals, N):
-        if self._prefix_checked:
-            return
-        L = min(self.M, self.p**self.n + 2, 40)
-        ref = _honda_pseries_rational(self.p, self.n, L)
-        pn = self.p**N
-        for k in range(L):
-            f = ref[k]
-            if f.denominator % self.p == 0:
-                raise PrecisionError(
-                    "rational p-series coefficient %d is not p-integral" % k
-                )
-            want = f.numerator * pow(f.denominator, -1, pn) % pn
-            if want != vals[k] % pn:
-                raise PrecisionError(
-                    "mod-p^N solver disagrees with the rational solver at degree %d" % k
-                )
-        self._prefix_checked = True
 
     def table(self) -> dict:
         """Bivariate sum coefficients {(i, j): value}, total degree < M."""

@@ -127,6 +127,16 @@ def test_bad_option_value_is_2(capsys):
     assert rc == 2
 
 
+def test_negative_count_is_2(capsys):
+    rc, out, err = run_cli(["nakayama", "--count", "-3"], capsys)
+    assert rc == 2 and out == "" and "count" in err
+
+
+def test_negative_betti_smax_is_2(capsys):
+    rc, out, err = run_cli(["betti", "--smax", "-2"], capsys)
+    assert rc == 2 and out == "" and "s_max" in err
+
+
 def test_inconclusive_is_3(capsys):
     rc, out, _ = run_cli(["emss", "--p", "3", "--S", "1"], capsys)
     assert rc == 3 and "verdict: INCONCLUSIVE" in out

@@ -1,9 +1,11 @@
 """Truncated series arithmetic, p-series construction, and preparation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from ramify.cochain import minimum_series_precision
 from ramify.coeff import (
     ZZ,
     ContextMismatch,
@@ -16,8 +18,10 @@ from ramify.fgl import (
     PrecisionError,
     TruncatedSeries,
     WeierstrassError,
-    _honda_pseries_mod,
-    _honda_pseries_rational,
+    _honda_imax,
+    _honda_pseries,
+    _pow_raw,
+    certify_honda_pseries,
     check_axioms,
     exact_quotient_by_y,
     formal_sum,
@@ -246,15 +250,92 @@ def test_honda22_head_coefficients_frozen():
     assert F.p_series(1).coeffs[:6] == (0, 2, 0, 0, 249, 0)
 
 
+def _rational_pseries(p, n, M):
+    """Reference [p](y) over Fraction by the fixed point that settles
+    p^n - 1 degrees of L(psi) = p L(y) per pass."""
+    imax = _honda_imax(p, n, M)
+    target = [Fraction(0)] * M
+    for i in range(imax + 1):
+        target[p ** (n * i)] = Fraction(p ** (imax - i + 1))
+    psi = [Fraction(0)] * M
+    psi[1] = Fraction(p)
+    D = 2
+    while D < M:
+        D2 = min(M, D + p**n - 1)
+        lhs = [Fraction(0)] * D2
+        for i in range(imax + 1):
+            if p ** (n * i) < D2:
+                term = _pow_raw(psi, p ** (n * i), None, D2)
+                lhs = [a + p ** (imax - i) * t for a, t in zip(lhs, term)]
+        assert lhs[:D] == target[:D]
+        for k in range(D, D2):
+            psi[k] = -(lhs[k] - target[k]) / p**imax
+        D = D2
+    return psi
+
+
 def test_mod_solver_agrees_with_rational_solver():
     for (p, n, M) in [(2, 1, 12), (2, 2, 20), (3, 1, 12), (3, 2, 12)]:
-        mod = _honda_pseries_mod(p, n, M, 8)
-        rat = _honda_pseries_rational(p, n, M)
+        newton = make_honda_fgl(p, n, M=M, N=8).p_series(1).coeffs
+        rat = _rational_pseries(p, n, M)
         pn = p**8
         for k in range(M):
             f = rat[k]
             assert f.denominator % p != 0
-            assert f.numerator * pow(f.denominator, -1, pn) % pn == mod[k]
+            assert f.numerator * pow(f.denominator, -1, pn) % pn == newton[k]
+
+
+def _tower_points():
+    # every (p, n, r) with r in {2, 3} and rank p^(r n) <= 16 at N = 8,
+    # plus two rank-64 points at N = 4
+    for p in (2, 3):
+        for n in (1, 2):
+            for r in (2, 3):
+                if p ** (r * n) <= 16:
+                    yield p, n, r, 8
+    yield 2, 3, 2, 4
+    yield 2, 2, 3, 4
+
+
+@pytest.mark.parametrize("p, n, r, N", list(_tower_points()))
+def test_p_power_series_matches_composition(p, n, r, N):
+    F = make_honda_fgl(p, n, M=minimum_series_precision(p, n, r, N, False), N=N)
+    composed = F.p_series(r - 1).compose(F.p_series(1))
+    assert F.p_series(r).coeffs == composed.coeffs
+    if n == 1:
+        G = make_multiplicative_fgl(p, M=p**r + 1)
+        composed = G.p_series(r - 1).compose(G.p_series(1))
+        assert composed.exact and G.p_series(r).coeffs == composed.coeffs
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_p_series_is_the_p_fold_formal_sum(p, n):
+    L = min(p**n + 2, 40)
+    F = make_honda_fgl(p, n, M=L, N=8)
+    y = y_series(F.context).truncate(L)
+    total = y
+    for _ in range(p - 1):
+        total = formal_sum(F, total, y)
+    assert total.coeffs == F.p_series(1).coeffs
+
+
+def test_certificate_rejects_wrong_series():
+    p, n, N = 2, 2, 8
+    M = minimum_series_precision(p, n, 2, N, False)
+    for r in (1, 2):
+        psi = _honda_pseries(p, n, r, M, N)
+        certify_honda_pseries(psi, p, n, r, N)
+        for k in (M - 2, M - 1):
+            bad = list(psi)
+            bad[k] = (bad[k] + p ** (N - 1)) % p**N
+            with pytest.raises(PrecisionError):
+                certify_honda_pseries(bad, p, n, r, N)
+        coarse = _honda_pseries(p, n, r, M, N - 1)
+        assert coarse != psi
+        with pytest.raises(PrecisionError):
+            certify_honda_pseries(coarse, p, n, r, N)
+        with pytest.raises(PrecisionError):
+            certify_honda_pseries([1] + psi[1:], p, n, r, N)
 
 
 def test_check_axioms_both_kinds():
