@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artin
+from .coeff import _is_prime
 
 __all__ = [
     "CutoffError",
@@ -205,13 +206,17 @@ class BigradedPage:
         return round_differential(x, self.p, self.S, self.next_round)
 
 
+def _check_odd_prime(p):
+    if p == 2:
+        raise ValueError("only odd primes are supported here")
+    if not _is_prime(p):
+        raise ValueError("p must be prime")
+
+
 def initial_page(p, S):
     """The full divided-power page: all digit vectors times the
     exterior factor, page index 2."""
-    if p == 2:
-        raise ValueError("only odd primes are supported here")
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-        raise ValueError("p must be prime")
+    _check_odd_prime(p)
     if S < 2:
         raise ValueError("cutoff S must be >= 2")
     mons = tuple(
@@ -257,31 +262,81 @@ def _add_combo(a, b, p):
     return {m: v for m, v in out.items() if v}
 
 
+def _page_generators(page):
+    """Algebra generators of the page before round s: zeta (slot 0), the
+    digit monomials gamma_{p^j} for j >= s, and the round cycle w_s."""
+    p, S, s = page.p, page.S, page.next_round
+
+    def digit(j):
+        return DPBasisElement(tuple(int(i == j) for i in range(S)), 0)
+
+    return (digit(0),) + tuple(digit(j) for j in range(s, S)) + (_round_cycle(p, S, s),)
+
+
 def _check_leibniz(page):
-    """d(xy) = d(x)y + (-1)^|x| x d(y) for every pair of basis
-    monomials inside the safe window."""
-    p = page.p
-    window = p ** (page.S - 1)
-    in_window = [m for m in page.monomials if m.bidegree(p)[0] <= window]
+    """Certify that the round differential d is a derivation of the
+    whole page; returns the number of (generator, monomial) pairs checked.
+
+    Generation.  Before round s the page monomials are the digit vectors
+    with slots 1..s-1 pinned at 0 (no sigma y) or at p-1 (with sigma y),
+    every other slot in 0..p-1; the loop checks this of every monomial.
+    Let zeta and g_j be the monomials with a single 1 in slot 0 and in
+    slot j >= s, and w_s the round cycle (slots 1..s-1 at p-1, sigma y).
+    Then g_j^a = a! * (digit a in slot j), a! is a unit mod p for a < p,
+    and multiplying by w_s has scalar 1, so every page monomial is a
+    unit times a word in these generators.  Each generator is itself a
+    page monomial, which is asserted.
+
+    Closure.  A product of two page monomials is zero or a scalar times
+    a page monomial: two sigma y factors give zero, otherwise the pinned
+    slots add to 0 + 0 or 0 + (p-1), and any other slot overflows to zero
+    or stays below p.  The loop checks that g * m is zero or on the page
+    for every pair it visits, which is all the induction uses.
+
+    Induction.  Suppose the rule holds for (g, m) for every generator g
+    and every page monomial m; by linearity it holds for g against any
+    combination of page monomials.  It follows for (u, m) with u any word
+    in the generators, by induction on the length of u.  For u = g u',
+    closure makes u' = u' * 1 and u' m multiples of page monomials or
+    zero, and the product is associative (digitwise it multiplies
+    multinomial coefficients), so
+
+        d(u m) = d(g) u' m + (-1)^|g| g d(u' m)
+               = d(g) u' m + (-1)^|g| g (d(u') m + (-1)^|u'| u' d(m))
+               = (d(g) u' + (-1)^|g| g d(u')) m + (-1)^|u| u d(m)
+               = d(u) m + (-1)^|u| u d(m),
+
+    using the rule for (u', m) in the second line and for (g, u') in the
+    last.  Every page monomial x is a unit times a word, so the rule holds
+    for every pair (x, y) of page monomials.  That is stronger than
+    checking all pairs inside the window, which is not closed under the
+    product.
+    """
+    p, s = page.p, page.next_round
+    on_page = set(page.monomials)
+    gens = _page_generators(page)
+    for g in gens:
+        if g not in on_page:
+            raise AssertionError("generator %s is not on the page at round %d" % (g, s))
+    d_gens = [(g, _apply_d_combo({g: 1}, page)) for g in gens]
+    pinned = ((0,) * (s - 1), (p - 1,) * (s - 1))
     checked = 0
-    for x in in_window:
-        dx = _apply_d_combo({x: 1}, page)
-        for y in in_window:
-            dy = _apply_d_combo({y: 1}, page)
-            lhs = _apply_d_combo(_mul_combo(x, y, page), page)
+    for m in page.monomials:
+        if m.exponents[1:s] != pinned[m.eps] or max(m.exponents) >= p:
+            raise AssertionError("%s is not generated at round %d" % (m, s))
+        dm = _apply_d_combo({m: 1}, page)
+        for g, dg in d_gens:
+            gm = _mul_combo(g, m, page)
+            if any(t not in on_page for t in gm):
+                raise AssertionError("%s * %s leaves the page at round %d" % (g, m, s))
             rhs = {}
-            for m, c in dx.items():
-                rhs = _add_combo(rhs, _scale_combo(_mul_combo(m, y, page), c, p), p)
-            sign = -1 if x.eps else 1
-            for m, c in dy.items():
-                rhs = _add_combo(
-                    rhs, _scale_combo(_mul_combo(x, m, page), c * sign, p), p
-                )
-            if lhs != rhs:
-                raise AssertionError(
-                    "Leibniz fails on %s, %s at round %d"
-                    % (x, y, page.next_round)
-                )
+            for t, c in dg.items():
+                rhs = _add_combo(rhs, _scale_combo(_mul_combo(t, m, page), c, p), p)
+            sign = -1 if g.eps else 1
+            for t, c in dm.items():
+                rhs = _add_combo(rhs, _scale_combo(_mul_combo(g, t, page), c * sign, p), p)
+            if _apply_d_combo(gm, page) != rhs:
+                raise AssertionError("Leibniz fails on %s, %s at round %d" % (g, m, s))
             checked += 1
     return checked
 
@@ -431,11 +486,13 @@ def final_page_report(p, S):
     """Run all rounds the cutoff supports and compare the in-window
     survivors with the powers of zeta.
 
-    A cutoff below 2 leaves no room for even one round; the report is
-    then INCONCLUSIVE rather than a guess.
+    A cutoff of 0 or 1 leaves no room for even one round; the report is
+    then INCONCLUSIVE rather than a guess.  A p that is not an odd prime
+    or a negative cutoff is refused first.
     """
-    if p == 2:
-        raise ValueError("only odd primes are supported here")
+    _check_odd_prime(p)
+    if S < 0:
+        raise ValueError("cutoff S must be >= 0")
     if S < 2:
         return EmssReport(
             p=p,

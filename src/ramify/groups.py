@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artin
+from .coeff import _is_prime
 
 __all__ = [
     "GroupError",
@@ -313,12 +314,6 @@ def sylow_subgroup(G, p, seed=0):
         if not progressed:
             raise GroupError("greedy Sylow growth stalled; should not happen")
     return FiniteGroup(G.degree, sorted(current))
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
 @dataclass(frozen=True)

@@ -592,6 +592,8 @@ def convergence_diagnostic(ring, s_max=6, rational=False):
     vanish and the verdict is MATCH.  A window too short to contain an
     odd column returns INCONCLUSIVE.
     """
+    if s_max < 0:
+        raise ValueError("s_max must be >= 0")
     expected = ModuleDescriptor(free=ring.rank)
     if s_max < 1:
         return ConvergenceReport(

@@ -137,6 +137,16 @@ def test_negative_betti_smax_is_2(capsys):
     assert rc == 2 and out == "" and "s_max" in err
 
 
+def test_bad_emss_and_converge_sizes_are_2(capsys):
+    for argv, reason in [
+        (["emss", "--p", "9", "--S", "1"], "p must be prime"),
+        (["emss", "--p", "3", "--S", "-1"], "cutoff S must be >= 0"),
+        (["converge", "--p", "2", "--smax", "-1"], "s_max must be >= 0"),
+    ]:
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2 and out == "" and reason in err
+
+
 def test_inconclusive_is_3(capsys):
     rc, out, _ = run_cli(["emss", "--p", "3", "--S", "1"], capsys)
     assert rc == 3 and "verdict: INCONCLUSIVE" in out

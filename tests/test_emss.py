@@ -2,8 +2,11 @@
 
 import random
 
+import dataclasses
+
 import pytest
 
+from ramify import emss
 from ramify.emss import (
     CutoffError,
     DPBasisElement,
@@ -236,12 +239,163 @@ def test_final_page_report_match(p, S):
 
 
 def test_final_page_report_inconclusive():
-    rep = final_page_report(3, 1)
-    assert rep.verdict == "INCONCLUSIVE"
-    assert rep.survivors == ()
-    assert rep.pages == ()
+    for S in (0, 1):
+        rep = final_page_report(3, S)
+        assert rep.verdict == "INCONCLUSIVE"
+        assert rep.survivors == ()
+        assert rep.pages == ()
 
 
 def test_final_page_report_rejects_two():
     with pytest.raises(ValueError):
         final_page_report(2, 3)
+
+
+@pytest.mark.parametrize("p,S,reason", [
+    (9, 1, "p must be prime"),
+    (9, 3, "p must be prime"),
+    (1, 0, "p must be prime"),
+    (3, -1, "cutoff S must be >= 0"),
+])
+def test_final_page_report_refuses_bad_input_before_the_cutoff(p, S, reason):
+    with pytest.raises(ValueError, match=reason):
+        final_page_report(p, S)
+
+
+# ------------------------------------------------------- Leibniz certificate
+
+
+def _all_pairs_leibniz(page):
+    """Test oracle: d(xy) = d(x)y + (-1)^|x| x d(y) for every pair of basis
+    monomials inside the safe window."""
+    p = page.p
+    window = p ** (page.S - 1)
+    in_window = [m for m in page.monomials if m.bidegree(p)[0] <= window]
+    checked = 0
+    for x in in_window:
+        dx = emss._apply_d_combo({x: 1}, page)
+        for y in in_window:
+            dy = emss._apply_d_combo({y: 1}, page)
+            lhs = emss._apply_d_combo(emss._mul_combo(x, y, page), page)
+            rhs = {}
+            for m, c in dx.items():
+                rhs = emss._add_combo(
+                    rhs, emss._scale_combo(emss._mul_combo(m, y, page), c, p), p
+                )
+            sign = -1 if x.eps else 1
+            for m, c in dy.items():
+                rhs = emss._add_combo(
+                    rhs, emss._scale_combo(emss._mul_combo(x, m, page), c * sign, p), p
+                )
+            if lhs != rhs:
+                raise AssertionError(
+                    "Leibniz fails on %s, %s at round %d"
+                    % (x, y, page.next_round)
+                )
+            checked += 1
+    return checked
+
+
+def _pages_before_each_round(p, S):
+    return turn_pages(initial_page(p, S), S - 1)[:-1]
+
+
+def _mutants(page):
+    """(monomial, wrong value of d on it) for the page before round s:
+    one non-generator and two generators."""
+    p, S, s = page.p, page.S, page.next_round
+    w = emss._round_cycle(p, S, s)
+    zeta = mono((1,) + (0,) * (S - 1))
+    zeta2 = mono((2,) + (0,) * (S - 1))
+    g_s = mono(tuple(int(j == s) for j in range(S)))
+    return [
+        (zeta2, dp_multiply(zeta2, w, p)),
+        (zeta, dp_multiply(zeta, w, p)),
+        (g_s, (2, w)),
+    ]
+
+
+def _install_mutant(mp, target, value):
+    """Change the round differential on the single monomial `target`."""
+    real = emss.round_differential
+    mp.setattr(
+        emss, "round_differential",
+        lambda x, *rest: value if x == target else real(x, *rest),
+    )
+
+
+LEIBNIZ_GRID = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]
+
+
+@pytest.mark.parametrize("p,S", LEIBNIZ_GRID)
+def test_leibniz_certificates_accept_the_real_differential(p, S):
+    for page in _pages_before_each_round(p, S):
+        assert emss._check_leibniz(page) > 0
+        assert _all_pairs_leibniz(page) > 0
+
+
+@pytest.mark.parametrize("p,S", LEIBNIZ_GRID)
+def test_leibniz_certificates_reject_mutants(p, S, monkeypatch):
+    real = emss.round_differential
+    for page in _pages_before_each_round(p, S):
+        for target, value in _mutants(page):
+            assert real(target, p, S, page.next_round) != value
+            with monkeypatch.context() as mp:
+                _install_mutant(mp, target, value)
+                for certificate in (emss._check_leibniz, _all_pairs_leibniz):
+                    with pytest.raises(AssertionError, match="Leibniz fails"):
+                        certificate(page)
+
+
+@pytest.mark.parametrize("p,S", [(3, 2), (3, 3), (5, 2)])
+def test_leibniz_certificate_rejects_every_single_monomial_mutant(p, S, monkeypatch):
+    # d changed on one page monomial: to that monomial times w_s, or to a
+    # doubled or zero value.  The oracle sees only the window, so it may
+    # accept some; the generator certificate must reject all of them.
+    real = emss.round_differential
+    for page in _pages_before_each_round(p, S):
+        s = page.next_round
+        w = emss._round_cycle(p, S, s)
+        for x in page.monomials:
+            scal, tgt = real(x, p, S, s)
+            wrong = [dp_multiply(x, w, p)]
+            if tgt is not None:
+                wrong += [(2 * scal % p, tgt), (0, None)]
+            for value in wrong:
+                if value[1] is None and tgt is None:
+                    continue
+                with monkeypatch.context() as mp:
+                    _install_mutant(mp, x, value)
+                    with pytest.raises(AssertionError, match="Leibniz fails"):
+                        emss._check_leibniz(page)
+
+
+def test_leibniz_certificate_rejects_a_page_it_does_not_cover():
+    page = initial_page(3, 3)
+    zeta, zeta2 = mono((1, 0, 0)), mono((2, 0, 0))
+    for dropped, reason in [(zeta, "not on the page"), (zeta2, "leaves the page")]:
+        cut = dataclasses.replace(
+            page, monomials=tuple(m for m in page.monomials if m != dropped)
+        )
+        with pytest.raises(AssertionError, match=reason):
+            emss._check_leibniz(cut)
+    stray = dataclasses.replace(page, next_round=2)  # slot 1 is not pinned yet
+    with pytest.raises(AssertionError, match="not generated"):
+        emss._check_leibniz(stray)
+
+
+def test_leibniz_pairs_are_generators_times_page():
+    p, S = 3, 4
+    history = turn_pages(initial_page(p, S), S - 1)
+    for page in history[1:]:
+        rec = page.record
+        generators = S - rec.round + 2  # zeta, g[p^j] for j >= s, w_s
+        assert rec.leibniz_pairs_checked == generators * rec.dim_before
+
+
+@pytest.mark.parametrize("p,S", [(5, 4), (3, 6)])
+def test_page_dimensions(p, S):
+    history = turn_pages(initial_page(p, S), S - 1)
+    assert [pg.total_dimension for pg in history] == [
+        2 * p ** (S - k) for k in range(S)
+    ]

@@ -235,6 +235,8 @@ def test_convergence_diagnostic_rational_match(p, n, r):
 def test_convergence_diagnostic_short_window():
     rep = convergence_diagnostic(ring_for(2, 1, 1), s_max=0)
     assert rep.verdict == "INCONCLUSIVE"
+    with pytest.raises(ValueError, match="s_max must be >= 0"):
+        convergence_diagnostic(ring_for(2, 1, 1), s_max=-1)
 
 
 # -------------------------------------------------------------- comparison
