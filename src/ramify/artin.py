@@ -146,13 +146,14 @@ def quotient_map(reduced, pivots, n, p):
     Coordinates on the quotient are the non-pivot positions of the
     reduction of a vector by the rref rows.
     """
+    # t maps v (column) to its reduction v - sum_i v[c_i] * reduced[i]
     t = np.eye(n, dtype=np.int64)
     for i, c in enumerate(pivots):
-        t = (t - np.outer(reduced[i], np.eye(n, dtype=np.int64)[c])) % p
+        t[:, c] -= reduced[i]
     # After reduction every pivot coordinate vanishes, so the quotient
     # coordinates live at the non-pivot positions.
-    nonpiv = [c for c in range(n) if c not in set(pivots)]
-    # t maps v (column) to its reduction; rows of interest select coords.
+    pivset = set(pivots)
+    nonpiv = [c for c in range(n) if c not in pivset]
     return t[nonpiv, :] % p
 
 
@@ -206,19 +207,6 @@ class FinAlgebra:
 
     def aug_of(self, x):
         return int(np.dot(np.asarray(x, dtype=np.int64) % self.p, self.aug) % self.p)
-
-    def left_mult_matrix(self, x):
-        """Matrix of v -> x*v, columns indexed by basis."""
-        x = np.asarray(x, dtype=np.int64) % self.p
-        return np.einsum("i,ijk->kj", x, self.table) % self.p
-
-    def parity_of(self, x):
-        """Parity of a homogeneous vector; raises on mixed parity."""
-        x = np.asarray(x, dtype=np.int64) % self.p
-        pars = {self.parities[i] for i in range(self.dim) if x[i]}
-        if len(pars) > 1:
-            raise AlgebraError("vector is not parity homogeneous")
-        return pars.pop() if pars else 0
 
     # -- validation
 
@@ -433,25 +421,47 @@ class FinModule:
         return (mat % self.algebra.p) @ (np.asarray(v, np.int64) % self.algebra.p) % self.algebra.p
 
 
+def _free_action_blocks(alg, rank):
+    """Left multiplication matrices for A^rank, one per algebra basis elt."""
+    # the regular action: act[i][:, j] must be e_i * e_j = table[i, j, :]
+    reg = np.transpose(alg.table, (0, 2, 1)) % alg.p
+    out = np.zeros((alg.dim, rank * alg.dim, rank * alg.dim), dtype=np.int64)
+    for i in range(alg.dim):
+        for b in range(rank):
+            s = b * alg.dim
+            out[i, s : s + alg.dim, s : s + alg.dim] = reg[i]
+    return out
+
+
+def _span_closure(acts, rows, p):
+    """Closure of the row span under the action matrices acts.
+
+    Returns (reduced, pivots), the rref basis of the smallest
+    acts-stable subspace containing rows.
+    """
+    cur, piv = rref(rows, p)
+    while True:
+        new_rows = list(cur)
+        for a in acts:
+            for v in cur:
+                new_rows.append(a @ v % p)
+        nxt, piv = rref(new_rows, p)
+        if nxt.shape[0] == cur.shape[0]:
+            return nxt, piv
+        cur = nxt
+
+
 def regular_module(alg):
     """The algebra as a left module over itself."""
-    # act[i][:, j] must be e_i * e_j = table[i, j, :]
-    act = np.transpose(alg.table, (0, 2, 1)) % alg.p
-    return FinModule(alg, act, labels=alg.labels)
+    return FinModule(alg, _free_action_blocks(alg, 1), labels=alg.labels)
 
 
 def free_module(alg, rank):
     """A^rank with the block-diagonal action."""
-    reg = regular_module(alg)
-    act = np.zeros((alg.dim, rank * alg.dim, rank * alg.dim), dtype=np.int64)
-    for i in range(alg.dim):
-        for b in range(rank):
-            s = b * alg.dim
-            act[i, s : s + alg.dim, s : s + alg.dim] = reg.act[i]
     labels = tuple(
         "%s#%d" % (alg.labels[i], b) for b in range(rank) for i in range(alg.dim)
     )
-    return FinModule(alg, act, labels=labels)
+    return FinModule(alg, _free_action_blocks(alg, rank), labels=labels)
 
 
 def spanned_submodule(module, vectors):
@@ -464,18 +474,7 @@ def spanned_submodule(module, vectors):
     rows = [np.asarray(v, np.int64) % p for v in vectors]
     if not rows:
         rows = [np.zeros(module.dim, np.int64)]
-    cur = row_space(rows, p)
-    while True:
-        new_rows = list(cur)
-        for i in range(module.algebra.dim):
-            for v in cur:
-                new_rows.append(module.act[i] @ v % p)
-        nxt = row_space(new_rows, p)
-        if nxt.shape[0] == cur.shape[0]:
-            cur = nxt
-            break
-        cur = nxt
-    red, pivots = rref(cur, p)
+    red, pivots = _span_closure(module.act, rows, p)
     r = red.shape[0]
     if r == 0:
         # zero module
@@ -518,7 +517,18 @@ class SocleSeries:
 
 
 def socle_series(module):
-    """Socle filtration soc^k M = {x : J^k x = 0}.
+    """Socle filtration soc^k M = {x : J^k x = 0}, as the dimensions of
+    the stages socle_series_bases computes and certifies."""
+    stages = socle_series_bases(module)
+    return SocleSeries(
+        dims=tuple(red.shape[0] for red in stages),
+        k0=len(stages),
+        e=nilpotency_exponent(module.algebra),
+    )
+
+
+def socle_series_bases(module):
+    """The rref basis of soc^k M for k = 1..k0.
 
     Verifies strict growth up to k0, the containment J soc^(k+1) in
     soc^k, and termination at k0 <= e.  Violations raise AlgebraError
@@ -527,19 +537,13 @@ def socle_series(module):
     alg = module.algebra
     p = alg.p
     rad = radical_basis(alg)
-    rad_mats = [
-        np.tensordot(g, module.act, axes=(0, 0)) % p for g in rad
-    ]
+    rad_mats = [np.tensordot(g, module.act, axes=(0, 0)) % p for g in rad]
     e = nilpotency_exponent(alg)
-    if module.dim == 0:
-        return SocleSeries(dims=(), k0=0, e=e)
+    stages = []
     prev_red = np.zeros((0, module.dim), dtype=np.int64)
     prev_piv = []
-    dims = []
-    k = 0
     while prev_red.shape[0] < module.dim:
-        k += 1
-        if k > e:
+        if len(stages) == e:
             raise AlgebraError("socle series fails to terminate by J-nilpotency")
         q = quotient_map(prev_red, prev_piv, module.dim, p)
         if rad_mats:
@@ -555,31 +559,6 @@ def socle_series(module):
             for v in red:
                 if not in_row_space(g @ v % p, prev_red, prev_piv, p):
                     raise AlgebraError("J soc^k escapes soc^(k-1)")
-        prev_red, prev_piv = red, piv
-        dims.append(red.shape[0])
-    return SocleSeries(dims=tuple(dims), k0=k, e=e)
-
-
-def socle_series_bases(module):
-    """Like socle_series but also returns the rref basis of each stage."""
-    alg = module.algebra
-    p = alg.p
-    rad = radical_basis(alg)
-    rad_mats = [np.tensordot(g, module.act, axes=(0, 0)) % p for g in rad]
-    stages = []
-    prev_red = np.zeros((0, module.dim), dtype=np.int64)
-    prev_piv = []
-    while prev_red.shape[0] < module.dim:
-        q = quotient_map(prev_red, prev_piv, module.dim, p)
-        stacked = (
-            np.vstack([q @ m % p for m in rad_mats])
-            if rad_mats
-            else np.zeros((0, module.dim), dtype=np.int64)
-        )
-        kern = null_space(stacked, p)
-        red, piv = rref(kern if kern else np.zeros((0, module.dim), np.int64), p)
-        if red.shape[0] <= prev_red.shape[0]:
-            raise AlgebraError("socle series is not strictly increasing")
         stages.append(red)
         prev_red, prev_piv = red, piv
     return stages
@@ -612,35 +591,6 @@ def nakayama_check(module):
 # minimal free resolutions of the residue field
 
 
-def _free_action_blocks(alg, rank):
-    """Left multiplication matrices for A^rank, one per algebra basis elt."""
-    reg = np.zeros((alg.dim, alg.dim, alg.dim), dtype=np.int64)
-    for i in range(alg.dim):
-        reg[i] = alg.table[i].T % alg.p
-    out = np.zeros((alg.dim, rank * alg.dim, rank * alg.dim), dtype=np.int64)
-    for i in range(alg.dim):
-        for b in range(rank):
-            s = b * alg.dim
-            out[i, s : s + alg.dim, s : s + alg.dim] = reg[i]
-    return out
-
-
-def _submodule_span(alg, rank, rows):
-    """Closure of the row span under the algebra action inside A^rank."""
-    p = alg.p
-    acts = _free_action_blocks(alg, rank)
-    cur = row_space(rows, p)
-    while True:
-        new_rows = list(cur)
-        for i in range(alg.dim):
-            for v in cur:
-                new_rows.append(acts[i] @ v % p)
-        nxt = row_space(new_rows, p)
-        if nxt.shape[0] == cur.shape[0]:
-            return nxt
-        cur = nxt
-
-
 def minimal_free_resolution(alg, s_max, shuffle_seed=0):
     """Betti numbers b_0..b_(s_max) of the residue field F_p over alg.
 
@@ -657,13 +607,13 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
     betti = [1]
     # K ⊆ A^rank, the first syzygy of F_p is the radical inside A^1
     rank = 1
+    acts = _free_action_blocks(alg, rank)
     k_rows = row_space(rad, p)
     for _ in range(s_max):
         if k_rows.shape[0] == 0:
             # resolution terminated; only happens for the field itself
             betti.append(0)
             continue
-        acts = _free_action_blocks(alg, rank)
         # JK
         jk_rows = []
         for g in rad:
@@ -709,10 +659,11 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
                 if alg.aug_of(comp) != 0:
                     raise AlgebraError("resolution is not minimal")
         rank = b
+        acts = _free_action_blocks(alg, rank)
         if new_rows.shape[0]:
             # the kernel of a module map is a submodule; the closure
             # is a cheap self-check and must not grow the span
-            k_rows = _submodule_span(alg, rank, new_rows)
+            k_rows, _ = _span_closure(acts, new_rows, p)
             if int(k_rows.shape[0]) != int(rref(new_rows, p)[0].shape[0]):
                 raise AlgebraError("kernel failed to be a submodule")
         else:

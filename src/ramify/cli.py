@@ -270,7 +270,7 @@ def _cmd_weierstrass(args):
 def _cmd_ring(args):
     F = _build_law(args.p, args.n, args.r, args.N, args.M)
     ring = make_cochain_ring(F, args.r, N=args.N)
-    aug_q = ring.augmentation(ring.q_elt).value
+    aug_q = ring.augmentation(ring.q_elt)
     yq_zero = (ring.y_elt * ring.q_elt).is_zero
     params = {"p": args.p, "n": args.n, "r": args.r, "N": args.N, "M": F.M}
     lines = [

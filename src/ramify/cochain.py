@@ -28,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artin
-from .coeff import Coefficient, ContextMismatch, padic_context
+from .coeff import ContextMismatch, padic_context
 from .fgl import (
     FormalGroupLaw,
     PrecisionError,
     TruncatedSeries,
     WeierstrassError,
+    _mul_raw,
     exact_quotient_by_y,
     weierstrass_preparation,
 )
@@ -104,20 +105,12 @@ class RingElement:
     def __mul__(self, other):
         self._check_owner(other)
         ring = self.ring
-        conv = [0] * (2 * ring.rank - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
+        # exact integer convolution; the reduction below takes it mod p^N
+        conv = _mul_raw(self.coeffs, other.coeffs, None, 2 * ring.rank - 1)
         return RingElement(ring, ring._reduce_poly(conv))
 
     def scale(self, c):
-        """Multiply by an integer or a Coefficient in the ring context."""
-        if isinstance(c, Coefficient):
-            if c.context != self.ring.context:
-                raise ContextMismatch("scalar context does not match the ring")
-            c = c.value
+        """Multiply by an integer."""
         m = self.ring.modulus
         return RingElement(self.ring, tuple((a * c) % m for a in self.coeffs))
 
@@ -237,7 +230,7 @@ class CyclicCochainRing:
         """Evaluation at y = 0; a ring map because w(0) = 0."""
         if elt.ring is not self:
             raise ValueError("element belongs to a different ring")
-        return Coefficient(elt.coeffs[0], self.context)
+        return elt.coeffs[0]
 
     def describe(self):
         return "Z/%d^%d[y]/(w), rank %d" % (self.p, self.context.prec, self.rank)
@@ -313,7 +306,7 @@ def make_cochain_ring(F, r, N=8):
     ring.q_elt = q_elt
 
     # certified identities
-    eps = ring.augmentation(q_elt).value
+    eps = ring.augmentation(q_elt)
     if eps != p ** r:
         raise WeierstrassError(
             "augmentation of q_%d is %d, expected %d" % (r, eps, p ** r)
@@ -403,7 +396,7 @@ def substitution_map(F, k, N=8):
         if y_img != direct:
             raise MorphismError("y * q_(k-1) disagrees with [p^(k-1)]y in A_k")
 
-    if ak.augmentation(y_img).value != 0:
+    if ak.augmentation(y_img) != 0:
         raise MorphismError("image of y has nonzero augmentation")
 
     powers = [ak.one]

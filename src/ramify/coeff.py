@@ -229,22 +229,3 @@ def invert(c: Coefficient) -> Coefficient:
         return Coefficient(pow(c.value, -1, ctx.modulus), ctx)
     except ValueError:
         raise NonUnitError("%d is not a unit %s" % (c.value, ctx.describe()))
-
-
-@dataclass(frozen=True)
-class GradedDegree:
-    """Integer degree remembered only through its parity for sign rules."""
-
-    degree: int
-
-    @property
-    def parity(self) -> int:
-        return self.degree % 2
-
-    def __add__(self, other: "GradedDegree") -> "GradedDegree":
-        return GradedDegree(self.degree + other.degree)
-
-
-def koszul_sign(a: GradedDegree, b: GradedDegree) -> int:
-    """Sign picked up when classes of these degrees slide past each other."""
-    return -1 if (a.parity and b.parity) else 1

@@ -32,7 +32,6 @@ from .coeff import (
     ContextMismatch,
     NonUnitError,
     _is_prime,
-    invert,
     padic_context,
     reduce,
 )
@@ -282,34 +281,6 @@ def exact_quotient_by_y(s: TruncatedSeries) -> TruncatedSeries:
     if not s.exact and len(s.coeffs) <= 1:
         raise PrecisionError("nothing would remain after dividing by y")
     return TruncatedSeries(s.context, s.coeffs[1:], s.exact)
-
-
-def series_inverse(s: TruncatedSeries, length: int | None = None) -> TruncatedSeries:
-    """Multiplicative inverse of a series whose constant term is a unit."""
-    c0 = s.coefficient(0)
-    if not c0.is_unit():
-        raise NonUnitError("constant term %r is not a unit" % (c0.value,))
-    if length is None:
-        if s.exact:
-            raise PrecisionError("inverse of an exact polynomial needs an explicit length")
-        length = len(s.coeffs)
-    ctx = s.context
-    raw = list(s.coeffs[:length]) + [0] * max(0, length - len(s.coeffs))
-    if not s.exact and len(s.coeffs) < length:
-        raise PrecisionError("series only known to length %d" % len(s.coeffs))
-    if ctx.kind == "padic":
-        vals = _inv_raw(raw, ctx.modulus, length)
-        return TruncatedSeries(ctx, tuple(vals), False)
-    # triangular back-substitution, fine for the exact and mod-p contexts
-    inv0 = invert(c0).value
-    v = [inv0] + [0] * (length - 1)
-    for k in range(1, length):
-        acc = 0
-        for j in range(1, k + 1):
-            if raw[j] and v[k - j]:
-                acc += raw[j] * v[k - j]
-        v[k] = ctx.canon(-inv0 * acc)
-    return TruncatedSeries(ctx, tuple(v), False)
 
 
 def _honda_imax(p: int, n: int, M: int) -> int:

@@ -102,7 +102,7 @@ class PeriodicFreeComplex:
         for m in self.multipliers:
             if m.ring is not ring:
                 raise ValueError("multiplier from a different ring")
-            if ring.augmentation(m).value % ring.p:
+            if ring.augmentation(m) % ring.p:
                 raise HomologyError("non-minimal multiplier: unit augmentation")
         for a, b in zip(self.multipliers, self.multipliers[1:]):
             if not (a * b).is_zero:
@@ -170,7 +170,7 @@ def tensor_down(complex_):
     ring = complex_.ring
     mats = []
     for m in complex_.multipliers:
-        v = ring.augmentation(m).value
+        v = ring.augmentation(m)
         if not (0 <= v < ring.modulus):
             raise HomologyError("augmentation value is not a canonical lift")
         mats.append([[v]])
@@ -343,6 +343,8 @@ def rational_tor(ring, s_max):
     """Rational Tor ranks for degrees 0..s_max: rank one in degree
     zero and zero elsewhere, computed from ranks of the same integer
     complex with torsion discarded."""
+    if s_max < 0:
+        raise ValueError("s_max must be >= 0")
     complex_ = build_resolution(ring, s_max + 1)
     down = tensor_down(complex_)
     out = []
@@ -435,6 +437,13 @@ def kunneth_page(ring, s_max):
 # comparison of the r = 1 and r = k towers
 
 
+def _component(phi, s):
+    """Degree-s component of the comparison map over phi."""
+    if s % 2 == 0:
+        return phi.apply
+    return lambda x: phi.apply(x) * phi.cofactor
+
+
 @dataclass(frozen=True)
 class ChainMap:
     """Verified chain map over the tower morphism phi: components are
@@ -448,10 +457,7 @@ class ChainMap:
     squares_checked: int
 
     def component(self, s):
-        phi = self.morphism
-        if s % 2 == 0:
-            return phi.apply
-        return lambda x: phi.apply(x) * phi.cofactor
+        return _component(self.morphism, s)
 
 
 def comparison_chain_map(F, k, L, N=8, seed=0, n_random=6):
@@ -468,11 +474,6 @@ def comparison_chain_map(F, k, L, N=8, seed=0, n_random=6):
     c1 = build_resolution(a1, L)
     ck = build_resolution(ak, L)
 
-    def rho(s):
-        if s % 2 == 0:
-            return phi.apply
-        return lambda x: phi.apply(x) * phi.cofactor
-
     rng = random.Random(seed)
     probes = [
         a1.element([1 if i == j else 0 for i in range(a1.rank)])
@@ -482,8 +483,8 @@ def comparison_chain_map(F, k, L, N=8, seed=0, n_random=6):
 
     checked = 0
     for s in range(1, L + 1):
-        rho_s = rho(s)
-        rho_sm1 = rho(s - 1)
+        rho_s = _component(phi, s)
+        rho_sm1 = _component(phi, s - 1)
         m1 = c1.multipliers[s - 1]
         mk = ck.multipliers[s - 1]
         for x in probes:
@@ -496,7 +497,7 @@ def comparison_chain_map(F, k, L, N=8, seed=0, n_random=6):
             checked += 1
     # augmentations agree through phi
     for x in probes:
-        if ak.augmentation(phi.apply(x)).value != a1.augmentation(x).value:
+        if ak.augmentation(phi.apply(x)) != a1.augmentation(x):
             raise ChainMapError("augmentation square fails on %r" % x)
 
     return ChainMap(
@@ -528,7 +529,7 @@ def induced_tor_morphism(F, k, s_max, N=8):
     each Tor degree, with injectivity certified by an order check."""
     phi = substitution_map(F, k, N)
     p = F.p
-    mult = phi.target.augmentation(phi.cofactor).value
+    mult = phi.target.augmentation(phi.cofactor)
     if mult != p ** (k - 1):
         raise ChainMapError(
             "odd-degree multiplier is %d, expected p^(k-1) = %d"

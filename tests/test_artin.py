@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from ramify import artin
 from ramify.artin import (
     AlgebraError,
     FinAlgebra,
@@ -210,6 +211,17 @@ def test_regular_module_action_matches_table():
     assert reg.act_vec(y, v).tolist() == [0, 1, 1]
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_free_module_is_block_diagonal_regular(rank):
+    two = tensor_algebra(
+        truncated_polynomial_algebra(3, 2), truncated_polynomial_algebra(3, 3)
+    )
+    for alg in (truncated_polynomial_algebra(2, 3), two):
+        reg = regular_module(alg).act
+        want = [np.kron(np.eye(rank, dtype=np.int64), reg[i]) for i in range(alg.dim)]
+        assert np.array_equal(free_module(alg, rank).act, np.array(want))
+
+
 def test_module_validation():
     alg = truncated_polynomial_algebra(2, 2)
     bad = np.zeros((2, 2, 2), dtype=np.int64)  # unit acts as zero
@@ -244,10 +256,37 @@ def test_zero_module():
 # ----------------------------------------------------------------- socles
 
 
+def _socle_by_powers(module, k):
+    """soc^k M as the common kernel of a basis of J^k, with J^k built by
+    multiplying in the algebra rather than by climbing the series."""
+    alg, p = module.algebra, module.algebra.p
+    rad = radical_basis(alg)
+    power = list(rad)
+    for _ in range(k - 1):
+        products = [alg.mul(a, g) for a in power for g in rad]
+        power = list(row_space(products, p)) if products else []
+    if not power:
+        return np.eye(module.dim, dtype=np.int64)
+    mats = np.vstack([np.tensordot(b, module.act, axes=(0, 0)) % p for b in power])
+    return row_space(null_space(mats, p), p)
+
+
+def _check_socle_stages(module):
+    """socle_series_bases agrees with socle_series and, stage by stage,
+    with the kernels of the powers of J."""
+    series = socle_series(module)
+    stages = socle_series_bases(module)
+    assert len(stages) == series.k0
+    assert tuple(red.shape[0] for red in stages) == series.dims
+    for k, red in enumerate(stages, start=1):
+        assert red.tolist() == _socle_by_powers(module, k).tolist()
+    return series
+
+
 @pytest.mark.parametrize("m", range(2, 10))
 def test_socle_series_truncated_polynomial(m):
     alg = truncated_polynomial_algebra(2, m)
-    series = socle_series(regular_module(alg))
+    series = _check_socle_stages(regular_module(alg))
     assert series.dims == tuple(range(1, m + 1))
     assert series.k0 == m
     assert series.e == m
@@ -269,9 +308,22 @@ def test_socle_stage_bases_are_top_power_spans():
 def test_socle_series_tensor_square():
     a = truncated_polynomial_algebra(2, 2)
     two = tensor_algebra(a, truncated_polynomial_algebra(2, 2))
-    series = socle_series(regular_module(two))
+    series = _check_socle_stages(regular_module(two))
     assert series.dims == (1, 3, 4)
     assert series.k0 == 3 and series.e == 3
+
+
+def test_socle_series_bases_certifies_each_stage(monkeypatch):
+    mod = regular_module(truncated_polynomial_algebra(2, 3))
+    with monkeypatch.context() as m:
+        m.setattr(artin, "nilpotency_exponent", lambda alg: 2)
+        with pytest.raises(AlgebraError, match="terminate"):
+            socle_series_bases(mod)
+    with monkeypatch.context() as m:
+        # a quotient map that forgets soc^(k-1) makes stage 1 all of M
+        m.setattr(artin, "quotient_map", lambda red, piv, n, p: np.zeros((0, n), np.int64))
+        with pytest.raises(AlgebraError, match="escapes"):
+            socle_series_bases(mod)
 
 
 def test_nakayama_randomized():
@@ -290,7 +342,7 @@ def test_nakayama_randomized():
         assert 0 <= top <= dim <= 16
         if dim > 0:
             assert top > 0
-        series = socle_series(mod)
+        series = _check_socle_stages(mod)
         if dim:
             assert series.dims[-1] == dim
             assert series.k0 <= series.e

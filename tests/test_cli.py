@@ -142,9 +142,12 @@ def test_bad_emss_and_converge_sizes_are_2(capsys):
         (["emss", "--p", "9", "--S", "1"], "p must be prime"),
         (["emss", "--p", "3", "--S", "-1"], "cutoff S must be >= 0"),
         (["converge", "--p", "2", "--smax", "-1"], "s_max must be >= 0"),
+        (["rational", "--p", "3", "--smax", "-1"], "s_max must be >= 0"),
     ]:
         rc, out, err = run_cli(argv, capsys)
         assert rc == 2 and out == "" and reason in err
+    rc, out, _ = run_cli(["rational", "--p", "3", "--smax", "0"], capsys)
+    assert rc == 0 and "rank s=0: 1" in out
 
 
 def test_inconclusive_is_3(capsys):

@@ -9,11 +9,9 @@ from ramify.coeff import (
     Coefficient,
     Context,
     ContextMismatch,
-    GradedDegree,
     NonUnitError,
     RefinementError,
     invert,
-    koszul_sign,
     modp_context,
     padic_context,
     reduce,
@@ -140,16 +138,6 @@ def test_invert_roundtrip_randomized():
         else:
             c = ctx.coeff(v)
             assert (invert(c) * c).value == 1
-
-
-def test_graded_degree_and_koszul():
-    a = GradedDegree(1)
-    b = GradedDegree(3)
-    c = GradedDegree(2)
-    assert (a + b).parity == 0
-    assert koszul_sign(a, b) == -1
-    assert koszul_sign(a, c) == 1
-    assert koszul_sign(c, c) == 1
 
 
 def test_is_unit_flags():

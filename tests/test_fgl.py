@@ -9,7 +9,6 @@ from ramify.cochain import minimum_series_precision
 from ramify.coeff import (
     ZZ,
     ContextMismatch,
-    NonUnitError,
     modp_context,
     padic_context,
 )
@@ -27,7 +26,6 @@ from ramify.fgl import (
     formal_sum,
     make_honda_fgl,
     make_multiplicative_fgl,
-    series_inverse,
     weierstrass_preparation,
     y_series,
 )
@@ -178,21 +176,6 @@ def test_exact_quotient_by_y():
         exact_quotient_by_y(TruncatedSeries(ZZ, (1, 1), True))
     with pytest.raises(PrecisionError):
         exact_quotient_by_y(TruncatedSeries(ZZ, (0,), False))
-
-
-def test_series_inverse_contract():
-    ctx = padic_context(2, 8)
-    s = TruncatedSeries(ctx, (1, 2, 0, 0, 0, 0), False)
-    inv = series_inverse(s)
-    assert (s * inv).coeffs == (1, 0, 0, 0, 0, 0)
-    ones = series_inverse(TruncatedSeries(modp_context(5), (1, 4), True), length=6)
-    assert ones.coeffs == (1,) * 6
-    with pytest.raises(PrecisionError):
-        series_inverse(TruncatedSeries(ZZ, (1, 1), True))
-    with pytest.raises(PrecisionError):
-        series_inverse(s, length=9)
-    with pytest.raises(NonUnitError):
-        series_inverse(TruncatedSeries(ctx, (2, 1), False))
 
 
 def test_reduce_context_maps_coefficients():

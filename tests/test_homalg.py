@@ -54,6 +54,18 @@ def test_snf_divisibility_chain_randomized():
             assert b % a == 0
 
 
+def test_snf_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(2718)
+    for _ in range(300):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+        mat = [[rng.randrange(-30, 31) for _ in range(n)] for _ in range(m)]
+        want = invariant_factors(sympy.Matrix(mat), domain=sympy.ZZ)
+        assert smith_normal_form(mat) == [abs(int(d)) for d in want if d], mat
+
+
 def _unimodular(rng, n):
     # random product of elementary row operations applied to the identity
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
