@@ -107,15 +107,13 @@ def in_row_space(vec, reduced, pivots, p):
     return not v.any()
 
 
-def coords_in_rref(vec, reduced, pivots, p):
-    """Coordinates of vec in the rref basis; raises if not in the span."""
-    v = np.asarray(vec, dtype=np.int64) % p
-    coeffs = np.zeros(len(pivots), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        if v[c]:
-            coeffs[i] = v[c]
-            v = (v - v[c] * reduced[i]) % p
-    if v.any():
+def coords_in_rref(vecs, reduced, pivots, p):
+    """Coordinates in the rref basis of each vector along the last axis
+    of vecs: its pivot entries, once the residual against the basis
+    vanishes.  Raises if a vector is not in the span."""
+    v = np.asarray(vecs, dtype=np.int64) % p
+    coeffs = v[..., pivots]
+    if ((v - coeffs @ reduced) % p).any():
         raise AlgebraError("vector not in the given span")
     return coeffs
 
@@ -165,15 +163,29 @@ class FinAlgebra:
 
     table[i, j, k] is the e_k coefficient of e_i * e_j.  The basis
     element with index 0 must be the unit unless an explicit unit
-    vector is supplied.  Construction validates associativity (fully
-    for dim <= 14, on a seeded sample otherwise), graded commutativity
-    with Koszul signs, that the augmentation is an algebra map, parity
-    additivity, and that the augmentation kernel is nilpotent.  A
-    non-nilpotent kernel means the algebra is not local in the sense
-    used here and is rejected.
+    vector is supplied.  Construction checks that the unit is a two
+    sided unit, parity additivity, graded commutativity with Koszul
+    signs, associativity, that the augmentation is an algebra map that
+    vanishes on the odd part, and that the augmentation kernel is
+    nilpotent.  A non-nilpotent kernel means the algebra is not local
+    in the sense used here and is rejected.
+
+    Associativity is certified on generators, in every dimension.  G
+    is a set of lifts of a basis of J/J^2 (J the augmentation kernel)
+    when their right-nested words g1 (g2 (... (gk 1))) span A, and the
+    basis of J otherwise, whose words 1 and g 1 = g span F_p 1 + J = A.
+    The certificate checks (g e_j) e_k = g (e_j e_k) for g in G and
+    all j, k.  Proof that this suffices: the set
+    S = {x : (x y) z = x (y z) for all y, z} is a subspace, it
+    contains 1 (the unit check), and it is closed under products, as
+    for x, x' in S
+        ((x x') y) z = (x (x' y)) z = x ((x' y) z)
+                     = x (x' (y z)) = (x x') (y z).
+    So S contains every right-nested word in G, and S = A once those
+    words span A.  G is kept for the module certificate of FinModule.
     """
 
-    def __init__(self, p, labels, parities, table, aug, unit=None, seed=0):
+    def __init__(self, p, labels, parities, table, aug, unit=None):
         if not _is_prime(p):
             raise AlgebraError("p must be prime")
         self.p = int(p)
@@ -196,7 +208,7 @@ class FinAlgebra:
         self.unit = np.array(unit, dtype=np.int64) % p
         self._radical = None
         self._nilpotency = None
-        self._validate(seed)
+        self._validate()
 
     # -- arithmetic on coefficient vectors
 
@@ -210,77 +222,85 @@ class FinAlgebra:
 
     # -- validation
 
-    def _validate(self, seed):
+    def _validate(self):
         p, d, tbl = self.p, self.dim, self.table
-        # unit
-        for j in range(d):
-            ej = np.zeros(d, dtype=np.int64)
-            ej[j] = 1
-            if not np.array_equal(self.mul(self.unit, ej), ej):
-                raise AlgebraError("unit fails on basis element %d" % j)
-            if not np.array_equal(self.mul(ej, self.unit), ej):
-                raise AlgebraError("unit fails on basis element %d" % j)
+        par = np.array(self.parities, dtype=np.int64)
+        eye = np.eye(d, dtype=np.int64)
+        # unit: row j of 1 * e_j and of e_j * 1 must be e_j
+        one_x = np.tensordot(self.unit, tbl, axes=(0, 0)) % p
+        x_one = np.tensordot(self.unit, tbl, axes=(0, 1)) % p
+        bad = np.flatnonzero((one_x != eye).any(axis=1) | (x_one != eye).any(axis=1))
+        if bad.size:
+            raise AlgebraError("unit fails on basis element %d" % bad[0])
         # parity additivity: e_i e_j supported on parity p_i + p_j
-        for i in range(d):
-            for j in range(d):
-                want = (self.parities[i] + self.parities[j]) % 2
-                for k in range(d):
-                    if tbl[i, j, k] and self.parities[k] != want:
-                        raise AlgebraError(
-                            "product e_%d e_%d hits wrong parity at e_%d" % (i, j, k)
-                        )
+        want = (par[:, None] + par[None, :]) % 2
+        bad = np.argwhere((tbl != 0) & (par[None, None, :] != want[:, :, None]))
+        if bad.size:
+            raise AlgebraError("product e_%d e_%d hits wrong parity at e_%d" % tuple(bad[0]))
         # graded commutativity with Koszul sign
-        for i in range(d):
-            for j in range(i, d):
-                sign = -1 if self.parities[i] and self.parities[j] else 1
-                if not np.array_equal(tbl[i, j], (sign * tbl[j, i]) % p):
-                    raise AlgebraError("graded commutativity fails at (%d,%d)" % (i, j))
-        # associativity: full check is cubic in dim, sample when large
-        if d <= 14:
-            triples = itertools.product(range(d), repeat=3)
-        else:
-            rng = random.Random(seed)
-            triples = [
-                (rng.randrange(d), rng.randrange(d), rng.randrange(d))
-                for _ in range(300)
-            ]
-        basis = np.eye(d, dtype=np.int64)
-        for i, j, k in triples:
-            lhs = self.mul(self.mul(basis[i], basis[j]), basis[k])
-            rhs = self.mul(basis[i], self.mul(basis[j], basis[k]))
-            if not np.array_equal(lhs, rhs):
-                raise AlgebraError("associativity fails at (%d,%d,%d)" % (i, j, k))
+        sign = np.where(np.outer(par, par) == 1, -1, 1)
+        swapped = sign[:, :, None] * tbl.transpose(1, 0, 2) % p
+        bad = np.argwhere(np.triu((tbl != swapped).any(axis=2)))
+        if bad.size:
+            raise AlgebraError("graded commutativity fails at (%d,%d)" % tuple(bad[0]))
+        # J and the right multiplications x -> x w by its basis, shared by
+        # the associativity and nilpotency certificates
+        rad = radical_basis(self)
+        right = np.einsum("bj,ijn->bin", rad, tbl) % p
+        self._check_associative(rad, right)
         # augmentation is an algebra map
         if self.aug_of(self.unit) != 1:
             raise AlgebraError("augmentation of the unit is not 1")
-        for i in range(d):
-            for j in range(d):
-                ei = basis[i]
-                ej = basis[j]
-                if self.aug_of(self.mul(ei, ej)) != (
-                    self.aug_of(ei) * self.aug_of(ej)
-                ) % p:
-                    raise AlgebraError("augmentation is not multiplicative")
+        if not np.array_equal(tbl @ self.aug % p, np.outer(self.aug, self.aug) % p):
+            raise AlgebraError("augmentation is not multiplicative")
         # odd elements must be in the kernel of the augmentation
-        for i in range(d):
-            if self.parities[i] and self.aug[i]:
-                raise AlgebraError("augmentation does not vanish on odd part")
+        if ((par == 1) & (self.aug != 0)).any():
+            raise AlgebraError("augmentation does not vanish on odd part")
         # ker(aug) must be nilpotent, otherwise not local in our sense
-        self._check_radical_nilpotent()
+        self._check_radical_nilpotent(rad, right)
 
-    def _check_radical_nilpotent(self):
-        rad = radical_basis(self)
-        cur = row_space(rad, self.p) if len(rad) else np.zeros((0, self.dim), np.int64)
+    def _right_products(self, rows, right):
+        """rref basis of the span of v w for v in rows and w in J, from
+        the stack right of right multiplications by the basis of J."""
+        prods = np.tensordot(rows, right, axes=(1, 1)).reshape(-1, self.dim)
+        return rref(prods % self.p, self.p)
+
+    def _generators(self, rad, right):
+        """Lifts of a basis of J/J^2 if their right-nested words span A
+        (one span closure of the unit under their left multiplications),
+        otherwise the basis of J."""
+        p, d = self.p, self.dim
+        j2, j2_piv = self._right_products(rad, right)
+        # the radical rows whose images in J/J^2 are independent
+        images = rad @ quotient_map(j2, j2_piv, d, p).T % p
+        _, lifts = rref(images.T, p)
+        gens = rad[lifts]
+        left = np.einsum("gi,ijn->gnj", gens, self.table) % p
+        words, _ = _span_closure(left, [self.unit], p)
+        return gens if words.shape[0] == d else rad
+
+    def _check_associative(self, rad, right):
+        """(g e_j) e_k = g (e_j e_k) for g in the generators and all j,
+        k, as one stacked product; the class docstring proves that this
+        is associativity."""
+        p, tbl = self.p, self.table
+        self.generators = self._generators(rad, right)
+        ge = np.tensordot(self.generators, tbl, axes=(1, 0)) % p  # g e_j
+        lhs = np.tensordot(ge, tbl, axes=(2, 0)) % p
+        rhs = np.tensordot(tbl, ge, axes=(2, 1)).transpose(2, 0, 1, 3) % p
+        bad = np.argwhere((lhs != rhs).any(axis=3))
+        if bad.size:
+            raise AlgebraError(
+                "associativity fails at generator %d and (%d,%d)" % tuple(bad[0])
+            )
+
+    def _check_radical_nilpotent(self, rad, right):
+        """J^(k+1) = J^k J, one stacked product and one rref per power;
+        the powers of a nilpotent J shrink strictly until they die."""
+        cur = rad
         e = 1
         while cur.shape[0] > 0:
-            nxt_rows = []
-            for v in cur:
-                for w in rad:
-                    nxt_rows.append(self.mul(v, w))
-            nxt = row_space(nxt_rows, self.p) if nxt_rows else np.zeros(
-                (0, self.dim), np.int64
-            )
-            # powers of a nilpotent ideal shrink strictly until they die
+            nxt, _ = self._right_products(cur, right)
             if nxt.shape[0] >= cur.shape[0]:
                 raise AlgebraError("augmentation kernel is not nilpotent")
             cur = nxt
@@ -295,32 +315,20 @@ class FinAlgebra:
 
 
 def radical_basis(alg):
-    """Basis of ker(augmentation) as a list of vectors.
+    """Basis of ker(augmentation), the rows of an rref array.
 
     For an augmented algebra over a field this is the Jacobson radical
     whenever the kernel is nilpotent, which construction guarantees.
     """
-    if alg._radical is not None:
-        return alg._radical
-    rows = []
-    for i in range(alg.dim):
-        v = np.zeros(alg.dim, dtype=np.int64)
-        v[i] = 1
-        a = alg.aug_of(v)
-        if a == 0:
-            rows.append(v)
-        else:
-            # e_i - aug(e_i) * unit lies in the kernel
-            rows.append((v - a * alg.unit) % alg.p)
-    red, _ = rref(rows, alg.p)
-    alg._radical = [red[i] for i in range(red.shape[0])]
+    if alg._radical is None:
+        # e_i - aug(e_i) * unit lies in the kernel
+        rows = np.eye(alg.dim, dtype=np.int64) - np.outer(alg.aug, alg.unit)
+        alg._radical, _ = rref(rows, alg.p)
     return alg._radical
 
 
 def nilpotency_exponent(alg):
     """Least e with J^e = 0; J = ker(augmentation)."""
-    if alg._nilpotency is None:
-        alg._check_radical_nilpotent()
     return alg._nilpotency
 
 
@@ -334,15 +342,19 @@ def field_algebra(p):
     )
 
 
+def _truncated_table(m):
+    """Structure tensor of F_p[y]/(y^m): table[i, j, i + j] = 1 for i + j < m."""
+    i, j = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < m)
+    table = np.zeros((m, m, m), dtype=np.int64)
+    table[i, j, i + j] = 1
+    return table
+
+
 def truncated_polynomial_algebra(p, m):
     """F_p[y]/(y^m), basis 1, y, ..., y^(m-1), everything in parity 0."""
     if m < 1:
         raise AlgebraError("m must be >= 1")
-    table = np.zeros((m, m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            if i + j < m:
-                table[i, j, i + j] = 1
+    table = _truncated_table(m)
     labels = tuple("1" if i == 0 else ("y" if i == 1 else "y^%d" % i) for i in range(m))
     aug = np.zeros(m, dtype=np.int64)
     aug[0] = 1
@@ -386,9 +398,17 @@ def tensor_algebra(a, b):
 class FinModule:
     """Left module over a FinAlgebra given by explicit action matrices.
 
-    act[i] is the matrix of the action of basis element e_i; the unit
-    must act as the identity and the action must be compatible with
-    the structure tensor.
+    act[i] is the matrix rho(e_i) of the action of basis element e_i.
+    Construction checks that the unit acts as the identity and that
+    rho(g e_j) = rho(g) rho(e_j) for every g in the algebra's
+    generators G and every j.  Proof that the action is then
+    multiplicative: T = {x : rho(x y) = rho(x) rho(y) for all y} is a
+    subspace that contains 1 and G, and it is closed under products,
+    since for x, x' in T and the associativity the algebra certified
+        rho((x x') y) = rho(x (x' y)) = rho(x) rho(x') rho(y)
+                      = rho(x x') rho(y).
+    So T contains the right-nested words in G, which span the algebra
+    (see FinAlgebra), and T is everything.
     """
 
     def __init__(self, algebra, act, labels=None):
@@ -405,13 +425,15 @@ class FinModule:
         self._validate()
 
     def _validate(self):
-        p = self.algebra.p
-        unit_mat = np.tensordot(self.algebra.unit, self.act, axes=(0, 0)) % p
+        alg, p = self.algebra, self.algebra.p
+        unit_mat = np.tensordot(alg.unit, self.act, axes=(0, 0)) % p
         if not np.array_equal(unit_mat, np.eye(self.dim, dtype=np.int64)):
             raise AlgebraError("unit does not act as identity")
-        # compatibility: act(e_i e_j) == act(e_i) act(e_j)
-        lhs = np.einsum("ijk,kab->ijab", self.algebra.table, self.act) % p
-        rhs = np.einsum("iab,jbc->ijac", self.act, self.act) % p
+        # compatibility on generators: rho(g e_j) == rho(g) rho(e_j)
+        ge = np.tensordot(alg.generators, alg.table, axes=(1, 0)) % p
+        lhs = np.tensordot(ge, self.act, axes=(2, 0)) % p
+        rho_g = np.tensordot(alg.generators, self.act, axes=(1, 0)) % p
+        rhs = np.matmul(rho_g[:, None], self.act[None]) % p
         if not np.array_equal(lhs, rhs):
             raise AlgebraError("action is not compatible with the product")
 
@@ -441,14 +463,14 @@ def _span_closure(acts, rows, p):
     """
     cur, piv = rref(rows, p)
     while True:
-        new_rows = list(cur)
-        for a in acts:
-            for v in cur:
-                new_rows.append(a @ v % p)
-        nxt, piv = rref(new_rows, p)
-        if nxt.shape[0] == cur.shape[0]:
-            return nxt, piv
-        cur = nxt
+        images = np.tensordot(acts, cur, axes=(2, 1)).transpose(0, 2, 1)
+        images = images.reshape(-1, cur.shape[1]) % p
+        # only what the images add to the span goes through rref again
+        resid = (images - images[:, piv] @ cur) % p
+        resid = resid[resid.any(axis=1)]
+        if resid.shape[0] == 0:
+            return cur, piv
+        cur, piv = rref(np.vstack([cur, resid]), p)
 
 
 def regular_module(alg):
@@ -475,18 +497,10 @@ def spanned_submodule(module, vectors):
     if not rows:
         rows = [np.zeros(module.dim, np.int64)]
     red, pivots = _span_closure(module.act, rows, p)
-    r = red.shape[0]
-    if r == 0:
-        # zero module
-        act = np.zeros((module.algebra.dim, 0, 0), dtype=np.int64)
-        return FinModule(module.algebra, act), red
-    act = np.zeros((module.algebra.dim, r, r), dtype=np.int64)
-    for i in range(module.algebra.dim):
-        for j in range(r):
-            w = module.act[i] @ red[j] % p
-            act[i][:, j] = coords_in_rref(w, red, pivots, p)
-    sub = FinModule(module.algebra, act)
-    return sub, red
+    # column j of act[i] holds the coordinates of e_i red[j]
+    images = np.tensordot(module.act, red, axes=(2, 1)).transpose(0, 2, 1)
+    act = coords_in_rref(images, red, pivots, p).transpose(0, 2, 1)
+    return FinModule(module.algebra, act), red
 
 
 def random_spanned_module(alg, rng, free_rank=2, n_vectors=2):
@@ -537,7 +551,7 @@ def socle_series_bases(module):
     alg = module.algebra
     p = alg.p
     rad = radical_basis(alg)
-    rad_mats = [np.tensordot(g, module.act, axes=(0, 0)) % p for g in rad]
+    rad_mats = np.tensordot(rad, module.act, axes=(1, 0)) % p
     e = nilpotency_exponent(alg)
     stages = []
     prev_red = np.zeros((0, module.dim), dtype=np.int64)
@@ -546,19 +560,16 @@ def socle_series_bases(module):
         if len(stages) == e:
             raise AlgebraError("socle series fails to terminate by J-nilpotency")
         q = quotient_map(prev_red, prev_piv, module.dim, p)
-        if rad_mats:
-            stacked = np.vstack([q @ m % p for m in rad_mats])
-        else:
-            stacked = np.zeros((0, module.dim), dtype=np.int64)
+        stacked = (q @ rad_mats % p).reshape(-1, module.dim)
         kern = null_space(stacked, p)
         red, piv = rref(kern if kern else np.zeros((0, module.dim), np.int64), p)
         if red.shape[0] <= prev_red.shape[0]:
             raise AlgebraError("socle series is not strictly increasing")
-        # J soc^k must land in soc^(k-1)
-        for g in rad_mats:
-            for v in red:
-                if not in_row_space(g @ v % p, prev_red, prev_piv, p):
-                    raise AlgebraError("J soc^k escapes soc^(k-1)")
+        # J soc^k must land in soc^(k-1): every image g v must reduce to
+        # zero against the rref basis of soc^(k-1), independently of q
+        images = np.tensordot(red, rad_mats, axes=(1, 2)).reshape(-1, module.dim)
+        if ((images - images[:, prev_piv] @ prev_red) % p).any():
+            raise AlgebraError("J soc^k escapes soc^(k-1)")
         stages.append(red)
         prev_red, prev_piv = red, piv
     return stages
@@ -575,12 +586,9 @@ def nakayama_check(module):
     if module.dim == 0:
         return (0, 0)
     rad = radical_basis(alg)
-    rows = []
-    for g in rad:
-        mat = np.tensordot(g, module.act, axes=(0, 0)) % p
-        for j in range(module.dim):
-            rows.append(mat[:, j])
-    jm = row_space(rows, p) if rows else np.zeros((0, module.dim), np.int64)
+    # JM is spanned by the columns of the action matrices of J
+    cols = np.tensordot(rad, module.act, axes=(1, 0)).transpose(0, 2, 1)
+    jm = row_space(cols.reshape(-1, module.dim), p)
     top = module.dim - jm.shape[0]
     if top == 0 and module.dim > 0:
         raise AlgebraError("Nakayama violation: JM = M for nonzero M")
@@ -603,28 +611,22 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
         raise ValueError("s_max must be >= 0")
     p = alg.p
     rng = random.Random(shuffle_seed)
+    d = alg.dim
     rad = radical_basis(alg)
     betti = [1]
     # K ⊆ A^rank, the first syzygy of F_p is the radical inside A^1
     rank = 1
     acts = _free_action_blocks(alg, rank)
-    k_rows = row_space(rad, p)
+    k_rows = rad
     for _ in range(s_max):
         if k_rows.shape[0] == 0:
             # resolution terminated; only happens for the field itself
             betti.append(0)
             continue
-        # JK
-        jk_rows = []
-        for g in rad:
-            mat = np.zeros((rank * alg.dim, rank * alg.dim), dtype=np.int64)
-            for i in range(alg.dim):
-                mat = (mat + int(g[i]) * acts[i]) % p
-            for v in k_rows:
-                jk_rows.append(mat @ v % p)
-        jk_red, jk_piv = rref(
-            jk_rows if jk_rows else np.zeros((0, rank * alg.dim), np.int64), p
-        )
+        # JK, spanned by g v for g in the basis of J and v in K
+        rad_acts = np.tensordot(rad, acts, axes=(1, 0)) % p
+        jk_rows = np.tensordot(rad_acts, k_rows, axes=(2, 1)).transpose(0, 2, 1)
+        jk_red, jk_piv = rref(jk_rows.reshape(-1, rank * d) % p, p)
         # minimal generators: extend JK to K, order shuffled for lift
         # independence
         candidates = list(range(k_rows.shape[0]))
@@ -640,12 +642,10 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
         betti.append(b)
         # map A^b -> A^rank sending the i-th free generator to gens[i];
         # the column for basis slot (gi, j) is e_j . gens[gi]
-        ncols = b * alg.dim
-        big = np.zeros((rank * alg.dim, ncols), dtype=np.int64)
-        for gi, gen in enumerate(gens):
-            for j in range(alg.dim):
-                big[:, gi * alg.dim + j] = acts[j] @ gen % p
-        kern = null_space(big, p)
+        ncols = b * d
+        gens = np.array(gens, dtype=np.int64).reshape(b, rank * d)
+        big = np.tensordot(acts, gens, axes=(2, 1)).transpose(1, 2, 0) % p
+        kern = null_space(big.reshape(rank * d, ncols), p)
         new_rows = (
             np.array(kern, dtype=np.int64)
             if kern
@@ -653,11 +653,8 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
         )
         # minimality: the kernel must sit inside J . A^b, so every
         # generator coordinate augments to zero
-        for v in new_rows:
-            for gi in range(b):
-                comp = v[gi * alg.dim : (gi + 1) * alg.dim]
-                if alg.aug_of(comp) != 0:
-                    raise AlgebraError("resolution is not minimal")
+        if (new_rows.reshape(-1, b, d) @ alg.aug % p).any():
+            raise AlgebraError("resolution is not minimal")
         rank = b
         acts = _free_action_blocks(alg, rank)
         if new_rows.shape[0]:
@@ -667,7 +664,7 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
             if int(k_rows.shape[0]) != int(rref(new_rows, p)[0].shape[0]):
                 raise AlgebraError("kernel failed to be a submodule")
         else:
-            k_rows = np.zeros((0, b * alg.dim), np.int64)
+            k_rows = np.zeros((0, b * d), np.int64)
     return tuple(betti[: s_max + 1])
 
 

@@ -334,17 +334,10 @@ def mod_m_reduction(ring):
             prod[i + j] = 1
             red = ring._reduce_poly(prod)
             table[i, j] = np.array(red, dtype=np.int64) % p
-    labels = tuple(
-        "1" if i == 0 else ("y" if i == 1 else "y^%d" % i) for i in range(rank)
-    )
-    aug = np.zeros(rank, dtype=np.int64)
-    aug[0] = 1
-    alg = artin.FinAlgebra(p, labels, (0,) * rank, table, aug)
-    # cross-check against the truncated polynomial presentation
-    expect = artin.truncated_polynomial_algebra(p, rank)
-    if not np.array_equal(alg.table, expect.table):
+    # compare with the closed-form table of the truncated presentation
+    if not np.array_equal(table, artin._truncated_table(rank)):
         raise WeierstrassError("mod-p reduction is not the truncated algebra")
-    return alg
+    return artin.truncated_polynomial_algebra(p, rank)
 
 
 @dataclass(frozen=True)

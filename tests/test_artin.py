@@ -1,11 +1,15 @@
 """F_p linear algebra, finite local algebras, socles, Betti numbers."""
 
+import importlib.util
+import itertools
+import os
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from ramify import artin
+from ramify import artin, cli
 from ramify.artin import (
     AlgebraError,
     FinAlgebra,
@@ -176,6 +180,228 @@ def test_algebra_validation_rejects_nonassociative():
         FinAlgebra(2, ("1", "y"), (0, 0), table, (1, 0))
 
 
+def test_algebra_has_no_seed():
+    alg = truncated_polynomial_algebra(2, 3)
+    with pytest.raises(TypeError):
+        FinAlgebra(2, alg.labels, alg.parities, alg.table, alg.aug, seed=0)
+
+
+# ----------------------------------------------- certificates against oracles
+
+
+def _associativity_oracle(table, p, triples=None):
+    """The per-triple check: (e_i e_j) e_k = e_i (e_j e_k) on the given
+    triples, every triple by default."""
+    if triples is None:
+        triples = itertools.product(range(table.shape[0]), repeat=3)
+    for i, j, k in triples:
+        # (e_i e_j) e_k from row (i, j); e_i (e_j e_k) from row (j, k)
+        # pushed through the left multiplication by e_i
+        if not np.array_equal(
+            table[i, j] @ table[:, k, :] % p, table[j, k] @ table[i] % p
+        ):
+            raise AlgebraError("associativity fails at (%d,%d,%d)" % (i, j, k))
+
+
+def _oracle_check_associative(self, rad, right):
+    """Stand-in for FinAlgebra._check_associative: every triple, and the
+    whole basis as generators, which makes the module check full too."""
+    _associativity_oracle(self.table, self.p)
+    self.generators = np.eye(self.dim, dtype=np.int64)
+
+
+def _module_oracle(alg, act):
+    """The full module check: the unit acts as the identity and
+    act(e_i e_j) = act(e_i) act(e_j) for every pair i, j."""
+    p = alg.p
+    unit_mat = np.tensordot(alg.unit, act, axes=(0, 0)) % p
+    if not np.array_equal(unit_mat, np.eye(act.shape[1], dtype=np.int64)):
+        return False
+    lhs = np.einsum("ijk,kab->ijab", alg.table, act) % p
+    rhs = np.einsum("iab,jbc->ijac", act, act) % p
+    return np.array_equal(lhs, rhs)
+
+
+def _accepts(build):
+    try:
+        build()
+    except AlgebraError:
+        return False
+    return True
+
+
+def _workload_algebra_files():
+    """(p, number of tensor factors, file text) for every algebra file
+    shape of the benchmark's user_inputs workload, from a fixed seed."""
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench", "workloads.py",
+    )
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    rng = random.Random(5)
+    return [(p, len(factors), workloads.algebra_text(p, factors, rng))
+            for p, factors, _ in workloads.ALGEBRA_SHAPES]
+
+
+def _exterior(p):
+    table = np.zeros((2, 2, 2), dtype=np.int64)
+    table[0, 0, 0] = table[0, 1, 1] = table[1, 0, 1] = 1
+    return FinAlgebra(p, ("1", "x"), (0, 1), table, (1, 0))
+
+
+def _small_algebras():
+    t = truncated_polynomial_algebra
+    return [
+        t(2, 4), t(3, 3), t(5, 2),
+        tensor_algebra(t(2, 2), t(2, 2)),
+        tensor_algebra(_exterior(3), t(3, 3)),
+        tensor_algebra(_exterior(3), _exterior(3)),
+    ]
+
+
+def test_certificates_accept_library_and_workload_algebras():
+    t = truncated_polynomial_algebra
+    algs = [(t(p, m), int(m > 1)) for p in (2, 3) for m in (1, 2, 5, 9, 16)]
+    algs += [(alg, 2) for alg in _small_algebras()[3:]]
+    algs.append((tensor_algebra(t(3, 3), t(3, 5)), 2))
+    files = _workload_algebra_files()
+    assert len(files) == 9
+    algs += [(cli._parse_algebra_file(text, p), n) for p, n, text in files]
+    for alg, n_factors in algs:
+        _associativity_oracle(alg.table, alg.p)
+        # the lifts of J/J^2 span, so the generators are one per factor
+        assert alg.generators.shape[0] == n_factors
+        for module in (free_module(alg, 2), random_spanned_module(alg, random.Random(3))):
+            assert _module_oracle(alg, module.act)
+
+
+def test_associativity_certificates_agree_on_table_mutants(monkeypatch):
+    rejected = nonassociative = 0
+    for alg in _small_algebras():
+        p, d, par = alg.p, alg.dim, alg.parities
+        mutants = []
+        for i, j, k in itertools.product(range(d), repeat=3):
+            one = alg.table.copy()
+            one[i, j, k] += 1
+            mutants.append(one % p)
+            if i != j:
+                # the same change at (j, i, k) with the Koszul sign keeps
+                # graded commutativity, so these reach associativity
+                one[j, i, k] += -1 if par[i] and par[j] else 1
+                mutants.append(one % p)
+        for table in mutants:
+            def build():
+                FinAlgebra(p, alg.labels, par, table, alg.aug, unit=alg.unit)
+
+            new = _accepts(build)
+            with monkeypatch.context() as m:
+                m.setattr(FinAlgebra, "_check_associative", _oracle_check_associative)
+                assert _accepts(build) == new
+            rejected += not new
+            nonassociative += not _accepts(lambda: _associativity_oracle(table, p))
+    assert rejected > 0 and nonassociative > 0
+
+
+def test_module_certificates_agree_on_action_mutants():
+    t = truncated_polynomial_algebra
+    two = tensor_algebra(t(2, 2), t(2, 2))
+    modules = [
+        free_module(t(3, 3), 2),
+        free_module(two, 1),
+        spanned_submodule(free_module(two, 2), [np.arange(8) % 2])[0],
+        random_spanned_module(t(3, 3), random.Random(11)),
+    ]
+    rejected = 0
+    for module in modules:
+        alg, p = module.algebra, module.algebra.p
+        assert module.dim > 0 and _module_oracle(alg, module.act)
+        for idx in itertools.product(*map(range, module.act.shape)):
+            act = module.act.copy()
+            act[idx] = (act[idx] + 1) % p
+            new = _accepts(lambda: FinModule(alg, act))
+            assert new == _module_oracle(alg, act)
+            rejected += not new
+    assert rejected > 0
+
+
+def test_certificate_rejects_what_a_triple_sample_misses(tmp_path, capsys):
+    # F_2[y]/(y^16) with y^2 y^2 = y^4 + y^15: commutative, augmented and
+    # nilpotent, and associativity fails only at (1,1,2) and (2,1,1), two
+    # of the 4096 triples
+    table = artin._truncated_table(16)
+    table[2, 2, 15] = 1
+    aug = np.zeros(16, dtype=np.int64)
+    aug[0] = 1
+    labels = ["y%d" % i for i in range(16)]
+    # the 300 triples the sampled check drew for dim > 14 (seed 0)
+    rng = random.Random(0)
+    sample = [(rng.randrange(16), rng.randrange(16), rng.randrange(16)) for _ in range(300)]
+    _associativity_oracle(table, 2, sample)
+    with pytest.raises(AlgebraError, match="associativity"):
+        _associativity_oracle(table, 2)
+    with pytest.raises(AlgebraError, match="associativity fails at generator 0"):
+        FinAlgebra(2, labels, (0,) * 16, table, aug)
+    lines = ["labels: " + " ".join(labels), "parities: " + " 0" * 16, "aug: 1" + " 0" * 15]
+    lines += ["mul: %d %d %d 1" % tuple(ijk) for ijk in np.argwhere(table)]
+    path = tmp_path / "nonassoc.alg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = cli.main(["socle", "--p", "2", "--algebra", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 65 and "malformed algebra file: associativity" in err
+
+
+def _spy_on_fallback(monkeypatch):
+    """Record, for each algebra built, whether its generators fell back
+    to the basis of J."""
+    fell_back = []
+    lifts_or_basis = FinAlgebra._generators
+
+    def spy(self, rad, right):
+        gens = lifts_or_basis(self, rad, right)
+        fell_back.append(gens is rad)
+        return gens
+
+    monkeypatch.setattr(FinAlgebra, "_generators", spy)
+    return fell_back
+
+
+def test_fallback_generators_reject_nonassociative_tables(monkeypatch):
+    # basis 1, x, s, t: x x = s, s s = t, all else zero.  J/J^2 lifts to
+    # {x}, whose words 1, x, s miss t; (x x) s = t but x (x s) = 0
+    table = np.zeros((4, 4, 4), dtype=np.int64)
+    for i in range(4):
+        table[0, i, i] = table[i, 0, i] = 1
+    table[1, 1, 2] = table[2, 2, 3] = 1
+    fell_back = _spy_on_fallback(monkeypatch)
+    with pytest.raises(AlgebraError, match="associativity"):
+        FinAlgebra(3, ("1", "x", "s", "t"), (0,) * 4, table, (1, 0, 0, 0))
+    assert fell_back == [True]
+
+
+def test_fallback_generators_reject_nonlocal_tables(monkeypatch):
+    # F_2 x F_2 and F_3[y]/(y^2) x F_3: J^2 = J for the first, and the
+    # idempotent (0, 1) of the second is in no right-nested word of the
+    # lifts, so both fall back, pass associativity and fail nilpotency
+    split = np.zeros((2, 2, 2), dtype=np.int64)
+    split[0, 0, 0] = split[1, 1, 1] = 1
+    trunc = truncated_polynomial_algebra(3, 2)
+    prod = np.zeros((3, 3, 3), dtype=np.int64)
+    prod[:2, :2, :2] = trunc.table
+    prod[2, 2, 2] = 1
+    fell_back = _spy_on_fallback(monkeypatch)
+    with pytest.raises(AlgebraError, match="not nilpotent"):
+        FinAlgebra(2, ("a", "b"), (0, 0), split, (1, 0), unit=(1, 1))
+    with pytest.raises(AlgebraError, match="not nilpotent"):
+        FinAlgebra(3, ("1", "y", "f"), (0, 0, 0), prod, (1, 0, 0), unit=(1, 0, 1))
+    assert fell_back == [True, True]
+
+
 def test_tensor_algebra_koszul_sign():
     # exterior algebra on one odd generator over F_3
     table = np.zeros((2, 2, 2), dtype=np.int64)
@@ -328,12 +554,18 @@ def test_socle_series_bases_certifies_each_stage(monkeypatch):
 
 def test_nakayama_randomized():
     rng = random.Random(2026)
+    # F_2[x, y]/(x, y)^2 is not Gorenstein: on its modules the row and
+    # column spans of the action matrices of J can differ in dimension
+    square_zero = np.zeros((3, 3, 3), dtype=np.int64)
+    for i in range(3):
+        square_zero[0, i, i] = square_zero[i, 0, i] = 1
     algs = [
         truncated_polynomial_algebra(2, 4),
         truncated_polynomial_algebra(3, 3),
         tensor_algebra(
             truncated_polynomial_algebra(2, 2), truncated_polynomial_algebra(2, 2)
         ),
+        FinAlgebra(2, ("1", "x", "y"), (0, 0, 0), square_zero, (1, 0, 0)),
     ]
     for _ in range(30):
         alg = algs[rng.randrange(len(algs))]
@@ -342,6 +574,10 @@ def test_nakayama_randomized():
         assert 0 <= top <= dim <= 16
         if dim > 0:
             assert top > 0
+            # JM spanned vector by vector: g . m_j for g in J, m_j in M
+            jm = [mod.act_vec(g, m) for g in radical_basis(alg)
+                  for m in np.eye(dim, dtype=np.int64)]
+            assert top == dim - row_space(jm, alg.p).shape[0]
         series = _check_socle_stages(mod)
         if dim:
             assert series.dims[-1] == dim
@@ -361,6 +597,14 @@ def test_betti_tensor_square_grows_linearly():
     a = truncated_polynomial_algebra(2, 2)
     two = tensor_algebra(a, truncated_polynomial_algebra(2, 2))
     assert betti_numbers(two, 6) == (1, 2, 3, 4, 5, 6, 7)
+
+
+def test_resolution_certifies_minimality(monkeypatch):
+    # if every element of K counts as a new generator, the generators of
+    # A^b are not minimal and the kernel has a unit coordinate
+    monkeypatch.setattr(artin, "in_row_space", lambda *args: False)
+    with pytest.raises(AlgebraError, match="not minimal"):
+        minimal_free_resolution(truncated_polynomial_algebra(2, 3), 2)
 
 
 def test_betti_seed_stability():
