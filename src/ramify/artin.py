@@ -60,6 +60,22 @@ def rref(rows, p):
 
     Returns (reduced, pivots) where reduced contains only the nonzero
     rows, each with leading entry 1 and zeros above and below it.
+
+    The pivot for column c is the first row at or below r (the rows
+    above r hold the pivots found so far) with a nonzero in column c.
+    One pivot touches only the cells (i, c:) of the rows i with
+    a[i, c] != 0: it swaps the pivot row up to row r, scales it when
+    the inverse of its lead is not 1, and subtracts a[i, c] times it
+    from every other such row.  Skipping the other cells is exact.  A
+    row with a[i, c] = 0 would lose 0 times the pivot row.  Left of c
+    the pivot row, and the row it swaps with, are zero: every row at or
+    below r is zero in each column c' < c, since c' either gave a pivot
+    (its column was cleared below the pivot, which then sat above r) or
+    had no nonzero at or below the r of its time; and each later step
+    only swaps rows at or below r or subtracts from a row a multiple of
+    a row at or below r, which keeps those zeros.  So the subtraction
+    leaves columns < c alone.  The output is the unique rref of the
+    row span, whichever cells are skipped.
     """
     a = np.array(rows, dtype=np.int64) % p
     if a.ndim == 1:
@@ -70,21 +86,28 @@ def rref(rows, p):
     r = 0
     pivots = []
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if a[i, c]:
-                pr = i
-                break
-        if pr is None:
+        # the rows with a nonzero in column c; the pivot is the first at or below r
+        nz = np.flatnonzero(a[:, c])
+        k = int(nz.searchsorted(r))
+        if k == nz.size:
             continue
+        pr = int(nz[k])
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a -= np.outer(col, a[r])
-        a %= p
+            row = a[pr, c:].copy()
+            a[pr, c:] = a[r, c:]
+            a[r, c:] = row
+        piv = a[r, c:]
+        inv = pow(int(piv[0]), -1, p)
+        if inv != 1:
+            piv *= inv
+            piv %= p
+        if nz.size > 1:
+            # the old row r, now at pr, is zero in column c
+            live = nz[nz != pr]
+            sub = a[live, c:]
+            sub -= np.multiply.outer(sub[:, 0], piv)
+            sub %= p
+            a[live, c:] = sub
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -98,24 +121,26 @@ def row_space(rows, p):
     return red
 
 
+def residual(vecs, reduced, pivots, p):
+    """What is left of each vector along the last axis of vecs after
+    reduction by an rref basis: zero exactly for the vectors in its
+    span."""
+    v = np.asarray(vecs, dtype=np.int64) % p
+    return (v - v[..., pivots] @ reduced) % p
+
+
 def in_row_space(vec, reduced, pivots, p):
     """Membership test against an rref basis."""
-    v = np.asarray(vec, dtype=np.int64) % p
-    for i, c in enumerate(pivots):
-        if v[c]:
-            v = (v - v[c] * reduced[i]) % p
-    return not v.any()
+    return not residual(vec, reduced, pivots, p).any()
 
 
 def coords_in_rref(vecs, reduced, pivots, p):
     """Coordinates in the rref basis of each vector along the last axis
     of vecs: its pivot entries, once the residual against the basis
     vanishes.  Raises if a vector is not in the span."""
-    v = np.asarray(vecs, dtype=np.int64) % p
-    coeffs = v[..., pivots]
-    if ((v - coeffs @ reduced) % p).any():
+    if residual(vecs, reduced, pivots, p).any():
         raise AlgebraError("vector not in the given span")
-    return coeffs
+    return np.asarray(vecs, dtype=np.int64)[..., pivots] % p
 
 
 def null_space(mat, p):
@@ -158,6 +183,19 @@ def quotient_map(reduced, pivots, n, p):
 # ---------------------------------------------------------------------------
 
 
+P_LIMIT = 1 << 16
+
+
+def check_exact(p):
+    """Refuse a p past the bound below which F_p arithmetic here is
+    exact in int64 (see FinAlgebra)."""
+    if p >= P_LIMIT:
+        raise AlgebraError(
+            "p = %d is too large: F_p products are exact in int64 only for p < %d"
+            % (p, P_LIMIT)
+        )
+
+
 class FinAlgebra:
     """Finite dimensional graded-commutative augmented F_p-algebra.
 
@@ -183,9 +221,19 @@ class FinAlgebra:
                      = x (x' (y z)) = (x x') (y z).
     So S contains every right-nested word in G, and S = A once those
     words span A.  G is kept for the module certificate of FinModule.
+
+    p must be below P_LIMIT = 2^16.  Every product in this module is
+    taken over int64 arrays of residues in [0, p) and reduced mod p
+    afterwards: it is a sum of k terms, each the product of two
+    residues, so it is exact while (p - 1)^2 k < 2^63.  Its inner
+    length k is at most the dimension of an algebra or module the
+    computation builds, and p < 2^16 keeps every k < 2^31 exact.  A
+    larger p is refused (check_exact), since wrapped int64 sums would
+    give wrong answers or a hang.
     """
 
     def __init__(self, p, labels, parities, table, aug, unit=None):
+        check_exact(p)
         if not _is_prime(p):
             raise AlgebraError("p must be prime")
         self.p = int(p)
@@ -215,7 +263,8 @@ class FinAlgebra:
     def mul(self, x, y):
         x = np.asarray(x, dtype=np.int64) % self.p
         y = np.asarray(y, dtype=np.int64) % self.p
-        return np.einsum("i,j,ijk->k", x, y, self.table) % self.p
+        left = np.tensordot(x, self.table, axes=(0, 0)) % self.p
+        return y @ left % self.p
 
     def aug_of(self, x):
         return int(np.dot(np.asarray(x, dtype=np.int64) % self.p, self.aug) % self.p)
@@ -275,8 +324,8 @@ class FinAlgebra:
         images = rad @ quotient_map(j2, j2_piv, d, p).T % p
         _, lifts = rref(images.T, p)
         gens = rad[lifts]
-        left = np.einsum("gi,ijn->gnj", gens, self.table) % p
-        words, _ = _span_closure(left, [self.unit], p)
+        left = np.tensordot(gens, self.table, axes=(1, 0)) % p
+        words, _ = _span_closure(_free_images(left, p), [self.unit], p)
         return gens if words.shape[0] == d else rad
 
     def _check_associative(self, rad, right):
@@ -455,18 +504,44 @@ def _free_action_blocks(alg, rank):
     return out
 
 
-def _span_closure(acts, rows, p):
-    """Closure of the row span under the action matrices acts.
+def _dense_images(acts, p):
+    """Images of rows under each action matrix in acts (act[i] acts on
+    columns), stacked action by action."""
 
-    Returns (reduced, pivots), the rref basis of the smallest
-    acts-stable subspace containing rows.
+    def images_of(rows):
+        images = np.tensordot(acts, rows, axes=(2, 1)).transpose(0, 2, 1)
+        return images.reshape(-1, rows.shape[1]) % p
+
+    return images_of
+
+
+def _free_images(mult, p):
+    """Images of rows of A^rank under left multiplications, stacked
+    multiplication by multiplication.  mult[g, j, k] is the e_k
+    coefficient of x_g e_j; a row of A^rank is rank blocks of dim A
+    coordinates, and x_g acts on each block alone, so no dense
+    (rank dim A)^2 action matrix is formed."""
+    d = mult.shape[1]
+
+    def images_of(rows):
+        blocks = rows.reshape(rows.shape[0], -1, d)
+        images = np.tensordot(blocks, mult, axes=(2, 1)).transpose(2, 0, 1, 3)
+        return images.reshape(-1, rows.shape[1]) % p
+
+    return images_of
+
+
+def _span_closure(images_of, rows, p):
+    """Closure of the row span under an action given by images_of,
+    which maps a stack of rows to the stack of their images.
+
+    Returns (reduced, pivots), the rref basis of the smallest stable
+    subspace containing rows.
     """
     cur, piv = rref(rows, p)
     while True:
-        images = np.tensordot(acts, cur, axes=(2, 1)).transpose(0, 2, 1)
-        images = images.reshape(-1, cur.shape[1]) % p
         # only what the images add to the span goes through rref again
-        resid = (images - images[:, piv] @ cur) % p
+        resid = residual(images_of(cur), cur, piv, p)
         resid = resid[resid.any(axis=1)]
         if resid.shape[0] == 0:
             return cur, piv
@@ -496,9 +571,10 @@ def spanned_submodule(module, vectors):
     rows = [np.asarray(v, np.int64) % p for v in vectors]
     if not rows:
         rows = [np.zeros(module.dim, np.int64)]
-    red, pivots = _span_closure(module.act, rows, p)
+    images_of = _dense_images(module.act, p)
+    red, pivots = _span_closure(images_of, rows, p)
     # column j of act[i] holds the coordinates of e_i red[j]
-    images = np.tensordot(module.act, red, axes=(2, 1)).transpose(0, 2, 1)
+    images = images_of(red).reshape(module.algebra.dim, -1, module.dim)
     act = coords_in_rref(images, red, pivots, p).transpose(0, 2, 1)
     return FinModule(module.algebra, act), red
 
@@ -568,7 +644,7 @@ def socle_series_bases(module):
         # J soc^k must land in soc^(k-1): every image g v must reduce to
         # zero against the rref basis of soc^(k-1), independently of q
         images = np.tensordot(red, rad_mats, axes=(1, 2)).reshape(-1, module.dim)
-        if ((images - images[:, prev_piv] @ prev_red) % p).any():
+        if residual(images, prev_red, prev_piv, p).any():
             raise AlgebraError("J soc^k escapes soc^(k-1)")
         stages.append(red)
         prev_red, prev_piv = red, piv
@@ -613,10 +689,12 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
     rng = random.Random(shuffle_seed)
     d = alg.dim
     rad = radical_basis(alg)
+    # J and A act on A^rank block by block, for every rank
+    rad_images = _free_images(np.tensordot(rad, alg.table, axes=(1, 0)) % p, p)
+    all_images = _free_images(alg.table, p)
     betti = [1]
     # K ⊆ A^rank, the first syzygy of F_p is the radical inside A^1
     rank = 1
-    acts = _free_action_blocks(alg, rank)
     k_rows = rad
     for _ in range(s_max):
         if k_rows.shape[0] == 0:
@@ -624,9 +702,7 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
             betti.append(0)
             continue
         # JK, spanned by g v for g in the basis of J and v in K
-        rad_acts = np.tensordot(rad, acts, axes=(1, 0)) % p
-        jk_rows = np.tensordot(rad_acts, k_rows, axes=(2, 1)).transpose(0, 2, 1)
-        jk_red, jk_piv = rref(jk_rows.reshape(-1, rank * d) % p, p)
+        jk_red, jk_piv = rref(rad_images(k_rows), p)
         # minimal generators: extend JK to K, order shuffled for lift
         # independence
         candidates = list(range(k_rows.shape[0]))
@@ -644,7 +720,7 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
         # the column for basis slot (gi, j) is e_j . gens[gi]
         ncols = b * d
         gens = np.array(gens, dtype=np.int64).reshape(b, rank * d)
-        big = np.tensordot(acts, gens, axes=(2, 1)).transpose(1, 2, 0) % p
+        big = all_images(gens).reshape(d, b, rank * d).transpose(2, 1, 0)
         kern = null_space(big.reshape(rank * d, ncols), p)
         new_rows = (
             np.array(kern, dtype=np.int64)
@@ -656,11 +732,10 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
         if (new_rows.reshape(-1, b, d) @ alg.aug % p).any():
             raise AlgebraError("resolution is not minimal")
         rank = b
-        acts = _free_action_blocks(alg, rank)
         if new_rows.shape[0]:
             # the kernel of a module map is a submodule; the closure
             # is a cheap self-check and must not grow the span
-            k_rows, _ = _span_closure(acts, new_rows, p)
+            k_rows, _ = _span_closure(all_images, new_rows, p)
             if int(k_rows.shape[0]) != int(rref(new_rows, p)[0].shape[0]):
                 raise AlgebraError("kernel failed to be a submodule")
         else:

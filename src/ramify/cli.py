@@ -25,6 +25,7 @@ The first basis element is the unit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -136,6 +137,7 @@ def _emit(tool, params, result, verdict, lines, args):
 
 def _load_algebra(args):
     """Algebra from --algebra file, or F_p[y]/(y^m) from --m."""
+    artin.check_exact(args.p)  # a refusal (exit 2), before any file is read
     if getattr(args, "algebra", None):
         try:
             with open(args.algebra, "r", encoding="utf-8") as fh:
@@ -642,10 +644,16 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser main uses, built once per process: parse_args leaves
+    it unchanged, so every call parses as a fresh parser would."""
+    return build_parser()
+
+
 def main(argv=None):
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print("error: %s" % exc.message, file=sys.stderr)
         return exc.code

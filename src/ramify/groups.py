@@ -390,8 +390,11 @@ def conjugation_nilpotent(G, p):
     sum over generators of (g - 1)M.
 
     Returns nilpotent=True when the chain reaches zero; otherwise the
-    first stable nonzero submodule, checked to be G-invariant.
+    first stable nonzero submodule, checked to be G-invariant.  A p at
+    or past artin.P_LIMIT raises artin.AlgebraError: the F_p products
+    would leave int64.
     """
+    artin.check_exact(p)
     if not _is_prime(p):
         raise GroupError("p must be prime")
     n = G.order
@@ -417,9 +420,8 @@ def conjugation_nilpotent(G, p):
         stacked = np.vstack(new_rows) if new_rows else np.zeros((0, n), dtype=np.int64)
         red, piv = artin.rref(stacked, p)
         # descent: g.v stays in the current module, so the new one sits inside it
-        for row in red:
-            if not artin.in_row_space(row, rows, pivots, p):
-                raise GroupError("conjugation chain failed to descend")
+        if artin.residual(red, rows, pivots, p).any():
+            raise GroupError("conjugation chain failed to descend")
         if len(red) == 0:
             dims.append(0)
             return ConjugationReport(
@@ -430,16 +432,16 @@ def conjugation_nilpotent(G, p):
                 stable_basis=(),
             )
         if len(red) == dims[-1]:
-            # stable: confirm invariance under every generator
-            for g in G.generators:
+            # stable: confirm invariance under every generator, each
+            # conjugation recomputed as a coordinate permutation
+            moved = np.zeros((len(G.generators),) + red.shape, dtype=np.int64)
+            for k, g in enumerate(G.generators):
                 gi = np.array(
                     [pos[G.conjugate(g, x)] for x in G.elements], dtype=np.int64
                 )
-                for row in red:
-                    moved = np.zeros_like(row)
-                    moved[gi] = row
-                    if not artin.in_row_space(moved, red, piv, p):
-                        raise GroupError("stable submodule is not G-invariant")
+                moved[k][:, gi] = red
+            if artin.residual(moved.reshape(-1, n), red, piv, p).any():
+                raise GroupError("stable submodule is not G-invariant")
             return ConjugationReport(
                 p=p,
                 nilpotent=False,

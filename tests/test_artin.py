@@ -69,6 +69,72 @@ def test_rref_shape_properties_randomized():
                 assert in_row_space(row, orig_red, orig_piv, p)
 
 
+def _rref_oracle(rows, p):
+    """The row reduction rref replaced: a full R x C outer-product
+    update and a reduction mod p of every cell at every pivot."""
+    a = np.array(rows, dtype=np.int64) % p
+    if a.ndim == 1:
+        a = a.reshape(1, -1)
+    if a.size == 0:
+        return np.zeros((0, a.shape[1] if a.ndim == 2 else 0), dtype=np.int64), []
+    nrows, ncols = a.shape
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if a[i, c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = (a[r] * inv) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a -= np.outer(col, a[r])
+        a %= p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a[:r], pivots
+
+
+def _rref_oracle_inputs(p, rng):
+    """Seeded matrices over F_p: tall stacks (R >= 20 C), zero columns,
+    all entries p - 1, rank-deficient, single-row and empty ones."""
+    mats = []
+    for rows, cols in [(20, 1), (60, 3), (200, 8), (400, 12)]:
+        mats.append(rng.integers(0, p, (rows, cols)))
+        # a tall stack of low rank, through a thin middle factor
+        mid = max(1, cols // 3)
+        thin = rng.integers(0, p, (rows, mid)) @ rng.integers(0, p, (mid, cols))
+        mats.append(thin % p)
+    for rows, cols in [(5, 7), (9, 4), (12, 12)]:
+        a = rng.integers(0, p, (rows, cols))
+        a[:, rng.integers(0, cols, 2)] = 0
+        deficient = a.copy()
+        deficient[1:] = deficient[0] * rng.integers(0, p, (rows - 1, 1)) % p
+        mats += [a, deficient, np.full((rows, cols), p - 1),
+                 rng.integers(0, 2, (rows, cols)) * (p - 1), rng.integers(0, p, (1, cols))]
+    mats += [np.zeros((0, 5), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+             np.zeros((4, 6), dtype=np.int64), [[p - 1]], [0, p - 1, 1]]
+    return mats
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_rref_matches_full_update_oracle(p):
+    for mat in _rref_oracle_inputs(p, np.random.default_rng(p)):
+        red, piv = rref(mat, p)
+        want_red, want_piv = _rref_oracle(mat, p)
+        assert piv == want_piv
+        assert red.dtype == want_red.dtype and red.shape == want_red.shape
+        assert np.array_equal(red, want_red)
+
+
 def test_null_space_randomized():
     rng = random.Random(23)
     for p in (2, 3):
@@ -446,6 +512,28 @@ def test_free_module_is_block_diagonal_regular(rank):
         reg = regular_module(alg).act
         want = [np.kron(np.eye(rank, dtype=np.int64), reg[i]) for i in range(alg.dim)]
         assert np.array_equal(free_module(alg, rank).act, np.array(want))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_blockwise_free_action_matches_dense_blocks(rank):
+    files = [cli._parse_algebra_file(text, p) for p, _, text in _workload_algebra_files()]
+    odd = next(alg for alg in files if 1 in alg.parities)
+    rng = np.random.default_rng(rank)
+    for alg in _small_algebras() + [odd]:
+        p, d = alg.p, alg.dim
+        rows = rng.integers(0, p, (5, rank * d))
+        dense = artin._free_action_blocks(alg, rank)
+        want = np.tensordot(dense, rows, axes=(2, 1)).transpose(0, 2, 1) % p
+        got = artin._free_images(alg.table, p)(rows)
+        assert np.array_equal(got, want.reshape(-1, rank * d))
+        assert np.array_equal(got, artin._dense_images(dense, p)(rows))
+        # the radical acting block by block, as JK is formed
+        rad = radical_basis(alg)
+        rad_dense = np.tensordot(rad, dense, axes=(1, 0)) % p
+        want = np.tensordot(rad_dense, rows, axes=(2, 1)).transpose(0, 2, 1) % p
+        rad_mult = np.tensordot(rad, alg.table, axes=(1, 0)) % p
+        got = artin._free_images(rad_mult, p)(rows)
+        assert np.array_equal(got, want.reshape(-1, rank * d))
 
 
 def test_module_validation():

@@ -5,11 +5,15 @@ The golden files live in tests/golden/ and are regenerated with
 byte for byte, and run twice to pin determinism.
 """
 
+import itertools
 import json
 import os
+import random
+import time
 
 import pytest
 
+from ramify import artin, cli
 from ramify.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -176,6 +180,128 @@ def test_help_exits_zero(capsys):
     rc, out, _ = run_cli(["--help"], capsys)
     assert rc == 0
     assert "pseries" in out and "group" in out
+
+
+def test_reused_parser_parses_like_a_fresh_one(capsys, monkeypatch):
+    sequence = [
+        ["tor", "--p", "not-a-number"],
+        ["--help"],
+        ["socle", "--m", "5"],
+        ["bogus"],
+        ["group", "sylow", "--p", "2"],
+        ["socle", "--help"],
+        ["nakayama", "--m", "4", "--count", "3", "--seed", "9"],
+        ["socle", "--m", "3", "--format", "json"],
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(argv, capsys))
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    reused = [run_cli(argv, capsys) for argv in sequence]
+    assert len(builds) == 1
+    assert [rc for rc, _, _ in fresh] == [2, 0, 0, 64, 2, 0, 0, 0]
+    assert reused == fresh
+
+
+def test_primes_past_int64_exactness_are_refused(capsys):
+    algebra = os.path.join(HERE, "golden", "tensor_2x2.alg")
+    for p in (artin.P_LIMIT + 1, 4294967311):
+        for cmd in (["socle"], ["betti"], ["nakayama", "--count", "5"]):
+            for source in (["--m", "8"], ["--algebra", algebra]):
+                start = time.perf_counter()
+                rc, out, err = run_cli(cmd + ["--p", str(p)] + source, capsys)
+                assert time.perf_counter() - start < 1.0
+                assert rc == 2 and out == ""
+                assert "p = %d is too large" % p in err
+    with pytest.raises(artin.AlgebraError, match="too large"):
+        artin.truncated_polynomial_algebra(artin.P_LIMIT + 1, 2)
+
+
+def _basis_mod_p(rows, p):
+    """Echelon basis of the span of rows over F_p, in Python ints."""
+    basis = []  # (pivot, row) with row[pivot] == 1
+    for row in rows:
+        row = [x % p for x in row]
+        for piv, b in basis:
+            if row[piv]:
+                row = [(x - row[piv] * y) % p for x, y in zip(row, b)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, p)
+            basis.append((lead, [x * inv % p for x in row]))
+    return [b for _, b in basis]
+
+
+def _socle_dims_oracle(table, p):
+    """dim soc^k A = dim A - rank of x -> (w x for w in J^k), k = 1, 2,
+    ... until it is all of A, with J spanned by e_1..e_(d-1)."""
+    d = len(table)
+
+    def mul(x, y):
+        return [sum(x[a] * y[b] * table[a][b][c] for a in range(d) for b in range(d)) % p
+                for c in range(d)]
+
+    unit = [[int(i == j) for j in range(d)] for i in range(d)]
+    rad = unit[1:]
+    power, dims = rad, []
+    while not dims or dims[-1] < d:
+        maps = [[mul(w, unit[j])[c] for j in range(d)] for w in power for c in range(d)]
+        dims.append(d - len(_basis_mod_p(maps, p)))
+        power = _basis_mod_p([mul(u, g) for u in power for g in rad], p)
+    return dims
+
+
+def _mat_mod_p(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def test_prime_below_the_bound_agrees_with_python_ints(tmp_path, capsys):
+    # F_p[y]/(y^3) (x) F_p[z]/(z^2) in the basis f = P e, P = 1 + N with N
+    # strictly upper triangular on J, so every structure constant is a
+    # large residue and the products run near (p - 1)^2
+    p, d = 65521, 6
+    assert p < artin.P_LIMIT < 2 * p
+    rng = random.Random(11)
+    base = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for a, b in itertools.product(range(d), repeat=2):
+        (i1, j1), (i2, j2) = divmod(a, 2), divmod(b, 2)
+        if i1 + i2 < 3 and j1 + j2 < 2:
+            base[a][b][2 * (i1 + i2) + j1 + j2] = 1
+    nil = [[rng.randrange(p) if 0 < i < j else 0 for j in range(d)] for i in range(d)]
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    P = [[(x + y) % p for x, y in zip(r, s)] for r, s in zip(eye, nil)]
+    # (1 + N)^-1 = 1 - N + N^2 - ..., as N^d = 0
+    P_inv, term = [row[:] for row in eye], eye
+    for k in range(1, d):
+        term = _mat_mod_p(term, nil, p)
+        P_inv = [[(x + (-1) ** k * y) % p for x, y in zip(r, s)] for r, s in zip(P_inv, term)]
+    assert _mat_mod_p(P, P_inv, p) == eye
+    table = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for a, b in itertools.product(range(d), repeat=2):
+        old = [sum(P[a][i] * P[b][j] * base[i][j][k] for i in range(d) for j in range(d))
+               for k in range(d)]
+        table[a][b] = [sum(old[k] * P_inv[k][c] for k in range(d)) % p for c in range(d)]
+    lines = ["labels: " + " ".join("f%d" % i for i in range(d)),
+             "parities: " + " 0" * d, "aug: 1" + " 0" * (d - 1)]
+    lines += ["mul: %d %d %d %d" % (a, b, c, table[a][b][c])
+              for a, b, c in itertools.product(range(d), repeat=3) if table[a][b][c]]
+    path = tmp_path / "twisted.alg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert max(table[a][b][c] for a, b, c in itertools.product(range(d), repeat=3)) > p // 2
+
+    want = _socle_dims_oracle(table, p)
+    rc, out, _ = run_cli(["socle", "--p", str(p), "--algebra", str(path)], capsys)
+    assert rc == 0 and "socle dims: %s\n" % " ".join(map(str, want)) in out
+    # a complete intersection on two generators: b_s = s + 1
+    rc, out, _ = run_cli(["betti", "--p", str(p), "--algebra", str(path), "--smax", "4"], capsys)
+    assert rc == 0 and "b_4 = 5\n" in out
+    rc, out, _ = run_cli(["nakayama", "--p", str(p), "--algebra", str(path), "--count", "3"],
+                         capsys)
+    assert rc == 0 and "violations: 0" in out
 
 
 # -------------------------------------------------------------- verdict wiring

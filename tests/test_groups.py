@@ -2,8 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from ramify import artin
 from ramify.groups import (
     FiniteGroup,
     GroupError,
@@ -213,6 +215,50 @@ def test_s3_conjugation_chain_at_two():
         vec = [0] * 6
         vec[a] = vec[b] = 1
         assert in_row_space(vec, red, piv, 2)
+
+
+_RREF = artin.rref
+
+
+def _rref_answering(monkeypatch, spans):
+    """Make artin.rref return the rref of spans[i] on its i-th call."""
+    answers = iter(spans)
+    monkeypatch.setattr(artin, "rref", lambda rows, p: _RREF(next(answers), p))
+
+
+def _unit_rows(n, *indices):
+    rows = np.zeros((len(indices), n), dtype=np.int64)
+    rows[range(len(indices)), indices] = 1
+    return rows
+
+
+def test_conjugation_chain_certifies_descent(monkeypatch):
+    G = symmetric_group(3)
+    swap = next(i for i, g in enumerate(G.elements) if perm_order(g) == 2)
+    ident = G.elements.index(G.identity)
+    # M_1 = <e_swap>, then M_2 = <e_1>, which is not inside M_1
+    _rref_answering(monkeypatch, [_unit_rows(6, swap), _unit_rows(6, ident)])
+    with pytest.raises(GroupError, match="failed to descend"):
+        conjugation_nilpotent(G, 2)
+
+
+def test_conjugation_chain_certifies_invariance(monkeypatch):
+    G = symmetric_group(3)
+    swap = next(i for i, g in enumerate(G.elements) if perm_order(g) == 2)
+    # <e_swap> claimed stable: it descends into itself, but conjugation
+    # moves the transposition
+    _rref_answering(monkeypatch, [_unit_rows(6, swap), _unit_rows(6, swap)])
+    with pytest.raises(GroupError, match="not G-invariant"):
+        conjugation_nilpotent(G, 2)
+    # the same claim for a central element passes both checks
+    ident = G.elements.index(G.identity)
+    _rref_answering(monkeypatch, [_unit_rows(6, ident), _unit_rows(6, ident)])
+    assert conjugation_nilpotent(G, 2).stable_dim == 1
+
+
+def test_conjugation_refuses_primes_past_int64_exactness():
+    with pytest.raises(artin.AlgebraError, match="too large"):
+        conjugation_nilpotent(symmetric_group(3), 4294967311)
 
 
 @pytest.mark.parametrize(
