@@ -21,13 +21,14 @@ classical divided powers.  (Check: gamma_p^2 = 2 gamma_{2p}, and
 d(gamma_{2p}) = gamma_p sigma y gives d(gamma_p^2) = 2 gamma_p sigma y
 = 2 gamma_p d(gamma_p), the Leibniz value.)
 
-Every round is executed as linear algebra mod p: matrices per
-bidegree, d o d = 0 verified on matrices, homology dimensions from
-rank computations, and the predicted survivors certified to be
-cycles, independent modulo boundaries, and of the full homology
-dimension before the next page adopts them as a basis.  Monomials
-whose lower slots are off-pattern die automatically: the binomial
-against w_s overflows.
+Every round is certified from one table of the differential's nonzero
+values, one evaluation per page monomial.  A bidegree holds at most
+one page monomial, so the table is a monomial complex: the certificate
+checks that targets lie on the page in the shifted bidegree and carry
+no differential, and that the monomials d neither leaves nor reaches
+are exactly the predicted survivors, before the next page adopts them
+as a basis.  Monomials whose lower slots are off-pattern die
+automatically: the binomial against w_s overflows.
 
 The cutoff makes assertions trustworthy only in the window of
 filtration degree at most p^(S-1); classes touching slot S-1's top
@@ -41,9 +42,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import artin
 from .coeff import _is_prime
 
 __all__ = [
@@ -185,12 +183,6 @@ class BigradedPage:
     monomials: tuple
     record: RoundRecord = None  # how this page was produced, None for E2
 
-    def cells(self):
-        by_deg = {}
-        for m in self.monomials:
-            by_deg.setdefault(m.bidegree(self.p), []).append(m)
-        return by_deg
-
     def dimension(self, s, t):
         return sum(1 for m in self.monomials if m.bidegree(self.p) == (s, t))
 
@@ -234,34 +226,6 @@ def _survivor_pattern(p, s, mono):
     return all(mono.exponents[j] == want for j in range(1, s + 1))
 
 
-def _apply_d_combo(combo, page):
-    """Extend the differential linearly to a dict monomial -> coef."""
-    out = {}
-    for mono, coef in combo.items():
-        scal, tgt = page.differential(mono)
-        if tgt is not None and scal % page.p:
-            out[tgt] = (out.get(tgt, 0) + coef * scal) % page.p
-    return {m: c for m, c in out.items() if c % page.p}
-
-
-def _mul_combo(x_mono, y_mono, page):
-    scal, tgt = dp_multiply(x_mono, y_mono, page.p)
-    if tgt is None or scal % page.p == 0:
-        return {}
-    return {tgt: scal % page.p}
-
-
-def _scale_combo(combo, c, p):
-    return {m: (v * c) % p for m, v in combo.items() if (v * c) % p}
-
-
-def _add_combo(a, b, p):
-    out = dict(a)
-    for m, v in b.items():
-        out[m] = (out.get(m, 0) + v) % p
-    return {m: v for m, v in out.items() if v}
-
-
 def _page_generators(page):
     """Algebra generators of the page before round s: zeta (slot 0), the
     digit monomials gamma_{p^j} for j >= s, and the round cycle w_s."""
@@ -273,9 +237,40 @@ def _page_generators(page):
     return (digit(0),) + tuple(digit(j) for j in range(s, S)) + (_round_cycle(p, S, s),)
 
 
-def _check_leibniz(page):
-    """Certify that the round differential d is a derivation of the
-    whole page; returns the number of (generator, monomial) pairs checked.
+def _differential_table(page):
+    """The round differential on the page as {x: (scalar, d x)}: one
+    evaluation per page monomial, nonzero values only."""
+    table = {}
+    for x in page.monomials:
+        scal, tgt = page.differential(x)
+        if tgt is not None and scal % page.p:
+            table[x] = (scal % page.p, tgt)
+    return table
+
+
+def _product(a, x, y, p):
+    """a x y as one (scalar, monomial) term; None is the zero monomial."""
+    if x is None or y is None:
+        return 0, None
+    c, xy = dp_multiply(x, y, p)
+    return a * c, xy
+
+
+def _sum_terms(p, *terms):
+    """Sum of (scalar, monomial) terms as {monomial: nonzero coefficient}."""
+    out = {}
+    for c, m in terms:
+        if m is not None:
+            out[m] = (out.get(m, 0) + c) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def _check_leibniz(page, table):
+    """Certify that the round differential d, read from its table, is a
+    derivation of the whole page; returns the number of (generator,
+    monomial) pairs checked.  d and the product send a monomial to at
+    most one monomial, so each side of the rule is a sum of at most two
+    (scalar, monomial) terms.
 
     Generation.  Before round s the page monomials are the digit vectors
     with slots 1..s-1 pinned at 0 (no sigma y) or at p-1 (with sigma y),
@@ -318,24 +313,21 @@ def _check_leibniz(page):
     for g in gens:
         if g not in on_page:
             raise AssertionError("generator %s is not on the page at round %d" % (g, s))
-    d_gens = [(g, _apply_d_combo({g: 1}, page)) for g in gens]
+    zero = (0, None)
+    d_gens = [(g, table.get(g, zero), -1 if g.eps else 1) for g in gens]
     pinned = ((0,) * (s - 1), (p - 1,) * (s - 1))
     checked = 0
     for m in page.monomials:
         if m.exponents[1:s] != pinned[m.eps] or max(m.exponents) >= p:
             raise AssertionError("%s is not generated at round %d" % (m, s))
-        dm = _apply_d_combo({m: 1}, page)
-        for g, dg in d_gens:
-            gm = _mul_combo(g, m, page)
-            if any(t not in on_page for t in gm):
+        b, dm = table.get(m, zero)
+        for g, (a, dg), sign in d_gens:
+            c, gm = dp_multiply(g, m, p)
+            if gm is not None and gm not in on_page:
                 raise AssertionError("%s * %s leaves the page at round %d" % (g, m, s))
-            rhs = {}
-            for t, c in dg.items():
-                rhs = _add_combo(rhs, _scale_combo(_mul_combo(t, m, page), c, p), p)
-            sign = -1 if g.eps else 1
-            for t, c in dm.items():
-                rhs = _add_combo(rhs, _scale_combo(_mul_combo(g, t, page), c * sign, p), p)
-            if _apply_d_combo(gm, page) != rhs:
+            e, dgm = table.get(gm, zero)
+            rhs = _sum_terms(p, _product(a, dg, m, p), _product(sign * b, g, dm, p))
+            if _sum_terms(p, (c * e, dgm)) != rhs:
                 raise AssertionError("Leibniz fails on %s, %s at round %d" % (g, m, s))
             checked += 1
     return checked
@@ -344,109 +336,61 @@ def _check_leibniz(page):
 def _run_round(page):
     """Execute the differential on this page and return the next page.
 
-    All verification is done with matrices over F_p cell by cell:
-    d o d = 0, homology dimension by ranks, predicted survivors shown
-    to be cycles and independent modulo boundaries.
+    d is read from its table.  The certificate checks that every target
+    is on the page, that no target has a nonzero d (d o d = 0), that
+    every target sits in its source's bidegree plus `shift`, and that the
+    monomials d neither leaves nor reaches are exactly the predicted
+    survivors.
+
+    That is enough.  Page monomials have digits below p (initial_page
+    builds them so, later pages are subsets, and _check_leibniz asserts
+    it), so a bidegree (eps + m, -2 eps - m) fixes eps (s + t = -eps),
+    then m, then the digits: each bidegree holds at most one page
+    monomial.  d moves every bidegree by the same shift, so two sources
+    with one target would share a bidegree: d is injective on its
+    support.  No source is a
+    target, since targets have d = 0.  So each source x spans with
+    d x = c y, c a unit, an acyclic pair span{x, y}, and the page is the
+    direct sum of these pairs and of the lines on the monomials d neither
+    leaves nor reaches.  Those monomials are cycles, none is a boundary,
+    and they span the homology, which the next page adopts as its basis.
     """
     p, S, s = page.p, page.S, page.next_round
-    mons = page.monomials
-    pos = {m: i for i, m in enumerate(mons)}
-    cells = page.cells()
     shift = (-(p - 1), p - 2)  # bidegree move of the realized differential
+    table = _differential_table(page)
+    on_page = set(page.monomials)
+    for x, (_, y) in table.items():
+        if y not in on_page:
+            raise AssertionError("differential leaves the page basis")
+        if y in table:
+            raise AssertionError("d o d is nonzero at round %d" % s)
+        (s0, t0), (s1, t1) = x.bidegree(p), y.bidegree(p)
+        if (s1 - s0, t1 - t0) != shift:
+            raise AssertionError("d moves %s to %s, not by %s" % (x, y, shift))
 
-    # per-cell local index
-    local = {}
-    for deg, ms in cells.items():
-        for i, m in enumerate(ms):
-            local[m] = i
+    leibniz_checked = _check_leibniz(page, table)
 
-    # matrix of d from each populated cell
-    mats = {}
-    for deg, ms in cells.items():
-        tdeg = (deg[0] + shift[0], deg[1] + shift[1])
-        tcell = cells.get(tdeg, [])
-        mat = np.zeros((len(tcell), len(ms)), dtype=np.int64)
-        nonzero = False
-        for j, m in enumerate(ms):
-            scal, tgt = page.differential(m)
-            if tgt is None or scal % p == 0:
-                continue
-            if tgt not in pos:
-                raise AssertionError("differential leaves the page basis")
-            mat[local[tgt], j] = scal % p
-            nonzero = True
-        mats[deg] = (mat, tdeg, nonzero)
-
-    # d o d = 0 as matrices
-    d_sq_ok = True
-    for deg, (mat, tdeg, _) in mats.items():
-        if tdeg in mats and mat.size:
-            nxt = mats[tdeg][0]
-            if nxt.size and np.any((nxt @ mat) % p):
-                d_sq_ok = False
-    if not d_sq_ok:
-        raise AssertionError("d o d is nonzero at round %d" % s)
-
-    leibniz_checked = _check_leibniz(page)
-
-    predicted = [m for m in mons if _survivor_pattern(p, s, m)]
-    predicted_set = set(predicted)
-
-    # verify per cell
-    for deg, ms in cells.items():
-        mat, tdeg, _ = mats[deg]
-        rank_out = len(artin.rref(mat % p, p)[0]) if mat.size else 0
-        sdeg = (deg[0] - shift[0], deg[1] - shift[1])
-        if sdeg in mats:
-            in_mat = mats[sdeg][0]
-        else:
-            in_mat = np.zeros((len(ms), 0), dtype=np.int64)
-        rank_in = len(artin.rref(in_mat % p, p)[0]) if in_mat.size else 0
-        dim_h = len(ms) - rank_out - rank_in
-        if dim_h < 0:
-            raise AssertionError("negative homology dimension")
-        pred_here = [m for m in ms if m in predicted_set]
-        if len(pred_here) != dim_h:
-            raise AssertionError(
-                "cell %s: predicted %d survivors, homology has dimension %d"
-                % (deg, len(pred_here), dim_h)
-            )
-        # predicted classes are cycles
-        for m in pred_here:
-            scal, tgt = page.differential(m)
-            if tgt is not None and scal % p:
-                raise AssertionError("predicted survivor %s is not a cycle" % m)
-        # and independent modulo the image
-        if pred_here:
-            rows = [in_mat.T[i] for i in range(in_mat.shape[1])] if in_mat.size else []
-            for m in pred_here:
-                v = np.zeros(len(ms), dtype=np.int64)
-                v[local[m]] = 1
-                rows.append(v)
-            stacked = np.array(rows, dtype=np.int64) % p
-            if len(artin.rref(stacked, p)[0]) != rank_in + len(pred_here):
-                raise AssertionError(
-                    "cell %s: survivors are not independent mod boundaries" % deg
-                )
-        if dim_h > len(ms):
-            raise AssertionError("page ranks increased at %s" % (deg,))
+    targets = {y for _, y in table.values()}
+    survivors = tuple(m for m in page.monomials if m not in table and m not in targets)
+    if survivors != tuple(m for m in page.monomials if _survivor_pattern(p, s, m)):
+        raise AssertionError("round %d: homology is not the predicted survivors" % s)
 
     new_page = BigradedPage(
         p=p,
         S=S,
         index=_nominal_index(p, s) + 1,
         next_round=s + 1,
-        monomials=tuple(predicted),
+        monomials=survivors,
         record=RoundRecord(
             round=s,
             nominal_index=_nominal_index(p, s),
-            dim_before=len(mons),
-            dim_after=len(predicted),
-            cells_with_differential=sum(1 for _, (_, _, nz) in mats.items() if nz),
+            dim_before=len(page.monomials),
+            dim_after=len(survivors),
+            cells_with_differential=len({x.bidegree(p) for x in table}),
             d_squared_zero=True,
             leibniz_pairs_checked=leibniz_checked,
             euler_before=page.euler(),
-            euler_after=sum(1 if m.eps == 0 else -1 for m in predicted),
+            euler_after=sum(1 if m.eps == 0 else -1 for m in survivors),
         ),
     )
     if new_page.record.euler_before != new_page.record.euler_after:

@@ -140,6 +140,32 @@ def test_relation_reduction():
     assert ring.element([5]).coeffs == (5, 0)
 
 
+@pytest.mark.parametrize("p,n,r", [(2, 1, 1), (2, 2, 1), (3, 1, 2), (3, 2, 1)])
+def test_reduce_poly_matches_sympy_remainder(p, n, r):
+    # independent oracle: the remainder by the monic relation over ZZ,
+    # then reduced mod p^N
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+    ring = ring_for(p, n, r)
+    m, rank = ring.modulus, ring.rank
+    w = sympy.Poly(list(reversed(ring.w_coeffs)), y, domain=sympy.ZZ)
+    assert w.is_monic and w.degree() == rank
+
+    def oracle(coeffs):
+        if not coeffs:
+            return (0,) * rank
+        rem = sympy.rem(sympy.Poly(list(reversed(coeffs)), y, domain=sympy.ZZ), w)
+        low = [int(c) % m for c in reversed(rem.all_coeffs())]
+        return tuple(low + [0] * (rank - len(low)))
+
+    rng = random.Random(31 * p + 7 * n + r)
+    inputs = [[rng.randrange(m) for _ in range(rng.randint(0, 3 * rank))] for _ in range(20)]
+    inputs += [[m - 1] * length for length in (rank, rank + 1, 2 * rank, 3 * rank)]
+    inputs += [[rng.randrange(m) for _ in range(length)] for length in range(rank)]
+    for coeffs in inputs:
+        assert ring._reduce_poly(coeffs) == oracle(coeffs), coeffs
+
+
 def test_scale_accepts_coefficient_and_int():
     ring = ring_for(2, 1, 1)
     y = ring.y_elt

@@ -265,28 +265,53 @@ def test_final_page_report_refuses_bad_input_before_the_cutoff(p, S, reason):
 # ------------------------------------------------------- Leibniz certificate
 
 
+def _apply_d_combo(combo, page):
+    """Extend the differential linearly to a dict monomial -> coef."""
+    out = {}
+    for mono_, coef in combo.items():
+        scal, tgt = emss.round_differential(mono_, page.p, page.S, page.next_round)
+        if tgt is not None and scal % page.p:
+            out[tgt] = (out.get(tgt, 0) + coef * scal) % page.p
+    return {m: c for m, c in out.items() if c % page.p}
+
+
+def _mul_combo(x_mono, y_mono, page):
+    scal, tgt = dp_multiply(x_mono, y_mono, page.p)
+    if tgt is None or scal % page.p == 0:
+        return {}
+    return {tgt: scal % page.p}
+
+
+def _scale_combo(combo, c, p):
+    return {m: (v * c) % p for m, v in combo.items() if (v * c) % p}
+
+
+def _add_combo(a, b, p):
+    out = dict(a)
+    for m, v in b.items():
+        out[m] = (out.get(m, 0) + v) % p
+    return {m: v for m, v in out.items() if v}
+
+
 def _all_pairs_leibniz(page):
     """Test oracle: d(xy) = d(x)y + (-1)^|x| x d(y) for every pair of basis
-    monomials inside the safe window."""
+    monomials inside the safe window, with d evaluated afresh on every
+    monomial rather than read from the round's table."""
     p = page.p
     window = p ** (page.S - 1)
     in_window = [m for m in page.monomials if m.bidegree(p)[0] <= window]
     checked = 0
     for x in in_window:
-        dx = emss._apply_d_combo({x: 1}, page)
+        dx = _apply_d_combo({x: 1}, page)
         for y in in_window:
-            dy = emss._apply_d_combo({y: 1}, page)
-            lhs = emss._apply_d_combo(emss._mul_combo(x, y, page), page)
+            dy = _apply_d_combo({y: 1}, page)
+            lhs = _apply_d_combo(_mul_combo(x, y, page), page)
             rhs = {}
             for m, c in dx.items():
-                rhs = emss._add_combo(
-                    rhs, emss._scale_combo(emss._mul_combo(m, y, page), c, p), p
-                )
+                rhs = _add_combo(rhs, _scale_combo(_mul_combo(m, y, page), c, p), p)
             sign = -1 if x.eps else 1
             for m, c in dy.items():
-                rhs = emss._add_combo(
-                    rhs, emss._scale_combo(emss._mul_combo(x, m, page), c * sign, p), p
-                )
+                rhs = _add_combo(rhs, _scale_combo(_mul_combo(x, m, page), c * sign, p), p)
             if lhs != rhs:
                 raise AssertionError(
                     "Leibniz fails on %s, %s at round %d"
@@ -294,6 +319,12 @@ def _all_pairs_leibniz(page):
                 )
             checked += 1
     return checked
+
+
+def _generator_leibniz(page):
+    """The library certificate on a table built now, so that a mutant
+    installed on round_differential reaches it."""
+    return emss._check_leibniz(page, emss._differential_table(page))
 
 
 def _pages_before_each_round(p, S):
@@ -330,7 +361,7 @@ LEIBNIZ_GRID = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]
 @pytest.mark.parametrize("p,S", LEIBNIZ_GRID)
 def test_leibniz_certificates_accept_the_real_differential(p, S):
     for page in _pages_before_each_round(p, S):
-        assert emss._check_leibniz(page) > 0
+        assert _generator_leibniz(page) > 0
         assert _all_pairs_leibniz(page) > 0
 
 
@@ -342,7 +373,7 @@ def test_leibniz_certificates_reject_mutants(p, S, monkeypatch):
             assert real(target, p, S, page.next_round) != value
             with monkeypatch.context() as mp:
                 _install_mutant(mp, target, value)
-                for certificate in (emss._check_leibniz, _all_pairs_leibniz):
+                for certificate in (_generator_leibniz, _all_pairs_leibniz):
                     with pytest.raises(AssertionError, match="Leibniz fails"):
                         certificate(page)
 
@@ -367,7 +398,26 @@ def test_leibniz_certificate_rejects_every_single_monomial_mutant(p, S, monkeypa
                 with monkeypatch.context() as mp:
                     _install_mutant(mp, x, value)
                     with pytest.raises(AssertionError, match="Leibniz fails"):
-                        emss._check_leibniz(page)
+                        _generator_leibniz(page)
+
+
+@pytest.mark.parametrize("p,S", [(3, 3), (5, 3)])
+def test_certificates_accept_a_rescaled_differential(p, S, monkeypatch):
+    # 2d is a derivation with the same kernel and image as d, so every
+    # certificate must accept it and the pages must not move
+    want = [(pg.monomials, pg.record) for pg in turn_pages(initial_page(p, S), S - 1)]
+    real = emss.round_differential
+
+    def rescaled(*args):
+        scal, tgt = real(*args)
+        return 2 * scal % p, tgt
+
+    monkeypatch.setattr(emss, "round_differential", rescaled)
+    for page in _pages_before_each_round(p, S):
+        assert _generator_leibniz(page) > 0
+        assert _all_pairs_leibniz(page) > 0
+    got = [(pg.monomials, pg.record) for pg in turn_pages(initial_page(p, S), S - 1)]
+    assert got == want
 
 
 def test_leibniz_certificate_rejects_a_page_it_does_not_cover():
@@ -378,24 +428,82 @@ def test_leibniz_certificate_rejects_a_page_it_does_not_cover():
             page, monomials=tuple(m for m in page.monomials if m != dropped)
         )
         with pytest.raises(AssertionError, match=reason):
-            emss._check_leibniz(cut)
+            _generator_leibniz(cut)
     stray = dataclasses.replace(page, next_round=2)  # slot 1 is not pinned yet
     with pytest.raises(AssertionError, match="not generated"):
-        emss._check_leibniz(stray)
+        _generator_leibniz(stray)
+
+
+EMSS_PAGES_GRID = [(3, S) for S in range(2, 7)] + [(5, S) for S in range(2, 5)] + [
+    (7, 2), (7, 3)
+]
 
 
 def test_leibniz_pairs_are_generators_times_page():
-    p, S = 3, 4
-    history = turn_pages(initial_page(p, S), S - 1)
-    for page in history[1:]:
-        rec = page.record
-        generators = S - rec.round + 2  # zeta, g[p^j] for j >= s, w_s
-        assert rec.leibniz_pairs_checked == generators * rec.dim_before
+    for p, S in EMSS_PAGES_GRID:
+        history = turn_pages(initial_page(p, S), S - 1)
+        for page in history[1:]:
+            rec = page.record
+            generators = S - rec.round + 2  # zeta, g[p^j] for j >= s, w_s
+            assert rec.leibniz_pairs_checked == generators * rec.dim_before
 
 
-@pytest.mark.parametrize("p,S", [(5, 4), (3, 6)])
+@pytest.mark.parametrize("p,S", EMSS_PAGES_GRID)
 def test_page_dimensions(p, S):
     history = turn_pages(initial_page(p, S), S - 1)
     assert [pg.total_dimension for pg in history] == [
         2 * p ** (S - k) for k in range(S)
     ]
+    for page in history[1:]:
+        rec = page.record
+        assert rec.dim_after == 2 * p ** (S - rec.round)
+        assert rec.cells_with_differential == (rec.dim_before - rec.dim_after) // 2
+        assert rec.euler_before == rec.euler_after
+
+
+# --------------------------------------------------------- round certificate
+
+
+def _round_mutants(S):
+    """(page, monomial, wrong value of d on it, message) at p = 3, S >= 3:
+    each breaks exactly one of the round certificate's checks."""
+    page1, page2 = _pages_before_each_round(3, S)[:2]
+    zeros = (0,) * (S - 2)
+    gamma_p, sy = mono((0, 1) + zeros), mono((0, 0) + zeros, eps=1)
+    gamma_p2 = mono((0, 0, 1) + zeros[1:])
+    return [
+        # sy has slot 1 below p - 1, so it is off the page before round 2
+        (page2, gamma_p2, (1, sy), "leaves the page"),
+        # gamma_p already maps to sy; now sy maps back
+        (page1, sy, (1, gamma_p), "d o d is nonzero"),
+        # gamma_p sits in (3, -3), so d must land in (1, -2); z^2 sy is in (3, -4)
+        (page1, gamma_p, (1, mono((2, 0) + zeros, eps=1)), "not by"),
+        # gamma_p and sy then both survive, against the pattern
+        (page1, gamma_p, (0, None), "not the predicted survivors"),
+    ]
+
+
+@pytest.mark.parametrize("S", [3, 4])
+def test_round_certificate_rejects_each_mutant(S, monkeypatch):
+    for page, target, value, reason in _round_mutants(S):
+        assert target in page.monomials
+        assert round_differential(target, 3, S, page.next_round) != value
+        with monkeypatch.context() as mp:
+            mp.setattr(emss, "_check_leibniz", lambda page, table: 0)
+            _install_mutant(mp, target, value)
+            with pytest.raises(AssertionError, match=reason):
+                emss._run_round(page)
+
+
+@pytest.mark.parametrize("p,S", [(3, 4), (5, 4)])
+def test_one_evaluation_of_d_per_monomial(p, S, monkeypatch):
+    calls = []
+    real = emss.round_differential
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(emss, "round_differential", counted)
+    rep = final_page_report(p, S)
+    assert len(calls) == sum(pg.record.dim_before for pg in rep.pages[1:])
