@@ -320,24 +320,10 @@ def make_cochain_ring(F, r, N=8):
 
 def mod_m_reduction(ring):
     """Reduce A_r mod p: the result is F_p[y]/(y^rank) presented as a
-    FinAlgebra with every basis element in parity zero."""
-    p, rank = ring.p, ring.rank
-    # the relation must collapse to y^rank mod p (checked at build
-    # time; re-checked here because this is the load-bearing fact)
-    for j in range(rank):
-        if ring.w_coeffs[j] % p:
-            raise WeierstrassError("relation does not reduce to y^rank mod p")
-    table = np.zeros((rank, rank, rank), dtype=np.int64)
-    for i in range(rank):
-        for j in range(rank):
-            prod = [0] * (i + j + 1)
-            prod[i + j] = 1
-            red = ring._reduce_poly(prod)
-            table[i, j] = np.array(red, dtype=np.int64) % p
-    # compare with the closed-form table of the truncated presentation
-    if not np.array_equal(table, artin._truncated_table(rank)):
-        raise WeierstrassError("mod-p reduction is not the truncated algebra")
-    return artin.truncated_polynomial_algebra(p, rank)
+    FinAlgebra with every basis element in parity zero.  That is the
+    reduction because w = y^rank mod p, which the ring's constructor
+    checks."""
+    return artin.truncated_polynomial_algebra(ring.p, ring.rank)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ Two families are implemented: the multiplicative law F(x, y) =
 x + y + x y with exact integer coefficients, and the Honda law of
 height n at a prime p, whose logarithm is sum_i y^(p^(n i)) / p^i.
 
-The Honda p-series [p^r](y) solves L(psi) = p^r L(y), L = p^imax log
-truncated below y^M, by Newton's method modulo p^(N + imax) in
-O(M^2 log M); the same equation, checked on all M coefficients, then
-certifies it mod p^N (proofs at _honda_pseries).  The multiplicative
-p-series is the closed form (1 + y)^(p^r) - 1.
+A Honda law is held by its logarithm.  With L = p^imax log truncated
+below y^M, the p-series [p^r](y) solves L(psi) = p^r L(y) and the
+formal sum a +_F b solves L(psi) = L(a) + L(b); one Newton solver
+modulo p^(N + imax) does both in O(M^2 log M).  The p-series equation,
+checked on all M coefficients, then certifies [p^r](y) mod p^N (proofs
+at _solve_log).  The multiplicative p-series is the closed form
+(1 + y)^(p^r) - 1, and its formal sum is a + b + a b.
 
 Weierstrass preparation factors a series with some unit coefficient as
 (distinguished monic polynomial) * (unit series) by quadratic Hensel
@@ -290,10 +292,10 @@ def _honda_imax(p: int, n: int, M: int) -> int:
     return imax
 
 
-def _log_residual(psi, p, n, r, imax, modulus, out_len):
-    """L(psi) - p^r L(y) mod modulus below y^out_len, where
-    L = sum_(i <= imax) p^(imax - i) y^(p^(n i))."""
-    acc = [0] * out_len
+def _add_log(acc, psi, p, n, imax, modulus):
+    """acc + L(psi) mod modulus below y^len(acc), where psi has zero
+    constant term and L = sum_(i <= imax) p^(imax - i) y^(p^(n i))."""
+    out_len = len(acc)
     cur = list(psi[:out_len]) + [0] * max(0, out_len - len(psi))
     for i in range(imax + 1):
         q = p ** (n * i)
@@ -303,17 +305,26 @@ def _log_residual(psi, p, n, r, imax, modulus, out_len):
             cur = _pow_raw(cur, p**n, modulus, out_len)
         c = p ** (imax - i)
         acc = [(a + c * v) % modulus for a, v in zip(acc, cur)]
-        acc[q] = (acc[q] - c * p**r) % modulus
     return acc
 
 
-def _honda_pseries(p, n, r, M, N):
-    """[p^r](y) of the height-n Honda law at p, length M, correct mod p^N.
+def _log_y(c, p, n, imax, modulus, M):
+    """c L(y) mod modulus below y^M, for imax = _honda_imax(p, n, M)."""
+    t = [0] * M
+    for i in range(imax + 1):
+        t[p ** (n * i)] = c * p ** (imax - i) % modulus
+    return t
 
-    Newton's method on L(psi) = p^r L(y) mod p^(N + imax), where
-    L = p^imax log has its last term y^(p^(n imax)) below y^M.  The
-    true psi* = [p^r](y) is integral (Hazewinkel's functional-equation
-    lemma), and the terms of p^imax log left out of L start at y^M.
+
+def _solve_log(target, p, n, M, N):
+    """The psi with L(psi) = target, length M, correct mod p^N.
+
+    L = p^imax log of the height-n Honda law at p, truncated so that
+    its last term y^(p^(n imax)) lies below y^M.  target, of length M,
+    must be L(psi*) mod p^(N + imax) for an integral psi* with zero
+    constant term: p^r L(y) for psi* = [p^r](y), and L(a) + L(b) for
+    psi* = a +_F b; both are integral by Hazewinkel's functional-equation
+    lemma.  Newton's method runs mod p^(N + imax).
 
     Lemma.  If phi and delta have zero constant term and delta_j = 0
     mod p^N for j < m, then mod p^(N + imax)
@@ -325,24 +336,28 @@ def _honda_pseries(p, n, r, M, N):
     to p^imax U(phi) delta.  For k >= 2, (delta^k)_m uses only delta_j
     with j < m, so it is divisible by p^(k N), while p^(imax - i)
     binom(q, k) has valuation imax - i + n i - v_p(k) >= imax - (k-1) N.
+    In particular L(a) mod p^(N + imax) depends only on a mod p^N.
 
     Step.  Let psi = psi* mod p^N below degree D and write psi* =
     psi + p^N a + e with deg a < D and e = O(y^D).  The lemma at every
     degree removes p^N a, and (e^2)_j = 0 for j < 2D, so the residual
-    R = L(psi) - p^r L(y) satisfies R = -p^imax U(psi) e mod
+    R = L(psi) - target satisfies R = -p^imax U(psi) e mod
     (p^(N + imax), y^(2D)).  Hence R vanishes below degree D, p^imax
     divides R, and e = -U(psi)^(-1) R / p^imax mod (p^N, y^(2D)); both
-    facts are checked at every step.  From psi = p^r y (D = 2), D
-    doubles each step: O(log M) evaluations of L at doubling lengths.
+    facts are checked at every step.  Only the i = 0 term of L reaches
+    degree 1, so psi*_1 = target_1 / p^imax and the iteration starts at
+    D = 2; D doubles each step: O(log M) evaluations of L at doubling
+    lengths, O(M^2 log M) in all.
     """
     imax = _honda_imax(p, n, M)
     scale = p**imax
     modulus = p ** (N + imax)
-    psi = [0, p**r % modulus]
+    neg = [(-t) % modulus for t in target]
+    psi = [0] + [t // scale for t in target[1:2]]
     D = 2
     while D < M:
         D2 = min(M, 2 * D)
-        res = _log_residual(psi, p, n, r, imax, modulus, D2)
+        res = _add_log(neg[:D2], psi, p, n, imax, modulus)
         for k in range(D):
             if res[k]:
                 raise PrecisionError("settled prefix moved at degree %d" % k)
@@ -368,17 +383,18 @@ def certify_honda_pseries(psi, p, n, r, N):
     """Raise PrecisionError unless psi is [p^r](y) mod p^N below y^len(psi).
 
     The check does not depend on how psi was found: with M = len(psi)
-    and L, imax as in _honda_pseries, it asks psi_0 = 0 mod p^N and
+    and L, imax as in _solve_log, it asks psi_0 = 0 mod p^N and
     L(psi) = p^r L(y) mod (p^(N + imax), y^M).  That pins psi mod p^N:
     were m the least degree with psi_m != psi*_m mod p^N (m >= 1), the
-    lemma of _honda_pseries with phi = psi* and delta = psi - psi* would
+    lemma of _solve_log with phi = psi* and delta = psi - psi* would
     give L(psi)_m - L(psi*)_m = p^imax delta_m != 0 mod p^(N + imax).
     """
     M = len(psi)
     if psi[0] % p**N:
         raise PrecisionError("p-series has a nonzero constant term")
     imax = _honda_imax(p, n, M)
-    res = _log_residual(psi, p, n, r, imax, p ** (N + imax), M)
+    modulus = p ** (N + imax)
+    res = _add_log(_log_y(-(p**r), p, n, imax, modulus, M), psi, p, n, imax, modulus)
     for k, v in enumerate(res):
         if v:
             raise PrecisionError(
@@ -386,82 +402,13 @@ def certify_honda_pseries(psi, p, n, r, N):
             )
 
 
-def _dict_mul(d1, d2, cap, modulus):
-    out = {}
-    for k1, v1 in d1.items():
-        for k2, v2 in d2.items():
-            k = tuple(x + y for x, y in zip(k1, k2))
-            if sum(k) >= cap:
-                continue
-            out[k] = out.get(k, 0) + v1 * v2
-    if modulus is not None:
-        out = {k: v % modulus for k, v in out.items()}
-    return {k: v for k, v in out.items() if v}
-
-
-def _dict_pow(d, e, cap, modulus):
-    nvars = len(next(iter(d))) if d else 0
-    result = {(0,) * nvars: 1}
-    cur = d
-    while e:
-        if e & 1:
-            result = _dict_mul(result, cur, cap, modulus)
-        e >>= 1
-        if e:
-            cur = _dict_mul(cur, cur, cap, modulus)
-    return result
-
-
-def _honda_table_mod(p, n, M, N):
-    """Bivariate Honda sum table to total degree < M, entries mod p^N."""
-    imax = _honda_imax(p, n, M)
-    scale = p**imax
-    modulus = p ** (N + imax)
-    target = {}
-    for i in range(imax + 1):
-        K = p ** (n * i)
-        c = p ** (imax - i)
-        for key in ((K, 0), (0, K)):
-            target[key] = (target.get(key, 0) + c) % modulus
-    F = {(1, 0): 1, (0, 1): 1}
-    D = 2
-    gain = p**n - 1
-    while D < M:
-        D2 = min(M, D + gain)
-        lhs = {}
-        cur = F
-        for i in range(imax + 1):
-            if p ** (n * i) >= D2:
-                break
-            if i > 0:
-                cur = _dict_pow(cur, p**n, D2, modulus)
-            c = p ** (imax - i)
-            for k, v in cur.items():
-                lhs[k] = (lhs.get(k, 0) + c * v) % modulus
-        for k in set(lhs) | set(target):
-            r = (lhs.get(k, 0) - target.get(k, 0)) % modulus
-            if not r:
-                continue
-            tot = sum(k)
-            if tot < D:
-                raise PrecisionError("settled table prefix moved at %r" % (k,))
-            if tot >= D2:
-                continue
-            if r % scale:
-                raise PrecisionError("table correction not divisible at %r" % (k,))
-            F[k] = (F.get(k, 0) - r // scale) % modulus
-        D = D2
-    pn = p**N
-    return {k: v % pn for k, v in F.items() if v % pn}
-
-
 class FormalGroupLaw:
     """A one-dimensional formal group law with an exact p-series.
 
     kind is "multiplicative" (exact integer coefficients, height 1) or
-    "honda" (height n, coefficients mod p^N).  The p-series is the part
-    the rest of the library consumes; the bivariate sum table is
-    materialized lazily and only at small precision.
+    "honda" (height n, coefficients mod p^N).  A Honda law is held by
+    its logarithm alone: the p-series and the formal sum both solve
+    L(psi) = target by _solve_log.
     """
 
     def __init__(self, kind, p, n, M, context):
@@ -471,7 +418,6 @@ class FormalGroupLaw:
         self.M = M
         self.context = context
         self._pseries = {}
-        self._table = None
 
     @property
     def height(self):
@@ -510,35 +456,13 @@ class FormalGroupLaw:
         elif r == 0:
             out = y_series(self.context)
         else:
-            N = self.context.prec
-            vals = _honda_pseries(self.p, self.n, r, self.M, N)
-            certify_honda_pseries(vals, self.p, self.n, r, N)
+            p, n, M, N = self.p, self.n, self.M, self.context.prec
+            imax = _honda_imax(p, n, M)
+            vals = _solve_log(_log_y(p**r, p, n, imax, p ** (N + imax), M), p, n, M, N)
+            certify_honda_pseries(vals, p, n, r, N)
             out = TruncatedSeries(self.context, tuple(vals), False)
         self._pseries[r] = out
         return out
-
-    def table(self) -> dict:
-        """Bivariate sum coefficients {(i, j): value}, total degree < M."""
-        if self._table is None:
-            if self.kind == "multiplicative":
-                self._table = {(1, 0): 1, (0, 1): 1, (1, 1): 1}
-            else:
-                if self.M > 64:
-                    raise PrecisionError(
-                        "bivariate table is restricted to M <= 64; "
-                        "p-series access does not need it"
-                    )
-                self._table = _honda_table_mod(
-                    self.p, self.n, self.M, self.context.prec
-                )
-        return self._table
-
-    def coefficient(self, i: int, j: int) -> Coefficient:
-        if i < 0 or j < 0:
-            raise IndexError((i, j))
-        if i + j >= self.M and self.kind != "multiplicative":
-            raise PrecisionError("table truncated below total degree %d" % self.M)
-        return Coefficient(self.table().get((i, j), 0), self.context)
 
 
 def make_multiplicative_fgl(p: int, M: int = 16) -> FormalGroupLaw:
@@ -560,10 +484,13 @@ def make_honda_fgl(p: int, n: int, M: int, N: int = 8) -> FormalGroupLaw:
 
 
 def formal_sum(F: FormalGroupLaw, a: TruncatedSeries, b: TruncatedSeries):
-    """a +_F b for series with zero constant term.
+    """a +_F b for series with zero constant term, in the operands' context.
 
-    Table coefficients are reduced into the operands' context, so the
-    operands may live anywhere below the law's own context.
+    The multiplicative sum is a + b + a b.  The Honda sum solves
+    L(psi) = L(a) + L(b) by _solve_log below y^M, M the shorter of the
+    operands' and the law's precision, mod the operands' p^N: L(a) mod
+    p^(N + imax) depends only on a mod p^N.  The operands may live
+    anywhere below the law's own context.
     """
     if a.context != b.context:
         raise ContextMismatch(
@@ -572,85 +499,18 @@ def formal_sum(F: FormalGroupLaw, a: TruncatedSeries, b: TruncatedSeries):
     for s in (a, b):
         if s.coeffs and s.coeffs[0] != 0:
             raise ValueError("formal sum needs series with zero constant term")
+    if F.kind == "multiplicative":
+        return a + b + a * b
     ctx = a.context
-    tab = F.table()
-    effs = [a._eff(), b._eff()]
-    if F.kind != "multiplicative":
-        effs.append(F.M)
-    L = min(effs)
-    if L == _INF:
-        out = TruncatedSeries(ctx, (), True)
-    else:
-        out = TruncatedSeries(ctx, (0,) * int(L), False)
-    pow_a = {0: TruncatedSeries(ctx, (1,), True)}
-    pow_b = {0: TruncatedSeries(ctx, (1,), True)}
-    for (i, j) in sorted(tab):
-        if L != _INF and i + j >= L:
-            continue
-        for store, base, k in ((pow_a, a, i), (pow_b, b, j)):
-            if k not in store:
-                top = max(store)
-                cur = store[top]
-                for kk in range(top + 1, k + 1):
-                    cur = cur * base
-                    store[kk] = cur
-        c = reduce(Coefficient(tab[(i, j)], F.context), ctx)
-        out = out + (pow_a[i] * pow_b[j]).scale(c)
-    return out
-
-
-def check_axioms(F: FormalGroupLaw, assoc_cap: int = 12) -> dict:
-    """Unit, commutativity, and truncated associativity of the sum table."""
-    tab = F.table()
-    modulus = F.context.modulus
-    seen_linear = {(1, 0): 0, (0, 1): 0}
-    for (i, j), v in tab.items():
-        if j == 0:
-            want = 1 if i == 1 else 0
-            if v != want:
-                raise AssertionError("unit axiom fails at x^%d" % i)
-        if i == 0:
-            want = 1 if j == 1 else 0
-            if v != want:
-                raise AssertionError("unit axiom fails at y^%d" % j)
-        if (i, j) in seen_linear:
-            seen_linear[(i, j)] = v
-    if seen_linear[(1, 0)] != 1 or seen_linear[(0, 1)] != 1:
-        raise AssertionError("linear part of the law is not x + y")
-    for (i, j), v in tab.items():
-        if tab.get((j, i), 0) != v:
-            raise AssertionError("commutativity fails at (%d, %d)" % (i, j))
-    cap = min(F.M, assoc_cap)
-    x = {(1, 0, 0): 1}
-    y = {(0, 1, 0): 1}
-    z = {(0, 0, 1): 1}
-
-    def ev(table, A, B):
-        powers_a, powers_b = {0: {(0, 0, 0): 1}}, {0: {(0, 0, 0): 1}}
-        out = {}
-        for (i, j), v in sorted(table.items()):
-            if i + j >= cap:
-                continue
-            for store, base, k in ((powers_a, A, i), (powers_b, B, j)):
-                if k not in store:
-                    top = max(store)
-                    cur = store[top]
-                    for kk in range(top + 1, k + 1):
-                        cur = _dict_mul(cur, base, cap, modulus)
-                        store[kk] = cur
-            term = _dict_mul(powers_a[i], powers_b[j], cap, modulus)
-            for kk, vv in term.items():
-                nv = out.get(kk, 0) + v * vv
-                out[kk] = nv % modulus if modulus is not None else nv
-        return {k: v for k, v in out.items() if v}
-
-    fxy = ev(tab, x, y)
-    fyz = ev(tab, y, z)
-    left = ev(tab, fxy, z)
-    right = ev(tab, x, fyz)
-    if left != right:
-        raise AssertionError("associativity fails below total degree %d" % cap)
-    return {"unit": True, "commutative": True, "associative_below": cap}
+    reduce(F.context.one(), ctx)  # RefinementError unless ctx lies below the law's
+    N = 1 if ctx.kind == "modp" else ctx.prec
+    p, n = F.p, F.n
+    M = int(min(a._eff(), b._eff(), F.M))
+    imax = _honda_imax(p, n, M)
+    target = [0] * M
+    for s in (a, b):
+        target = _add_log(target, s.coeffs, p, n, imax, p ** (N + imax))
+    return TruncatedSeries(ctx, tuple(_solve_log(target, p, n, M, N)), False)
 
 
 @dataclass(frozen=True)

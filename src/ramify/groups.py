@@ -383,8 +383,8 @@ def conjugation_nilpotent(G, p):
     """Iterate M_(i+1) = span{g.v - v : v in M_i} for the conjugation
     action of G on F_p[G].
 
-    For groups of order <= 60 the spanning set ranges over every g;
-    for larger groups generators suffice: each M_i is G-stable, and
+    The spanning set ranges over the generators g of G only, which gives
+    the same M_(i+1) as every element would: each M_i is G-stable, and
     for stable M the identity (w - 1)v = (g - 1)(rest . v) + (rest - 1)v,
     applied along a generator word for w, rewrites any (w - 1)M inside
     sum over generators of (g - 1)M.
@@ -399,11 +399,10 @@ def conjugation_nilpotent(G, p):
         raise GroupError("p must be prime")
     n = G.order
     pos = {g: i for i, g in enumerate(G.elements)}
-    acting = G.elements if n <= 60 else G.generators
 
     # conjugation by g as a coordinate permutation of the basis G
     conj_perm = {}
-    for g in acting:
+    for g in G.generators:
         conj_perm[g] = np.array(
             [pos[G.conjugate(g, x)] for x in G.elements], dtype=np.int64
         )
@@ -413,12 +412,11 @@ def conjugation_nilpotent(G, p):
     dims = [n]
     while True:
         new_rows = []
-        for g in acting:
+        for g in G.generators:
             permuted = np.zeros_like(rows)
             permuted[:, conj_perm[g]] = rows
             new_rows.append((permuted - rows) % p)
-        stacked = np.vstack(new_rows) if new_rows else np.zeros((0, n), dtype=np.int64)
-        red, piv = artin.rref(stacked, p)
+        red, piv = artin.rref(np.vstack(new_rows), p)
         # descent: g.v stays in the current module, so the new one sits inside it
         if artin.residual(red, rows, pivots, p).any():
             raise GroupError("conjugation chain failed to descend")

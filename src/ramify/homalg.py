@@ -349,10 +349,7 @@ def rational_tor(ring, s_max):
     down = tensor_down(complex_)
     out = []
     for s in range(s_max + 1):
-        n_s = down.ranks[s]
-        rank_out = _matrix_rank_z(down.matrices[s - 1]) if s >= 1 else 0
-        rank_in = _matrix_rank_z(down.matrices[s])
-        free = n_s - rank_out - rank_in
+        free = snf_homology(down, s).free
         want = 1 if s == 0 else 0
         if free != want:
             raise HomologyError(

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import law_for, ring_for
@@ -203,14 +204,20 @@ def test_from_series_contract():
 # ------------------------------------------------------------ mod-p reduction
 
 
-@pytest.mark.parametrize("p,n,r", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)])
+@pytest.mark.parametrize("p,n,r", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (3, 1, 1)])
 def test_mod_m_reduction_is_truncated_polynomial_algebra(p, n, r):
     ring = ring_for(p, n, r)
     alg = mod_m_reduction(ring)
-    expect = artin.truncated_polynomial_algebra(p, ring.rank)
-    assert alg.labels == expect.labels
-    assert (alg.table == expect.table).all()
-    assert artin.nilpotency_exponent(alg) == ring.rank
+    rank = ring.rank
+    # y^i y^j reduced by the ring's own relation, then mod p
+    table = np.zeros((rank, rank, rank), dtype=np.int64)
+    for i in range(rank):
+        for j in range(rank):
+            table[i, j] = np.array(ring._reduce_poly([0] * (i + j) + [1])) % p
+    assert (table == artin._truncated_table(rank)).all()
+    assert (alg.table == table).all()
+    assert alg.labels == artin.truncated_polynomial_algebra(p, rank).labels
+    assert artin.nilpotency_exponent(alg) == rank
 
 
 # --------------------------------------------------------------- tower maps

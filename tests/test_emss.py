@@ -434,6 +434,17 @@ def test_leibniz_certificate_rejects_a_page_it_does_not_cover():
         _generator_leibniz(stray)
 
 
+@pytest.mark.parametrize("p,S", [(3, 3), (5, 3), (3, 4)])
+def test_leibniz_certificate_signs_an_odd_derivation(p, S):
+    # contracting sigma y, x * sy -> x, is a derivation of odd degree:
+    # on two sigma y factors d(g) m and g d(m) cancel only with the sign
+    for page in _pages_before_each_round(p, S):
+        table = {
+            m: (1, dataclasses.replace(m, eps=0)) for m in page.monomials if m.eps
+        }
+        assert emss._check_leibniz(page, table) > 0
+
+
 EMSS_PAGES_GRID = [(3, S) for S in range(2, 7)] + [(5, S) for S in range(2, 5)] + [
     (7, 2), (7, 3)
 ]

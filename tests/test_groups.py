@@ -290,13 +290,47 @@ def test_a4_conjugation_not_nilpotent_at_three():
     assert rep.stable_dim >= 1
 
 
+def _all_elements_chain(G, p):
+    """Reference conjugation chain: M_(i+1) spanned by g.v - v for every
+    element g of G, not just the generators.  Returns (chain_dims,
+    stable_basis) in the library's conventions."""
+    n = G.order
+    pos = {g: i for i, g in enumerate(G.elements)}
+    rows = np.eye(n, dtype=np.int64)
+    dims = [n]
+    while True:
+        moved = []
+        for g in G.elements:
+            permuted = np.zeros_like(rows)
+            permuted[:, [pos[G.conjugate(g, x)] for x in G.elements]] = rows
+            moved.append((permuted - rows) % p)
+        red, _ = artin.rref(np.vstack(moved), p)
+        if len(red) in (0, dims[-1]):
+            if len(red) == 0:
+                dims.append(0)
+            return tuple(dims), tuple(tuple(int(x) for x in row) for row in red)
+        dims.append(len(red))
+        rows = red
+
+
 def test_s5_generator_path_matches_small_group_path():
-    # order 120 takes the generator-only branch; the chain must still
-    # behave like the full-group computation does on a small group
-    rep = conjugation_nilpotent(symmetric_group(5), 2)
-    assert not rep.nilpotent
-    assert rep.chain_dims[0] == 120
-    assert rep.stable_dim >= 2
+    # acting by generators only spans the same chain as acting by every
+    # element, up to a stable submodule given by the same rref basis
+    groups = [
+        (symmetric_group(5), 2),
+        (symmetric_group(4), 2),
+        (symmetric_group(4), 3),
+        (alternating_group(4), 3),
+        (alternating_group(5), 5),
+        (dihedral_group(5), 2),
+        (dihedral_group(6), 3),
+        (quaternion_group(), 2),
+        (cyclic_group(9), 3),
+    ]
+    for G, p in groups:
+        rep = conjugation_nilpotent(G, p)
+        assert (rep.chain_dims, rep.stable_basis) == _all_elements_chain(G, p)
+        assert rep.nilpotent == (rep.stable_dim == 0)
     with pytest.raises(GroupError):
         conjugation_nilpotent(symmetric_group(3), 6)
 
