@@ -537,15 +537,21 @@ def _span_closure(images_of, rows, p):
 
     Returns (reduced, pivots), the rref basis of the smallest stable
     subspace containing rows.
+
+    Only the rows added in the last round go through images_of: the
+    images of the earlier rows already lie in the current span (by
+    induction), so once the new rows' images add nothing, the span is
+    stable by linearity.
     """
     cur, piv = rref(rows, p)
+    new = cur
     while True:
         # only what the images add to the span goes through rref again
-        resid = residual(images_of(cur), cur, piv, p)
-        resid = resid[resid.any(axis=1)]
-        if resid.shape[0] == 0:
+        resid = residual(images_of(new), cur, piv, p)
+        new = resid[resid.any(axis=1)]
+        if new.shape[0] == 0:
             return cur, piv
-        cur, piv = rref(np.vstack([cur, resid]), p)
+        cur, piv = rref(np.vstack([cur, new]), p)
 
 
 def regular_module(alg):

@@ -35,14 +35,44 @@ class NonUnitError(Exception):
 _KINDS = ("int", "rat", "padic", "modp")
 
 
+_SMALL_PRIMES = tuple(
+    q for q in range(2, 1000) if all(q % d for d in range(2, int(q ** 0.5) + 1))
+)
+_SPRP_BASES = _SMALL_PRIMES[:13]  # 2, 3, ..., 41
+# below this, a strong probable prime to every base in _SPRP_BASES is
+# prime (Sorenson and Webster, 2017)
+_SPRP_PROVEN_BELOW = 3317044064679887385961981
+
+
 def _is_prime(m: int) -> bool:
+    """Trial division by the primes below 1000, then strong
+    probable-prime tests to the bases 2..41.  A failed base proves m
+    composite; passing them all proves m prime below
+    _SPRP_PROVEN_BELOW, and above it the question is refused."""
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for q in _SMALL_PRIMES:
+        if m % q == 0:
+            return m == q
+    d, k = m - 1, 0
+    while d % 2 == 0:
+        d, k = d // 2, k + 1
+    for a in _SPRP_BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(k - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
+    if m >= _SPRP_PROVEN_BELOW:
+        raise ValueError(
+            "cannot decide whether %d is prime: it passes the strong "
+            "probable-prime tests to bases 2..41, which prove primality "
+            "only below %d" % (m, _SPRP_PROVEN_BELOW)
+        )
     return True
 
 

@@ -558,6 +558,45 @@ def test_spanned_submodule_closure():
     assert in_row_space(y3_corner, red, piv, 2)
 
 
+def _whole_basis_closure(images_of, rows, p):
+    """Reference: every round sends the whole current basis through
+    images_of, not only the rows the last round added."""
+    cur, piv = rref(rows, p)
+    while True:
+        resid = artin.residual(images_of(cur), cur, piv, p)
+        resid = resid[resid.any(axis=1)]
+        if resid.shape[0] == 0:
+            return cur, piv
+        cur, piv = rref(np.vstack([cur, resid]), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_span_closure_matches_the_whole_basis_closure(p):
+    rng = random.Random(700 + p)
+    t = truncated_polynomial_algebra
+    for alg in (t(p, 3), t(p, 5), tensor_algebra(t(p, 2), t(p, 3))):
+        for rank in (1, 2, 3):
+            free = free_module(alg, rank)
+            actions = [
+                artin._dense_images(free.act, p),
+                # one generator at a time: the closure takes several rounds
+                artin._free_images(alg.table[1:2], p),
+                artin._free_images(alg.table[1:], p),
+            ]
+            for images_of in actions:
+                for n_rows in (1, 2, 3):
+                    rows = [
+                        np.array([rng.randrange(p) for _ in range(free.dim)], np.int64)
+                        for _ in range(n_rows)
+                    ]
+                    if not np.any(rows):
+                        continue  # _free_images needs at least one row
+                    got, got_piv = artin._span_closure(images_of, rows, p)
+                    want, want_piv = _whole_basis_closure(images_of, rows, p)
+                    assert np.array_equal(got, want)
+                    assert list(got_piv) == list(want_piv)
+
+
 def test_zero_module():
     alg = truncated_polynomial_algebra(2, 3)
     free = free_module(alg, 1)

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from ramify import artin, cli
+from ramify import artin, cli, emss
 from ramify.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -152,6 +152,21 @@ def test_bad_emss_and_converge_sizes_are_2(capsys):
         assert rc == 2 and out == "" and reason in err
     rc, out, _ = run_cli(["rational", "--p", "3", "--smax", "0"], capsys)
     assert rc == 0 and "rank s=0: 1" in out
+
+
+def test_emss_page_ceiling_and_huge_primes_are_refused_at_once(capsys):
+    for argv, code, reason in [
+        (["emss", "--p", "3", "--S", "12"], 2,
+         "page of 2*3^12 monomials exceeds PAGE_LIMIT = %d" % emss.PAGE_LIMIT),
+        (["emss", "--p", "3", "--S", "1000000000"], 2, "exceeds PAGE_LIMIT"),
+        (["emss", "--p", "9223372036854775783", "--S", "2"], 2, "exceeds PAGE_LIMIT"),
+        (["emss", "--p", "618970019642690137449562111", "--S", "2"], 2, "cannot decide"),
+        (["group", "sylow", "--gens", "(1,2)", "--p", "9223372036854775783"], 0, ""),
+    ]:
+        start = time.perf_counter()
+        rc, _, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 2.0
+        assert rc == code and reason in err
 
 
 def test_inconclusive_is_3(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ramify.coeff import (
+    _is_prime,
     QQ,
     ZZ,
     Coefficient,
@@ -150,3 +151,38 @@ def test_is_unit_flags():
     assert not QQ.coeff(0).is_unit()
     assert M8.coeff(0).is_zero()
     assert not M8.coeff(4).is_zero()
+
+
+# ------------------------------------------------------------- primality
+
+
+def _trial_division(m):
+    return m >= 2 and all(m % d for d in range(2, int(m ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [m for m in range(10 ** 5) if _is_prime(m)] == [
+        m for m in range(10 ** 5) if _trial_division(m)
+    ]
+
+
+@pytest.mark.parametrize("m", [
+    561,  # Carmichael
+    3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,  # strong pseudoprime to bases 2..23
+    318665857834031151167461,  # strong pseudoprime to bases 2..37
+])
+def test_is_prime_rejects_strong_pseudoprimes(m):
+    assert not _is_prime(m)
+
+
+def test_is_prime_decides_large_primes_below_the_proven_bound():
+    assert _is_prime(9223372036854775783)  # largest prime below 2^63
+    assert _is_prime(2 ** 61 - 1)
+    assert not _is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+
+
+def test_is_prime_refuses_past_the_proven_bound():
+    with pytest.raises(ValueError, match="cannot decide"):
+        _is_prime(2 ** 89 - 1)  # a Mersenne prime past 3.3e24
+    assert not _is_prime((2 ** 61 - 1) * (2 ** 89 - 1))  # a base proves it composite

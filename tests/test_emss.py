@@ -1,9 +1,12 @@
 """Divided-power pages: products, round differentials, survivor reports."""
 
-import random
-
 import dataclasses
+import itertools
+import math
+import random
+import time
 
+import numpy as np
 import pytest
 
 from ramify import emss
@@ -20,6 +23,11 @@ from ramify.emss import (
 
 def mono(exps, eps=0):
     return DPBasisElement(tuple(exps), eps)
+
+
+def index(m, p):
+    """The page index of a monomial: sum a_j p^j + eps p^S."""
+    return sum(a * p ** j for j, a in enumerate(m.exponents)) + m.eps * p ** len(m.exponents)
 
 
 # ----------------------------------------------------------------- monomials
@@ -73,8 +81,6 @@ def test_dp_multiply_frozen():
 def test_dp_multiply_matches_classical_divided_powers():
     # gamma_a gamma_b = C(a+b, a) gamma_(a+b); digitwise Lucas gives the
     # same scalar whenever no slot overflows
-    import math
-
     p = 5
     for a in range(p):
         for b in range(p):
@@ -347,12 +353,25 @@ def _mutants(page):
 
 
 def _install_mutant(mp, target, value):
-    """Change the round differential on the single monomial `target`."""
-    real = emss.round_differential
+    """Change the round differential on the single monomial `target`:
+    in round_differential, which the oracles read, and in the array
+    table the library builds."""
+    real, real_table = emss.round_differential, emss._differential_table
     mp.setattr(
         emss, "round_differential",
         lambda x, *rest: value if x == target else real(x, *rest),
     )
+
+    def table(page):
+        scalar, tgt = (a.copy() for a in real_table(page))
+        i = int(np.searchsorted(page.indices, index(target, page.p)))
+        assert page.indices[i] == index(target, page.p)
+        c, y = value
+        nonzero = y is not None and c % page.p
+        scalar[i], tgt[i] = (c % page.p, index(y, page.p)) if nonzero else (0, -1)
+        return scalar, tgt
+
+    mp.setattr(emss, "_differential_table", table)
 
 
 LEIBNIZ_GRID = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]
@@ -406,13 +425,18 @@ def test_certificates_accept_a_rescaled_differential(p, S, monkeypatch):
     # 2d is a derivation with the same kernel and image as d, so every
     # certificate must accept it and the pages must not move
     want = [(pg.monomials, pg.record) for pg in turn_pages(initial_page(p, S), S - 1)]
-    real = emss.round_differential
+    real, real_table = emss.round_differential, emss._differential_table
 
     def rescaled(*args):
         scal, tgt = real(*args)
         return 2 * scal % p, tgt
 
+    def rescaled_table(page):
+        scal, tgt = real_table(page)
+        return 2 * scal % p, tgt
+
     monkeypatch.setattr(emss, "round_differential", rescaled)
+    monkeypatch.setattr(emss, "_differential_table", rescaled_table)
     for page in _pages_before_each_round(p, S):
         assert _generator_leibniz(page) > 0
         assert _all_pairs_leibniz(page) > 0
@@ -425,7 +449,7 @@ def test_leibniz_certificate_rejects_a_page_it_does_not_cover():
     zeta, zeta2 = mono((1, 0, 0)), mono((2, 0, 0))
     for dropped, reason in [(zeta, "not on the page"), (zeta2, "leaves the page")]:
         cut = dataclasses.replace(
-            page, monomials=tuple(m for m in page.monomials if m != dropped)
+            page, indices=page.indices[page.indices != index(dropped, 3)]
         )
         with pytest.raises(AssertionError, match=reason):
             _generator_leibniz(cut)
@@ -439,9 +463,8 @@ def test_leibniz_certificate_signs_an_odd_derivation(p, S):
     # contracting sigma y, x * sy -> x, is a derivation of odd degree:
     # on two sigma y factors d(g) m and g d(m) cancel only with the sign
     for page in _pages_before_each_round(p, S):
-        table = {
-            m: (1, dataclasses.replace(m, eps=0)) for m in page.monomials if m.eps
-        }
+        odd = page.indices >= p ** S
+        table = (odd.astype(np.int64), np.where(odd, page.indices - p ** S, -1))
         assert emss._check_leibniz(page, table) > 0
 
 
@@ -506,15 +529,169 @@ def test_round_certificate_rejects_each_mutant(S, monkeypatch):
                 emss._run_round(page)
 
 
+def test_round_certificate_checks_the_sigma_y_step(monkeypatch):
+    # zeta (m = 1) to the even monomial of index 1 + p^S - p: the index step
+    # of the real d, but sigma y does not come on, so the bidegree is wrong
+    page, zeta, far = initial_page(3, 3), index(mono((1, 0, 0)), 3), index(mono((1, 2, 2)), 3)
+    assert far == zeta + 3 ** 3 - 3
+    real_table = emss._differential_table
+
+    def table(pg):
+        scalar, target = (a.copy() for a in real_table(pg))
+        scalar[zeta], target[zeta] = 1, far  # positions are indices on the first page
+        scalar[far], target[far] = 0, -1
+        return scalar, target
+
+    monkeypatch.setattr(emss, "_check_leibniz", lambda page, table: 0)
+    monkeypatch.setattr(emss, "_differential_table", table)
+    with pytest.raises(AssertionError, match="d moves z to z\\*g\\[p\\^1\\]\\^2"):
+        emss._run_round(page)
+
+
 @pytest.mark.parametrize("p,S", [(3, 4), (5, 4)])
-def test_one_evaluation_of_d_per_monomial(p, S, monkeypatch):
+def test_one_table_build_per_round(p, S, monkeypatch):
     calls = []
-    real = emss.round_differential
+    real = emss._differential_table
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(page):
+        calls.append(page.next_round)
+        return real(page)
 
-    monkeypatch.setattr(emss, "round_differential", counted)
+    monkeypatch.setattr(emss, "_differential_table", counted)
     rep = final_page_report(p, S)
-    assert len(calls) == sum(pg.record.dim_before for pg in rep.pages[1:])
+    assert calls == list(range(1, S))
+    assert len(rep.pages) == S
+
+
+# -------------------------------------------------- object path as the oracle
+
+
+def _object_round(monomials, p, S, s):
+    """One round on DPBasisElements, as the library ran it before pages
+    were index arrays: round_differential on every monomial into a dict
+    table, the round checks, the Leibniz rule for generators times the
+    page through dp_multiply, and the survivors in page order."""
+    table = {}
+    for x in monomials:
+        c, y = round_differential(x, p, S, s)
+        if y is not None and c % p:
+            table[x] = (c % p, y)
+    on_page = set(monomials)
+    for x, (_, y) in table.items():
+        assert y in on_page and y not in table
+        (s0, t0), (s1, t1) = x.bidegree(p), y.bidegree(p)
+        assert (s1 - s0, t1 - t0) == (-(p - 1), p - 2)
+
+    def terms(*pairs):
+        out = {}
+        for c, m in pairs:
+            if m is not None:
+                out[m] = (out.get(m, 0) + c) % p
+        return {m: c for m, c in out.items() if c}
+
+    def times(a, x, y):
+        if x is None or y is None:
+            return 0, None
+        c, xy = dp_multiply(x, y, p)
+        return a * c, xy
+
+    digits = [mono([int(i == j) for i in range(S)]) for j in [0] + list(range(s, S))]
+    gens = digits + [emss._round_cycle(p, S, s)]
+    for m in monomials:
+        b, dm = table.get(m, (0, None))
+        for g in gens:
+            a, dg = table.get(g, (0, None))
+            c, gm = dp_multiply(g, m, p)
+            assert gm is None or gm in on_page
+            e, dgm = table.get(gm, (0, None))
+            sign = -1 if g.eps else 1
+            assert terms((c * e, dgm)) == terms(times(a, dg, m), times(sign * b, g, dm))
+    targets = {y for _, y in table.values()}
+    survivors = tuple(m for m in monomials if m not in table and m not in targets)
+
+    def euler(ms):
+        return sum(1 if m.eps == 0 else -1 for m in ms)
+
+    record = emss.RoundRecord(
+        round=s, nominal_index=emss._nominal_index(p, s),
+        dim_before=len(monomials), dim_after=len(survivors),
+        cells_with_differential=len({x.bidegree(p) for x in table}),
+        d_squared_zero=True, leibniz_pairs_checked=len(gens) * len(monomials),
+        euler_before=euler(monomials), euler_after=euler(survivors),
+    )
+    return survivors, record
+
+
+OBJECT_GRID = sorted({(p, S) for p, S in LEIBNIZ_GRID + EMSS_PAGES_GRID if S <= 4})
+
+
+@pytest.mark.parametrize("p,S", OBJECT_GRID)
+def test_index_pages_match_the_object_path(p, S):
+    mons = tuple(sorted(
+        (mono(e, eps) for e in itertools.product(range(p), repeat=S) for eps in (0, 1)),
+        key=lambda m: index(m, p),
+    ))
+    history = turn_pages(initial_page(p, S), S - 1)
+    assert history[0].monomials == mons
+    for before, page in zip(history, history[1:]):
+        mons, record = _object_round(mons, p, S, before.next_round)
+        assert page.monomials == mons
+        assert page.record == record
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_lucas_table_is_the_digit_binomial_and_zero_on_a_carry(p):
+    table = emss._lucas_table(p)
+    for a in range(p):
+        for b in range(p):
+            assert table[a, b] == math.comb(a + b, a) % p
+            assert (table[a, b] == 0) == (a + b >= p)
+
+
+@pytest.mark.parametrize("p,S", [(3, 2), (3, 3), (5, 2), (7, 2)])
+def test_index_product_matches_dp_multiply(p, S):
+    page = initial_page(p, S)
+    lucas, ys = emss._lucas_table(p), emss._split(page.indices, p, S)
+    for x in page.monomials:
+        scalar, target = emss._multiply(index(x, p), ys, lucas)
+        for y, c, t in zip(page.monomials, scalar.tolist(), target.tolist()):
+            c0, xy = dp_multiply(x, y, p)
+            assert (c, t) == ((0, -1) if xy is None else (c0, index(xy, p)))
+    scalar, target = emss._multiply(-1, ys, lucas)
+    assert not scalar.any() and (target == -1).all()
+
+
+def test_final_page_report_p3_s9_within_its_budget():
+    start = time.perf_counter()
+    rep = final_page_report(3, 9)
+    assert time.perf_counter() - start < 3.0
+    assert rep.verdict == "MATCH"
+    assert rep.pages[0].total_dimension == 2 * 3 ** 9
+
+
+# ------------------------------------------------------------- page ceiling
+
+
+def test_page_limit_admits_the_largest_page_and_refuses_the_next():
+    assert 2 * 3 ** 9 <= emss.PAGE_LIMIT
+    S = max(S for S in range(2, 64) if 2 * 3 ** S <= emss.PAGE_LIMIT)
+    assert initial_page(3, S).total_dimension == 2 * 3 ** S
+    with pytest.raises(ValueError, match="2\\*3\\^%d monomials exceeds PAGE_LIMIT = %d"
+                       % (S + 1, emss.PAGE_LIMIT)):
+        initial_page(3, S + 1)
+
+
+@pytest.mark.parametrize("p,S", [(3, 10 ** 9), (9223372036854775783, 2), (5, 10 ** 6)])
+def test_page_limit_refuses_huge_inputs_at_once(p, S):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds PAGE_LIMIT"):
+        final_page_report(p, S)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_refusal_order_is_prime_then_cutoff_then_ceiling():
+    with pytest.raises(ValueError, match="p must be prime"):
+        final_page_report(9, 10 ** 9)
+    with pytest.raises(ValueError, match="cutoff S must be >= 0"):
+        final_page_report(9223372036854775783, -1)
+    assert final_page_report(9223372036854775783, 1).verdict == "INCONCLUSIVE"
