@@ -524,7 +524,7 @@ def _free_images(mult, p):
     d = mult.shape[1]
 
     def images_of(rows):
-        blocks = rows.reshape(rows.shape[0], -1, d)
+        blocks = rows.reshape(rows.shape[0], rows.shape[1] // d, d)
         images = np.tensordot(blocks, mult, axes=(2, 1)).transpose(2, 0, 1, 3)
         return images.reshape(-1, rows.shape[1]) % p
 

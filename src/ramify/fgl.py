@@ -7,14 +7,17 @@ height n at a prime p, whose logarithm is sum_i y^(p^(n i)) / p^i.
 A Honda law is held by its logarithm.  With L = p^imax log truncated
 below y^M, the p-series [p^r](y) solves L(psi) = p^r L(y) and the
 formal sum a +_F b solves L(psi) = L(a) + L(b); one Newton solver
-modulo p^(N + imax) does both in O(M^2 log M).  The p-series equation,
-checked on all M coefficients, then certifies [p^r](y) mod p^N (proofs
-at _solve_log).  The multiplicative p-series is the closed form
-(1 + y)^(p^r) - 1, and its formal sum is a + b + a b.
+modulo p^(N + imax) does both.  L(zeta y) = zeta L(y) whenever
+zeta^(p^n - 1) = 1, so [p^r](y) = y f(y^s) with s = p^n - 1, and the
+solver works on the M/s coefficients of f: O((M/s)^2 log M) in all.
+The p-series equation, checked on all M coefficients, then certifies
+[p^r](y) mod p^N (proofs at _solve_log).  The multiplicative p-series
+is the closed form (1 + y)^(p^r) - 1, and its formal sum is a + b + a b.
 
 Weierstrass preparation factors a series with some unit coefficient as
 (distinguished monic polynomial) * (unit series) by quadratic Hensel
-lifting.  Coefficient m of an intermediate array of length W is
+lifting, in the variable y^t for t the gcd of the series' nonzero
+degrees.  Coefficient m of an intermediate array of length W is
 reliable mod p^min(N, floor((W - 1 - m) / d)), so the distinguished
 factor of a series of length at least (N + 2) d + 1 comes out correct
 mod p^N, while the unit is returned only on its reliable prefix.
@@ -88,15 +91,17 @@ def _mul_raw(a, b, modulus, out_len):
 
 
 def _pow_raw(base, e, modulus, out_len):
-    result = [1] + [0] * (out_len - 1)
     cur = list(base[:out_len]) + [0] * max(0, out_len - len(base))
+    if modulus is not None:
+        cur = [v % modulus for v in cur]
+    result = None
     while e:
         if e & 1:
-            result = _mul_raw(result, cur, modulus, out_len)
+            result = cur if result is None else _mul_raw(result, cur, modulus, out_len)
         e >>= 1
         if e:
             cur = _mul_raw(cur, cur, modulus, out_len)
-    return result
+    return [1] + [0] * (out_len - 1) if result is None else result
 
 
 def _inv_raw(c, modulus, length):
@@ -292,19 +297,33 @@ def _honda_imax(p: int, n: int, M: int) -> int:
     return imax
 
 
-def _add_log(acc, psi, p, n, imax, modulus):
-    """acc + L(psi) mod modulus below y^len(acc), where psi has zero
-    constant term and L = sum_(i <= imax) p^(imax - i) y^(p^(n i))."""
+def _stride(coeffs, s, offset):
+    """gcd(s, {k - offset : coeffs_k != 0}): coeffs is supported in the
+    degrees offset + (multiples of the result)."""
+    for k, v in enumerate(coeffs):
+        if v:
+            s = math.gcd(s, k - offset)
+            if s == 1:
+                break
+    return s
+
+
+def _add_log(acc, f, p, n, imax, modulus, s):
+    """acc + L(y f(y^s)) mod modulus, in z-form: entry j of acc, f and
+    the result is the coefficient of y^(1 + j s).  L = sum_(i <= imax)
+    p^(imax - i) y^(p^(n i)) and s divides p^n - 1, so q = p^(n i) is
+    1 mod s and (y f)^q = y z^((q - 1)/s) f^q with z = y^s."""
     out_len = len(acc)
-    cur = list(psi[:out_len]) + [0] * max(0, out_len - len(psi))
+    acc = list(acc)
+    cur = list(f[:out_len]) + [0] * max(0, out_len - len(f))
     for i in range(imax + 1):
-        q = p ** (n * i)
-        if q >= out_len:
+        shift = (p ** (n * i) - 1) // s
+        if shift >= out_len:
             break
         if i > 0:
-            cur = _pow_raw(cur, p**n, modulus, out_len)
+            cur = _pow_raw(cur, p**n, modulus, out_len - shift)
         c = p ** (imax - i)
-        acc = [(a + c * v) % modulus for a, v in zip(acc, cur)]
+        acc[shift:] = [(a + c * v) % modulus for a, v in zip(acc[shift:], cur)]
     return acc
 
 
@@ -324,13 +343,20 @@ def _solve_log(target, p, n, M, N):
     must be L(psi*) mod p^(N + imax) for an integral psi* with zero
     constant term: p^r L(y) for psi* = [p^r](y), and L(a) + L(b) for
     psi* = a +_F b; both are integral by Hazewinkel's functional-equation
-    lemma.  Newton's method runs mod p^(N + imax).
+    lemma.  Newton's method runs mod p^(N + imax), in the variable
+    z = y^s for the stride s = gcd(p^n - 1, {k - 1 : target_k != 0}).
+
+    Stride.  Let S be y Z[[z]], the series supported in the degrees
+    1 mod s; psi = y f(z) in S is held in z-form, f.  As s divides
+    p^n - 1, every q = p^(n i) is 1 mod s, so psi^q = y z^((q - 1)/s) f^q
+    lies in S and psi^(q - 1) = z^((q - 1)/s) f^(q - 1) in Z[[z]]: L maps
+    S into S, and U below maps S into Z[[z]].
 
     Lemma.  If phi and delta have zero constant term and delta_j = 0
     mod p^N for j < m, then mod p^(N + imax)
 
         L(phi + delta)_m = L(phi)_m + p^imax (U(phi) delta)_m,
-        U(phi) = sum_i p^((n - 1) i) phi^(p^(n i) - 1),  U(phi)_0 = 1.
+        U(phi) = sum_i p^((n - 1) i) phi^(q_i - 1),  U(phi)_0 = 1.
 
     Expand (phi + delta)^q, q = p^(n i): the terms linear in delta sum
     to p^imax U(phi) delta.  For k >= 2, (delta^k)_m uses only delta_j
@@ -338,67 +364,97 @@ def _solve_log(target, p, n, M, N):
     binom(q, k) has valuation imax - i + n i - v_p(k) >= imax - (k-1) N.
     In particular L(a) mod p^(N + imax) depends only on a mod p^N.
 
-    Step.  Let psi = psi* mod p^N below degree D and write psi* =
-    psi + p^N a + e with deg a < D and e = O(y^D).  The lemma at every
-    degree removes p^N a, and (e^2)_j = 0 for j < 2D, so the residual
-    R = L(psi) - target satisfies R = -p^imax U(psi) e mod
-    (p^(N + imax), y^(2D)).  Hence R vanishes below degree D, p^imax
-    divides R, and e = -U(psi)^(-1) R / p^imax mod (p^N, y^(2D)); both
-    facts are checked at every step.  Only the i = 0 term of L reaches
-    degree 1, so psi*_1 = target_1 / p^imax and the iteration starts at
-    D = 2; D doubles each step: O(log M) evaluations of L at doubling
-    lengths, O(M^2 log M) in all.
+    Symmetry.  For s = p^n - 1 the target p^r L(y) lies in S (its
+    degrees are p^(n i)); this is L(zeta y) = zeta L(y) for zeta^s = 1.
+    Its solution [p^r](y) then lies in S mod p^N, by the induction below,
+    which shows for any target in S that psi* mod p^N is in S.
+
+    Step.  Suppose psi in S agrees with psi* mod p^N below y^(1 + J s),
+    J >= 1 (f is known below z^J).  Write psi* = psi + p^N a + e with
+    deg a < 1 + J s and e = O(y^(1 + J s)); e need not lie in S.  The
+    lemma removes p^N a, and for k >= 2 the terms of (psi + e)^q with
+    e^k start at degree q + k J s >= 1 + 2 J s, so the residual
+    R = L(psi) - target satisfies R = -p^imax U(psi) e mod (p^(N + imax),
+    y^(1 + 2 J s)).  R lies in S, and U(psi) is a unit of Z[[z]], so
+    e = -U(psi)^(-1) R / p^imax mod (p^N, y^(1 + 2 J s)) lies in S too:
+    the residual, U and the correction all stay in S or Z[[z]], and f
+    gains z-indices J .. 2J - 1.  Hence R vanishes below z^J and p^imax
+    divides R; both facts are checked at every step.  Start: below y^(p^n)
+    only the i = 0 term of L is nonzero, so psi*_k = target_k / p^imax
+    mod p^N there, which is 0 for 1 < k < 1 + s <= p^n; so J = 1 with
+    f_0 = target_1 / p^imax.  J doubles each step: O(log M) evaluations
+    of L at doubling lengths, O((M/s)^2 log M) in all.
     """
     imax = _honda_imax(p, n, M)
     scale = p**imax
     modulus = p ** (N + imax)
-    neg = [(-t) % modulus for t in target]
-    psi = [0] + [t // scale for t in target[1:2]]
-    D = 2
-    while D < M:
-        D2 = min(M, 2 * D)
-        res = _add_log(neg[:D2], psi, p, n, imax, modulus)
-        for k in range(D):
-            if res[k]:
-                raise PrecisionError("settled prefix moved at degree %d" % k)
-        for k in range(D, D2):
-            if res[k] % scale:
+    s = _stride(target, p**n - 1, 1)
+    neg = [(-t) % modulus for t in target[1::s]]
+    f = [t // scale for t in target[1:2]]
+    J = 1
+    while J < len(neg):
+        J2 = min(len(neg), 2 * J)
+        res = _add_log(neg[:J2], f, p, n, imax, modulus, s)
+        for j in range(J):
+            if res[j]:
+                raise PrecisionError("settled prefix moved at degree %d" % (1 + j * s))
+        for j in range(J, J2):
+            if res[j] % scale:
                 raise PrecisionError(
                     "functional equation correction not divisible by p^%d at degree %d"
-                    % (imax, k)
+                    % (imax, 1 + j * s)
                 )
-        L = D2 - D
+        L = J2 - J
         unit = [1] + [0] * (L - 1)
         for i in range(1, imax + 1):
-            if p ** (n * i) - 1 < L:
-                term = _pow_raw(psi, p ** (n * i) - 1, modulus, L)
-                unit = [(u + p ** ((n - 1) * i) * t) % modulus for u, t in zip(unit, term)]
-        eps = _mul_raw([v // scale for v in res[D:]], _inv_raw(unit, modulus, L), modulus, L)
-        psi += [(-v) % modulus for v in eps]
-        D = D2
-    return [v % p**N for v in psi]
+            q = p ** (n * i)
+            shift = (q - 1) // s
+            if shift < L:
+                term = _pow_raw(f, q - 1, modulus, L - shift)
+                c = p ** ((n - 1) * i)
+                unit[shift:] = [(u + c * t) % modulus for u, t in zip(unit[shift:], term)]
+        eps = _mul_raw([v // scale for v in res[J:]], _inv_raw(unit, modulus, L), modulus, L)
+        f += [(-v) % modulus for v in eps]
+        J = J2
+    psi = [0] * M
+    psi[1::s] = [v % p**N for v in f]
+    return psi
 
 
 def certify_honda_pseries(psi, p, n, r, N):
     """Raise PrecisionError unless psi is [p^r](y) mod p^N below y^len(psi).
 
-    The check does not depend on how psi was found: with M = len(psi)
-    and L, imax as in _solve_log, it asks psi_0 = 0 mod p^N and
-    L(psi) = p^r L(y) mod (p^(N + imax), y^M).  That pins psi mod p^N:
-    were m the least degree with psi_m != psi*_m mod p^N (m >= 1), the
-    lemma of _solve_log with phi = psi* and delta = psi - psi* would
-    give L(psi)_m - L(psi*)_m = p^imax delta_m != 0 mod p^(N + imax).
+    The check does not depend on how psi was found: with M = len(psi),
+    L, imax and the stride s = p^n - 1 of the target p^r L(y) as in
+    _solve_log, it asks psi_0 = 0 and psi_k = 0 mod p^N for k != 1 mod s,
+    then L(psi) = p^r L(y) mod p^(N + imax) at the degrees 1 mod s below
+    y^M.  The two checks together are L(psi) = p^r L(y) mod
+    (p^(N + imax), y^M): L(psi) mod p^(N + imax) depends only on psi
+    mod p^N, which lies in S, and L maps S into S, so both sides vanish
+    at the other degrees.  That pins psi mod p^N: were m the least degree
+    with psi_m != psi*_m mod p^N (m >= 1), the lemma of _solve_log with
+    phi = psi* and delta = psi - psi* would give L(psi)_m - L(psi*)_m =
+    p^imax delta_m != 0 mod p^(N + imax).
     """
     M = len(psi)
-    if psi[0] % p**N:
+    pN = p**N
+    if psi[0] % pN:
         raise PrecisionError("p-series has a nonzero constant term")
     imax = _honda_imax(p, n, M)
     modulus = p ** (N + imax)
-    res = _add_log(_log_y(-(p**r), p, n, imax, modulus, M), psi, p, n, imax, modulus)
-    for k, v in enumerate(res):
+    neg = _log_y(-(p**r), p, n, imax, modulus, M)
+    s = _stride(neg, p**n - 1, 1)
+    for k in range(2, M):
+        if (k - 1) % s and psi[k] % pN:
+            raise PrecisionError(
+                "[p^%d](y) has a nonzero coefficient at degree %d, off the degrees 1 mod %d"
+                % (r, k, s)
+            )
+    res = _add_log(neg[1::s], psi[1::s], p, n, imax, modulus, s)
+    for j, v in enumerate(res):
         if v:
             raise PrecisionError(
-                "[p^%d](y) fails its functional equation at degree %d" % (r, k)
+                "[p^%d](y) fails its functional equation at degree %d" % (r, 1 + j * s)
             )
 
 
@@ -496,8 +552,8 @@ def formal_sum(F: FormalGroupLaw, a: TruncatedSeries, b: TruncatedSeries):
         raise ContextMismatch(
             "operands live in %s and %s" % (a.context.describe(), b.context.describe())
         )
-    for s in (a, b):
-        if s.coeffs and s.coeffs[0] != 0:
+    for x in (a, b):
+        if x.coeffs and x.coeffs[0] != 0:
             raise ValueError("formal sum needs series with zero constant term")
     if F.kind == "multiplicative":
         return a + b + a * b
@@ -507,10 +563,10 @@ def formal_sum(F: FormalGroupLaw, a: TruncatedSeries, b: TruncatedSeries):
     p, n = F.p, F.n
     M = int(min(a._eff(), b._eff(), F.M))
     imax = _honda_imax(p, n, M)
-    target = [0] * M
-    for s in (a, b):
-        target = _add_log(target, s.coeffs, p, n, imax, p ** (N + imax))
-    return TruncatedSeries(ctx, tuple(_solve_log(target, p, n, M, N)), False)
+    acc = [0] * (M - 1)
+    for x in (a, b):
+        acc = _add_log(acc, x.coeffs[1:], p, n, imax, p ** (N + imax), 1)
+    return TruncatedSeries(ctx, tuple(_solve_log([0] + acc, p, n, M, N)), False)
 
 
 @dataclass(frozen=True)
@@ -548,6 +604,21 @@ def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
     terms divisible by p), d being the least index where s has a unit
     coefficient.  A series with no unit coefficient is rejected, as is
     a truncated series too short to settle degree d.
+
+    z-form.  Let t be the gcd of the degrees where s is nonzero, so t
+    divides d and s = Q(z) with z = y^t.  Preparing Q = G(z) V(z) gives
+    s = G(y^t) V(y^t), where G(y^t) is monic of degree d with lower
+    terms divisible by p and V(y^t) is a unit; the Weierstrass
+    factorization is unique, so these are the factors of s.  The same
+    holds for every array of the lifting below: products, inverses and
+    the shift by d of series in y^t stay in y^t, so run in y the loop
+    would hold the residual, the inverted unit and the quotient and
+    remainder of each division in Z[[y^t]].  It therefore runs on the
+    z-coefficients, a length-work array in y being the ceil(work / t)
+    coefficients of its degrees 0 mod t, and computes the same numbers
+    as the loop in y.  The length bound, the reliable prefix, the unit
+    length and the slope of the honesty check stay stated in y-degrees,
+    so every input passes or fails as it would in y.
     """
     ctx = s.context
     if ctx.kind != "padic":
@@ -570,45 +641,49 @@ def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
     need = (N + 2) * d + 1
     if s.exact:
         work = max(len(coeffs), need)
-        c = coeffs + [0] * (work - len(coeffs))
+    elif len(coeffs) < need:
+        raise PrecisionError(
+            "need length >= %d to prepare at degree %d, have %d"
+            % (need, d, len(coeffs))
+        )
     else:
-        if len(coeffs) < need:
-            raise PrecisionError(
-                "need length >= %d to prepare at degree %d, have %d"
-                % (need, d, len(coeffs))
-            )
         work = len(coeffs)
-        c = coeffs
-    g = [0] * d + [1]
-    u = c[d:] + [0] * d
+    t = _stride(coeffs, 0, 0)
+    c = (coeffs + [0] * (work - len(coeffs)))[::t]
+    W, dz = len(c), d // t
+    g = [0] * dz + [1]
+    u = c[dz:] + [0] * dz
     reliable = work - N * d  # residual must vanish mod p^N below this
     rounds = max(2, math.ceil(math.log2(N)) + 2)
     done = False
     for _ in range(rounds):
-        gu = _mul_raw(g, u, modulus, work)
+        gu = _mul_raw(g, u, modulus, W)
         e = [(cv - gv) % modulus for cv, gv in zip(c, gu)]
-        if all(v == 0 for v in e[:reliable]):
+        if not any(e[: (reliable - 1) // t + 1]):  # the degrees j t < reliable
             done = True
             break
-        uinv = _inv_raw(u, modulus, work)
-        h = _mul_raw(e, uinv, modulus, work)
-        bprime, a = _weier_divide(h, g, d, modulus, work, N)
-        for i in range(d):
+        uinv = _inv_raw(u, modulus, W)
+        h = _mul_raw(e, uinv, modulus, W)
+        bprime, a = _weier_divide(h, g, dz, modulus, W, N)
+        for i in range(dz):
             g[i] = (g[i] + a[i]) % modulus
-        ub = _mul_raw(u, bprime, modulus, work)
+        ub = _mul_raw(u, bprime, modulus, W)
         u = [(uv + bv) % modulus for uv, bv in zip(u, ub)]
     if not done:
         raise WeierstrassError("Hensel lifting did not converge")
-    if g[d] != 1 or any(g[i] % p for i in range(d)):
+    if g[dz] != 1 or any(g[i] % p for i in range(dz)):
         raise WeierstrassError("computed factor is not distinguished")
     # honesty check on the whole range: the residual obeys the
-    # reliability slope p^floor((work - 1 - m) / d)
-    gu = _mul_raw(g, u, modulus, work)
-    for m_deg in range(work):
-        lvl = min(N, (work - 1 - m_deg) // d)
-        if (c[m_deg] - gu[m_deg]) % (p**lvl):
+    # reliability slope p^floor((work - 1 - m) / d) at y-degree m = j t
+    gu = _mul_raw(g, u, modulus, W)
+    for j in range(W):
+        lvl = min(N, (work - 1 - j * t) // d)
+        if (c[j] - gu[j]) % (p**lvl):
             raise WeierstrassError("residual violates the reliability slope")
     unit_len = work - (N + 1) * d
-    distinguished = TruncatedSeries(ctx, tuple(g), True)
-    unit = TruncatedSeries(ctx, tuple(u[:unit_len]), False)
+    gy, uy = [0] * (d + 1), [0] * unit_len
+    gy[::t] = g
+    uy[::t] = u[: (unit_len - 1) // t + 1]
+    distinguished = TruncatedSeries(ctx, tuple(gy), True)
+    unit = TruncatedSeries(ctx, tuple(uy), False)
     return WeierstrassFactorization(distinguished, unit, d)

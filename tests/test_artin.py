@@ -589,12 +589,22 @@ def test_span_closure_matches_the_whole_basis_closure(p):
                         np.array([rng.randrange(p) for _ in range(free.dim)], np.int64)
                         for _ in range(n_rows)
                     ]
-                    if not np.any(rows):
-                        continue  # _free_images needs at least one row
                     got, got_piv = artin._span_closure(images_of, rows, p)
                     want, want_piv = _whole_basis_closure(images_of, rows, p)
                     assert np.array_equal(got, want)
                     assert list(got_piv) == list(want_piv)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_span_closure_of_zero_rows_is_the_zero_subspace(rank):
+    t = truncated_polynomial_algebra
+    for alg in (t(2, 3), t(3, 2), tensor_algebra(t(2, 2), t(2, 2))):
+        p, dim = alg.p, rank * alg.dim
+        images_of = artin._free_images(alg.table, p)
+        for rows in (np.zeros((0, dim), np.int64), np.zeros((3, dim), np.int64)):
+            assert images_of(rows).shape == (alg.dim * rows.shape[0], dim)
+            basis, piv = artin._span_closure(images_of, rows, p)
+            assert basis.shape == (0, dim) and list(piv) == []
 
 
 def test_zero_module():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ramify import fgl
 from ramify.cochain import minimum_series_precision
 from ramify.coeff import (
     ZZ,
@@ -314,12 +315,107 @@ def test_certificate_rejects_wrong_series():
             bad[k] = (bad[k] + p ** (N - 1)) % p**N
             with pytest.raises(PrecisionError):
                 certify_honda_pseries(bad, p, n, r, N)
+        # [p^r](y) lives in the degrees 1 mod p^n - 1 = 3: a low degree
+        # off them, and the last degree on them
+        last = 1 + 3 * ((M - 2) // 3)
+        for k, why in ((2, "off the degrees 1 mod 3"), (last, "functional equation")):
+            bad = list(psi)
+            bad[k] = (bad[k] + p ** (N - 1)) % p**N
+            with pytest.raises(PrecisionError, match=why):
+                certify_honda_pseries(bad, p, n, r, N)
         coarse = list(make_honda_fgl(p, n, M, N - 1).p_series(r).coeffs)
         assert coarse != psi
         with pytest.raises(PrecisionError):
             certify_honda_pseries(coarse, p, n, r, N)
         with pytest.raises(PrecisionError):
             certify_honda_pseries([1] + psi[1:], p, n, r, N)
+
+
+def _accepted_grid(N_max):
+    """(p, n, r, N) with rank p^(r n) <= 64, r in {1, 2}, r < N <= N_max."""
+    for p in (2, 3, 5, 7):
+        for r in (1, 2):
+            n = 1
+            while p ** (r * n) <= 64:
+                for N in range(r + 1, N_max + 1):
+                    yield p, n, r, N
+                n += 1
+
+
+def _stride_one(coeffs, s, offset):
+    return 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_p_series_in_z_matches_the_stride_one_solver(p, monkeypatch):
+    # every grid point with N <= 16, solved in z = y^(p^n - 1) and in y;
+    # some of them overflow int64 even at length M / (p^n - 1), so the
+    # exact fallback of _mul_raw runs in both forms
+    exact = 0
+    for _, n, r, N in [pt for pt in _accepted_grid(16) if pt[0] == p]:
+        M = minimum_series_precision(p, n, r, N, False)
+        imax = _honda_imax(p, n, M)
+        exact += not fgl._np_safe(p ** (N + imax), (M - 2) // (p**n - 1) + 1)
+        z_form = make_honda_fgl(p, n, M, N).p_series(r).coeffs
+        with monkeypatch.context() as m:
+            m.setattr(fgl, "_stride", _stride_one)
+            assert make_honda_fgl(p, n, M, N).p_series(r).coeffs == z_form
+    assert exact > 0 or p == 2
+
+
+# preparation of q_r fails at these (p, n, r, N) with "residual violates
+# the reliability slope", at the M of minimum_series_precision
+WEIERSTRASS_DEFECTS = [(2, 3, 1, 8), (2, 3, 1, 9), (2, 3, 2, 8), (2, 3, 2, 9), (2, 4, 1, 16)]
+
+
+def _tower_tor_points():
+    """The tor points of the benchmark's tower workload (N <= 8 and one
+    rank-64 point at N = 14) and the defect points.  At n = 1 the CLI
+    takes the multiplicative law; the Honda q_r there are extra inputs."""
+    pts = list(_accepted_grid(8)) + [(2, 3, 2, 14)]
+    return pts + [pt for pt in WEIERSTRASS_DEFECTS if pt not in pts]
+
+
+def _prepare(q):
+    try:
+        w = weierstrass_preparation(q)
+    except WeierstrassError as exc:
+        return "WeierstrassError: %s" % exc
+    return w.degree, w.distinguished.coeffs, w.unit.coeffs
+
+
+def test_weierstrass_in_z_matches_the_stride_one_preparation(monkeypatch):
+    failures = []
+    for p, n, r, N in _tower_tor_points():
+        F = make_honda_fgl(p, n, minimum_series_precision(p, n, r, N, False), N)
+        q = exact_quotient_by_y(F.p_series(r))
+        z_form = _prepare(q)
+        with monkeypatch.context() as m:
+            m.setattr(fgl, "_stride", _stride_one)
+            assert _prepare(q) == z_form, (p, n, r, N)
+        if isinstance(z_form, str):
+            failures.append((p, n, r, N))
+    assert sorted(failures) == WEIERSTRASS_DEFECTS
+
+
+def test_series_products_run_at_the_stride(monkeypatch):
+    # a refactor that drops the stride must fail here, not only in timing
+    longest = [0]
+    mul_raw = fgl._mul_raw
+
+    def recording(a, b, modulus, out_len):
+        longest[0] = max(longest[0], len(a), len(b))
+        return mul_raw(a, b, modulus, out_len)
+
+    p, n, r, N = 2, 3, 2, 14
+    M = minimum_series_precision(p, n, r, N, False)
+    F = make_honda_fgl(p, n, M, N)
+    monkeypatch.setattr(fgl, "_mul_raw", recording)
+    q = exact_quotient_by_y(F.p_series(r))
+    assert longest[0] <= (M - 2) // 7 + 1
+    longest[0] = 0
+    weierstrass_preparation(q)
+    assert longest[0] <= (len(q.coeffs) - 1) // 7 + 1
 
 
 def test_formal_sum_multiplicative():
