@@ -27,7 +27,6 @@ __all__ = [
     "FinAlgebra",
     "FinModule",
     "SocleSeries",
-    "field_algebra",
     "truncated_polynomial_algebra",
     "tensor_algebra",
     "regular_module",
@@ -356,9 +355,6 @@ class FinAlgebra:
             e += 1
         self._nilpotency = e
 
-    def describe(self):
-        return "F_%d-algebra of dimension %d" % (self.p, self.dim)
-
     def __repr__(self):
         return "FinAlgebra(p=%d, dim=%d)" % (self.p, self.dim)
 
@@ -382,13 +378,6 @@ def nilpotency_exponent(alg):
 
 
 # -- constructors
-
-
-def field_algebra(p):
-    """F_p itself."""
-    return FinAlgebra(
-        p, ("1",), (0,), np.ones((1, 1, 1), dtype=np.int64), (1,)
-    )
 
 
 def _truncated_table(m):

@@ -6,7 +6,8 @@ verdict}, sorted keys).  Identical invocations produce byte-identical
 output, which the golden tests rely on.
 
 Exit codes: 0 for a completed computation (MATCH and MISMATCH are
-both completed diagnostics), 2 for a precondition violation, 3 for an
+both completed diagnostics), 2 for a precondition violation or a
+failed computation (an out-of-memory allocation included), 3 for an
 INCONCLUSIVE diagnostic, 64 for an unknown subcommand, 65 for a
 malformed input file or generator string.
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import __version__, artin, emss, groups, homalg
 from .cochain import make_cochain_ring, minimum_series_precision, mod_m_reduction
-from .coeff import ContextMismatch, NonUnitError, RefinementError
+from .coeff import ContextMismatch, NonUnitError
 from .fgl import (
     PrecisionError,
     WeierstrassError,
@@ -49,7 +50,6 @@ _COMPUTE_ERRORS = (
     WeierstrassError,
     ContextMismatch,
     NonUnitError,
-    RefinementError,
     artin.AlgebraError,
     homalg.HomologyError,
     homalg.ChainMapError,
@@ -676,6 +676,9 @@ def main(argv=None):
         return 2
     except groups.GroupError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory: %s" % (str(exc) or "allocation failed"), file=sys.stderr)
         return 2
 
 

@@ -90,18 +90,6 @@ class RingElement:
             tuple((a + b) % m for a, b in zip(self.coeffs, other.coeffs)),
         )
 
-    def __sub__(self, other):
-        self._check_owner(other)
-        m = self.ring.modulus
-        return RingElement(
-            self.ring,
-            tuple((a - b) % m for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self):
-        m = self.ring.modulus
-        return RingElement(self.ring, tuple((-a) % m for a in self.coeffs))
-
     def __mul__(self, other):
         self._check_owner(other)
         ring = self.ring
@@ -206,7 +194,7 @@ class CyclicCochainRing:
         if not isinstance(series, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")
         if series.exact:
-            if series.context.kind in ("int",) or series.context == self.context:
+            if series.context.kind == "int" or series.context == self.context:
                 return self.element([int(c) for c in series.coeffs])
             raise ContextMismatch("cannot reduce an exact series over %s" % series.context.describe())
         if series.context != self.context:
@@ -231,9 +219,6 @@ class CyclicCochainRing:
         if elt.ring is not self:
             raise ValueError("element belongs to a different ring")
         return elt.coeffs[0]
-
-    def describe(self):
-        return "Z/%d^%d[y]/(w), rank %d" % (self.p, self.context.prec, self.rank)
 
     def __repr__(self):
         return "CyclicCochainRing(p=%d, n=%d, r=%d, N=%d)" % (

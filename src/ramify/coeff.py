@@ -1,38 +1,23 @@
-"""Coefficient contexts and exact scalars.
+"""Coefficient contexts.
 
-Every scalar in this library carries the arithmetic context it lives in:
-the integers, the rationals, the integers mod p^N, or the prime field
-F_p.  Binary operations demand equal contexts; nothing is coerced
-silently.  Movement between contexts is always an explicit ``reduce``
-along the coarsening order::
-
-    int -> rat
-    int -> mod-p^N -> mod-p
-    rat -> mod-p^N -> mod-p   (only when the denominator is a unit)
-
-Refining (walking back up that order) is never allowed.  All arithmetic
-is exact: Python ints, ``fractions.Fraction``, and canonical residues.
+Every series and ring in this library carries the arithmetic context
+its coefficients live in: the integers ZZ, or the integers mod p^N
+(``padic``).  The residue field F_p is the case N = 1.  Operations
+demand equal contexts; nothing is coerced silently.  All arithmetic is
+exact: Python ints, and canonical residues in 0..p^N - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class ContextMismatch(Exception):
-    """Two scalars from different contexts met in a binary operation."""
-
-
-class RefinementError(Exception):
-    """``reduce`` was asked for a move that is not a coarsening."""
+    """Operands from different contexts met in one operation."""
 
 
 class NonUnitError(Exception):
-    """``invert`` was called on a non-invertible scalar."""
-
-
-_KINDS = ("int", "rat", "padic", "modp")
+    """An inverse was asked of a non-invertible element."""
 
 
 _SMALL_PRIMES = tuple(
@@ -78,184 +63,48 @@ def _is_prime(m: int) -> bool:
 
 @dataclass(frozen=True)
 class Context:
-    """One arithmetic world: ``int``, ``rat``, ``padic`` (mod p^N) or ``modp``."""
+    """One arithmetic world: ``int`` (ZZ) or ``padic`` (mod p^N)."""
 
     kind: str
     p: int | None = None
     prec: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError("unknown context kind %r" % (self.kind,))
-        if self.kind in ("int", "rat"):
+        if self.kind == "int":
             if self.p is not None or self.prec is not None:
-                raise ValueError("%s context takes no parameters" % self.kind)
+                raise ValueError("int context takes no parameters")
         elif self.kind == "padic":
             if self.p is None or not _is_prime(self.p):
                 raise ValueError("mod-p^N context needs a prime p")
             if self.prec is None or self.prec < 1:
                 raise ValueError("mod-p^N context needs N >= 1")
         else:
-            if self.p is None or not _is_prime(self.p):
-                raise ValueError("mod-p context needs a prime p")
-            if self.prec is not None:
-                raise ValueError("mod-p context carries no precision")
+            raise ValueError("unknown context kind %r" % (self.kind,))
 
     @property
     def modulus(self) -> int | None:
-        """p^N for padic, p for modp, None for the exact contexts."""
-        if self.kind == "padic":
-            return self.p ** self.prec
-        if self.kind == "modp":
-            return self.p
-        return None
-
-    @property
-    def exact(self) -> bool:
-        return self.kind in ("int", "rat")
+        """p^N for padic, None for the integers."""
+        return None if self.kind == "int" else self.p ** self.prec
 
     def canon(self, value):
         """Canonical raw representative of ``value`` in this context."""
-        if self.kind == "rat":
-            if isinstance(value, (int, Fraction)):
-                return Fraction(value)
-            raise TypeError("rational context wants int or Fraction, got %r" % (value,))
         if not isinstance(value, int):
             raise TypeError("%s context wants int, got %r" % (self.kind, value))
         m = self.modulus
         return value if m is None else value % m
 
-    def coeff(self, value) -> "Coefficient":
-        return Coefficient(self.canon(value), self)
-
-    def zero(self) -> "Coefficient":
-        return self.coeff(0)
-
-    def one(self) -> "Coefficient":
-        return self.coeff(1)
-
     def describe(self) -> str:
         if self.kind == "int":
             return "int"
-        if self.kind == "rat":
-            return "rat"
-        if self.kind == "padic":
-            return "mod-%d^%d" % (self.p, self.prec)
-        return "mod-%d" % self.p
+        return "mod-%d^%d" % (self.p, self.prec)
 
     def __repr__(self):
         return "Context(%s)" % self.describe()
 
 
 ZZ = Context("int")
-QQ = Context("rat")
 
 
 def padic_context(p: int, N: int = 8) -> Context:
     """Integers mod p^N.  The default working precision is N = 8."""
     return Context("padic", p, N)
-
-
-def modp_context(p: int) -> Context:
-    return Context("modp", p)
-
-
-@dataclass(frozen=True)
-class Coefficient:
-    """An exact scalar together with its context."""
-
-    value: object
-    context: Context
-
-    def _match(self, other: "Coefficient") -> None:
-        if not isinstance(other, Coefficient):
-            raise TypeError("expected Coefficient, got %r" % (other,))
-        if other.context != self.context:
-            raise ContextMismatch(
-                "cannot combine %s with %s"
-                % (self.context.describe(), other.context.describe())
-            )
-
-    def __add__(self, other):
-        self._match(other)
-        return Coefficient(self.context.canon(self.value + other.value), self.context)
-
-    def __sub__(self, other):
-        self._match(other)
-        return Coefficient(self.context.canon(self.value - other.value), self.context)
-
-    def __mul__(self, other):
-        self._match(other)
-        return Coefficient(self.context.canon(self.value * other.value), self.context)
-
-    def __neg__(self):
-        return Coefficient(self.context.canon(-self.value), self.context)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def is_unit(self) -> bool:
-        ctx = self.context
-        if ctx.kind == "int":
-            return self.value in (1, -1)
-        if ctx.kind == "rat":
-            return self.value != 0
-        # padic and modp alike: unit iff prime to p
-        return self.value % ctx.p != 0
-
-    def __repr__(self):
-        return "Coefficient(%s : %s)" % (self.value, self.context.describe())
-
-
-def reduce(c: Coefficient, target: Context) -> Coefficient:
-    """Push ``c`` down the coarsening order into ``target``.
-
-    int embeds in rat; int and rat map onto mod-p^N and mod-p (for a
-    rational the denominator must be a unit there); mod-p^N maps onto
-    mod-p^N' for N' <= N and onto mod-p.  Anything else is a refinement
-    and raises.
-    """
-    src = c.context
-    if src == target:
-        return c
-    if src.kind == "int":
-        if target.kind == "rat":
-            return Coefficient(Fraction(c.value), target)
-        if target.kind in ("padic", "modp"):
-            return Coefficient(c.value % target.modulus, target)
-    elif src.kind == "rat":
-        if target.kind in ("padic", "modp"):
-            m = target.modulus
-            num, den = c.value.numerator, c.value.denominator
-            try:
-                dinv = pow(den, -1, m)
-            except ValueError:
-                raise RefinementError(
-                    "denominator %d is not a unit %s" % (den, target.describe())
-                )
-            return Coefficient(num * dinv % m, target)
-    elif src.kind == "padic":
-        if target.kind == "padic" and target.p == src.p and target.prec <= src.prec:
-            return Coefficient(c.value % target.modulus, target)
-        if target.kind == "modp" and target.p == src.p:
-            return Coefficient(c.value % target.p, target)
-    raise RefinementError(
-        "cannot reduce %s to %s" % (src.describe(), target.describe())
-    )
-
-
-def invert(c: Coefficient) -> Coefficient:
-    """Multiplicative inverse in the same context; units only."""
-    ctx = c.context
-    if ctx.kind == "int":
-        if c.value in (1, -1):
-            return c
-        raise NonUnitError("%d is not a unit in the integers" % c.value)
-    if ctx.kind == "rat":
-        if c.value == 0:
-            raise NonUnitError("zero is not invertible")
-        return Coefficient(1 / c.value, ctx)
-    try:
-        return Coefficient(pow(c.value, -1, ctx.modulus), ctx)
-    except ValueError:
-        raise NonUnitError("%d is not a unit %s" % (c.value, ctx.describe()))

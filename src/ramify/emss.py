@@ -97,11 +97,6 @@ class DPBasisElement:
         m = sum(a * p ** j for j, a in enumerate(self.exponents))
         return (self.eps + m, -2 * self.eps - m)
 
-    @property
-    def total_degree(self):
-        # s + t collapses to minus the exterior exponent
-        return -self.eps
-
     def __str__(self):
         parts = []
         if self.exponents and self.exponents[0]:

@@ -30,16 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import (
-    ZZ,
-    Coefficient,
-    Context,
-    ContextMismatch,
-    NonUnitError,
-    _is_prime,
-    padic_context,
-    reduce,
-)
+from .coeff import ZZ, Context, ContextMismatch, NonUnitError, _is_prime, padic_context
 
 
 class PrecisionError(Exception):
@@ -61,7 +52,7 @@ def _np_safe(modulus: int, length: int) -> bool:
 def _mul_raw(a, b, modulus, out_len):
     """Truncated convolution of raw coefficient lists.
 
-    modulus None means exact (int or Fraction) arithmetic.  The result
+    modulus None means exact arithmetic on the entries as given.  The result
     always has length exactly out_len.
     """
     if out_len <= 0:
@@ -142,32 +133,8 @@ class TruncatedSeries:
             raise PrecisionError("a truncated series must know at least one degree")
         object.__setattr__(self, "coeffs", tuple(vals))
 
-    @property
-    def prec(self):
-        """Known length; None for an exact polynomial."""
-        return None if self.exact else len(self.coeffs)
-
     def _eff(self):
         return _INF if self.exact else len(self.coeffs)
-
-    def coefficient(self, i: int) -> Coefficient:
-        if i < 0:
-            raise IndexError(i)
-        if i < len(self.coeffs):
-            return Coefficient(self.coeffs[i], self.context)
-        if self.exact:
-            return self.context.zero()
-        raise PrecisionError("coefficient %d beyond precision %d" % (i, len(self.coeffs)))
-
-    def valuation(self):
-        """Least degree with a nonzero known coefficient, or None."""
-        for i, v in enumerate(self.coeffs):
-            if v:
-                return i
-        return None
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coeffs)
 
     def _match(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -192,12 +159,6 @@ class TruncatedSeries:
         vals = [self._entry(i) + other._entry(i) for i in range(L)]
         return TruncatedSeries(self.context, tuple(vals), False)
 
-    def __neg__(self):
-        return TruncatedSeries(self.context, tuple(-v for v in self.coeffs), self.exact)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         self._match(other)
         m = self.context.modulus
@@ -210,15 +171,6 @@ class TruncatedSeries:
         L = int(min(self._eff(), other._eff()))
         vals = _mul_raw(list(self.coeffs), list(other.coeffs), m, L)
         return TruncatedSeries(self.context, tuple(vals), False)
-
-    def scale(self, c: Coefficient):
-        if c.context != self.context:
-            raise ContextMismatch(
-                "scalar context %s does not match series context %s"
-                % (c.context.describe(), self.context.describe())
-            )
-        vals = tuple(v * c.value for v in self.coeffs)
-        return TruncatedSeries(self.context, vals, self.exact)
 
     def compose(self, inner: "TruncatedSeries"):
         """self(inner); inner must have zero constant term."""
@@ -242,23 +194,6 @@ class TruncatedSeries:
                 acc[0] %= m
         return TruncatedSeries(self.context, tuple(acc), False)
 
-    def truncate(self, L: int):
-        """Forget everything from degree L on; the result is never exact."""
-        if L < 1:
-            raise PrecisionError("cannot truncate below length 1")
-        if len(self.coeffs) >= L:
-            return TruncatedSeries(self.context, self.coeffs[:L], False)
-        if self.exact:
-            vals = self.coeffs + (0,) * (L - len(self.coeffs))
-            return TruncatedSeries(self.context, vals, False)
-        raise PrecisionError(
-            "series only known to length %d, wanted %d" % (len(self.coeffs), L)
-        )
-
-    def reduce_context(self, target: Context):
-        vals = tuple(reduce(Coefficient(v, self.context), target).value for v in self.coeffs)
-        return TruncatedSeries(target, vals, self.exact)
-
     def __repr__(self):
         terms = []
         for i, v in enumerate(self.coeffs):
@@ -270,10 +205,6 @@ class TruncatedSeries:
         body = " + ".join(terms) if terms else "0"
         tail = "" if self.exact else " + O(y^%d)" % len(self.coeffs)
         return "TruncatedSeries(%s; %s%s)" % (self.context.describe(), body, tail)
-
-
-def y_series(context: Context) -> TruncatedSeries:
-    return TruncatedSeries(context, (0, 1), True)
 
 
 def exact_quotient_by_y(s: TruncatedSeries) -> TruncatedSeries:
@@ -475,10 +406,6 @@ class FormalGroupLaw:
         self.context = context
         self._pseries = {}
 
-    @property
-    def height(self):
-        return self.n
-
     def describe(self) -> str:
         if self.kind == "multiplicative":
             return "multiplicative p=%d" % self.p
@@ -510,7 +437,7 @@ class FormalGroupLaw:
             vals = (0,) + tuple(math.comb(q, k) for k in range(1, q + 1))
             out = TruncatedSeries(self.context, vals, True)
         elif r == 0:
-            out = y_series(self.context)
+            out = TruncatedSeries(self.context, (0, 1), True)
         else:
             p, n, M, N = self.p, self.n, self.M, self.context.prec
             imax = _honda_imax(p, n, M)
@@ -545,8 +472,9 @@ def formal_sum(F: FormalGroupLaw, a: TruncatedSeries, b: TruncatedSeries):
     The multiplicative sum is a + b + a b.  The Honda sum solves
     L(psi) = L(a) + L(b) by _solve_log below y^M, M the shorter of the
     operands' and the law's precision, mod the operands' p^N: L(a) mod
-    p^(N + imax) depends only on a mod p^N.  The operands may live
-    anywhere below the law's own context.
+    p^(N + imax) depends only on a mod p^N.  Honda operands must lie in
+    Z/p^N for N at most the law's own; any other context raises
+    ContextMismatch.
     """
     if a.context != b.context:
         raise ContextMismatch(
@@ -558,9 +486,12 @@ def formal_sum(F: FormalGroupLaw, a: TruncatedSeries, b: TruncatedSeries):
     if F.kind == "multiplicative":
         return a + b + a * b
     ctx = a.context
-    reduce(F.context.one(), ctx)  # RefinementError unless ctx lies below the law's
-    N = 1 if ctx.kind == "modp" else ctx.prec
-    p, n = F.p, F.n
+    if ctx.kind != "padic" or ctx.p != F.p or ctx.prec > F.context.prec:
+        raise ContextMismatch(
+            "operands in %s do not lie below the law's %s"
+            % (ctx.describe(), F.context.describe())
+        )
+    p, n, N = F.p, F.n, ctx.prec
     M = int(min(a._eff(), b._eff(), F.M))
     imax = _honda_imax(p, n, M)
     acc = [0] * (M - 1)

@@ -178,9 +178,6 @@ class FiniteGroup:
     def identity(self):
         return identity_perm(self.degree)
 
-    def multiply(self, a, b):
-        return compose(a, b)
-
     def conjugate(self, g, x):
         return compose(compose(inverse(g), x), g)  # g x g^-1 read left-to-right
 

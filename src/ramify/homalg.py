@@ -108,10 +108,6 @@ class PeriodicFreeComplex:
             if not (a * b).is_zero:
                 raise HomologyError("d o d is nonzero in the ring")
 
-    @property
-    def length(self):
-        return len(self.multipliers)
-
 
 def build_resolution(ring, length):
     """Multipliers [y, q_r, y, q_r, ...]; position s (1-based) is y for
@@ -340,23 +336,10 @@ def tor_table(ring, s_max):
 
 
 def rational_tor(ring, s_max):
-    """Rational Tor ranks for degrees 0..s_max: rank one in degree
-    zero and zero elsewhere, computed from ranks of the same integer
-    complex with torsion discarded."""
-    if s_max < 0:
-        raise ValueError("s_max must be >= 0")
-    complex_ = build_resolution(ring, s_max + 1)
-    down = tensor_down(complex_)
-    out = []
-    for s in range(s_max + 1):
-        free = snf_homology(down, s).free
-        want = 1 if s == 0 else 0
-        if free != want:
-            raise HomologyError(
-                "rational Tor_%d has rank %d, expected %d" % (s, free, want)
-            )
-        out.append(free)
-    return tuple(out)
+    """Rational Tor ranks for degrees 0..s_max: the free ranks of the
+    integral Tor table, whose certificate already pins them (rank one
+    in degree zero, zero elsewhere)."""
+    return tuple(e.free for e in tor_table(ring, s_max).entries)
 
 
 @dataclass(frozen=True)
@@ -386,10 +369,6 @@ class KunnethPage:
     entries: tuple  # entries[s], internal parity 0
     differentials: tuple
     odd_witnesses: tuple  # (s, descriptor) with s odd and entry nonzero
-
-    @property
-    def e_infinity(self):
-        return self.entries
 
 
 def kunneth_page(ring, s_max):
@@ -452,9 +431,6 @@ class ChainMap:
     target: PeriodicFreeComplex
     length: int
     squares_checked: int
-
-    def component(self, s):
-        return _component(self.morphism, s)
 
 
 def comparison_chain_map(F, k, L, N=8, seed=0, n_random=6):

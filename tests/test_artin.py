@@ -16,7 +16,6 @@ from ramify.artin import (
     FinModule,
     betti_numbers,
     coords_in_rref,
-    field_algebra,
     free_module,
     in_row_space,
     minimal_free_resolution,
@@ -193,7 +192,7 @@ def test_quotient_map_kills_exactly_the_span():
 
 
 def test_field_algebra():
-    k = field_algebra(5)
+    k = truncated_polynomial_algebra(5, 1)  # F_5 = F_5[y]/(y)
     assert k.dim == 1
     assert len(radical_basis(k)) == 0
     assert nilpotency_exponent(k) == 1
@@ -488,7 +487,7 @@ def test_tensor_algebra_koszul_sign():
 
 def test_tensor_algebra_prime_mismatch():
     with pytest.raises(AlgebraError):
-        tensor_algebra(field_algebra(2), field_algebra(3))
+        tensor_algebra(truncated_polynomial_algebra(2, 1), truncated_polynomial_algebra(3, 1))
 
 
 # ------------------------------------------------------------------- modules

@@ -9,6 +9,8 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -189,6 +191,38 @@ def test_bad_input_files_are_65(tmp_path, capsys):
     bad.write_text("labels: 1 y\nmul: nonsense\n", encoding="utf-8")
     rc, _, err = run_cli(["betti", "--algebra", str(bad)], capsys)
     assert rc == 65 and "malformed" in err
+
+
+def test_failed_allocation_is_refused_with_exit_2():
+    # socle --m 100000 asks numpy for a 10^5 x 10^5 int64 table (74.5 GiB);
+    # a 2 GiB address-space limit makes the allocation fail whatever the
+    # host's memory
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramify.cli", "socle", "--p", "2", "--m", "100000"],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: out of memory: Unable to allocate")
+
+
+def test_memory_error_without_a_message_is_named(capsys, monkeypatch):
+    def exhausted(module):
+        raise MemoryError()
+
+    monkeypatch.setattr(artin, "socle_series", exhausted)
+    rc, out, err = run_cli(["socle", "--m", "5"], capsys)
+    assert rc == 2 and out == ""
+    assert err == "error: out of memory: allocation failed\n"
 
 
 def test_help_exits_zero(capsys):

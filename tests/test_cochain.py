@@ -51,8 +51,8 @@ def test_honda_p2_n2_r1_frozen():
     assert ring.rank == 4
     assert ring.w_coeffs == (0, 114, 0, 0, 1)
     assert ring.distinguished.exact
-    u0 = ring.unit_series.coefficient(0)
-    assert u0.value == 9 and u0.is_unit()
+    u0 = ring.unit_series.coeffs[0]
+    assert u0 == 9 and u0 % 2
     # the factorization reproduces q_1 through the unit's known range
     back = ring.distinguished * ring.unit_series
     q_series = ring.fgl.p_series(1)
@@ -114,8 +114,8 @@ def test_ring_axioms_randomized(p, n, r):
         assert (a * b).coeffs == (b * a).coeffs
         assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
         assert (a * (b + c)).coeffs == (a * b + a * c).coeffs
-        assert (a + (-a)).is_zero
-        assert ((a - b) + b).coeffs == a.coeffs
+        assert (a + a.scale(-1)).is_zero
+        assert ((a + b.scale(-1)) + b).coeffs == a.coeffs
 
 
 @pytest.mark.parametrize("p,n,r", GRID)

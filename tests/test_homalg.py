@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import law_for, ring_for
+from ramify import homalg
 from ramify.homalg import (
     ChainMapError,
     HomologyError,
@@ -161,7 +162,7 @@ def test_free_homology_of_zero_maps():
 def test_build_resolution_multipliers_alternate():
     ring = ring_for(2, 1, 1)
     C = build_resolution(ring, 5)
-    assert C.length == 5
+    assert len(C.multipliers) == 5
     assert C.multipliers[0].coeffs == ring.y_elt.coeffs
     assert C.multipliers[1].coeffs == ring.q_elt.coeffs
     assert C.multipliers[2].coeffs == ring.y_elt.coeffs
@@ -209,6 +210,19 @@ def test_rational_tor_vanishes_positively(p, n, r):
     assert rational_tor(ring_for(p, n, r), 6) == (1, 0, 0, 0, 0, 0, 0)
 
 
+def test_rational_tor_runs_the_tor_table_certificate(monkeypatch):
+    # a closed form that disagrees only on torsion must stop rational Tor
+    # too: its ranks are read from the one certified table
+    monkeypatch.setattr(
+        homalg, "_expected_tor",
+        lambda p, r, s: ModuleDescriptor(free=int(s == 0), torsion=(p,) * (s % 2)),
+    )
+    with pytest.raises(HomologyError, match="closed form"):
+        rational_tor(ring_for(2, 1, 2), 3)
+    with pytest.raises(ValueError, match="s_max must be >= 0"):
+        rational_tor(ring_for(2, 1, 2), -1)
+
+
 def test_kunneth_page_bookkeeping():
     page = kunneth_page(ring_for(3, 1, 2), 6)
     assert page.p == 3 and page.r == 2 and page.rank == 9
@@ -223,7 +237,6 @@ def test_kunneth_page_bookkeeping():
         (3, ModuleDescriptor(0, (9,))),
         (5, ModuleDescriptor(0, (9,))),
     )
-    assert page.e_infinity == page.entries
 
 
 @pytest.mark.parametrize("p,n,r", GRID)
@@ -261,15 +274,15 @@ def test_comparison_chain_map_p2_k2():
     assert cm.squares_checked == 6 * (2 + 6)
     phi = cm.morphism
     y = phi.source.y_elt
-    assert cm.component(0)(y).coeffs == phi.apply(y).coeffs
-    assert cm.component(1)(y).coeffs == (phi.apply(y) * phi.cofactor).coeffs
+    assert homalg._component(phi, 0)(y).coeffs == phi.apply(y).coeffs
+    assert homalg._component(phi, 1)(y).coeffs == (phi.apply(y) * phi.cofactor).coeffs
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_comparison_chain_map_multiplicative_grid(p, k):
     cm = comparison_chain_map(law_for(p, 1, max_r=max(k, 2)), k, 6)
     assert cm.squares_checked == 6 * (p + 6)
-    assert cm.source.length == cm.target.length == 6
+    assert len(cm.source.multipliers) == len(cm.target.multipliers) == 6
 
 
 def test_comparison_chain_map_honda():
