@@ -7,6 +7,10 @@ local Artinian package: radical, socle series, Nakayama-style zero
 detection, and Betti numbers of the residue field computed from an
 explicit minimal free resolution.
 
+Once an algebra is certified, these computations act by the generators
+G of J/J^2 (J the augmentation kernel), not by a basis of J, so their
+stacks have |G| dim M rows, not dim J dim M; FinAlgebra proves why.
+
 Only prime fields are supported.  The structure constants are kept as
 small numpy integer arrays and every product is reduced mod p on the
 spot, so all results are exact.
@@ -128,11 +132,6 @@ def residual(vecs, reduced, pivots, p):
     return (v - v[..., pivots] @ reduced) % p
 
 
-def in_row_space(vec, reduced, pivots, p):
-    """Membership test against an rref basis."""
-    return not residual(vec, reduced, pivots, p).any()
-
-
 def coords_in_rref(vecs, reduced, pivots, p):
     """Coordinates in the rref basis of each vector along the last axis
     of vecs: its pivot entries, once the residual against the basis
@@ -219,7 +218,19 @@ class FinAlgebra:
         ((x x') y) z = (x (x' y)) z = x ((x' y) z)
                      = x (x' (y z)) = (x x') (y z).
     So S contains every right-nested word in G, and S = A once those
-    words span A.  G is kept for the module certificate of FinModule.
+    words span A.
+
+    Every computation on a certified algebra acts by G, as
+    J = sum_g gA: a nonempty right-nested word is g w for a g in G, so
+    A = F_p 1 + sum_g gA, and sum_g gA lies in J = ker(eps) since
+    eps(g a) = eps(g) eps(a) = 0, which forces J = sum_g gA.  So
+    JN = sum_g gN for a submodule N (with N = J^k in A,
+    J^(k+1) = sum_g g J^k), and a span stable under G is a submodule,
+    the words acting as products of the rho(g).  G is homogeneous: J is
+    spanned by the homogeneous e_i - eps(e_i) 1 (eps kills the odd part,
+    and the odd part u of the unit kills each e_j by parity additivity,
+    so u = 1 u = u 1 = 0 by graded commutativity), and the rref basis of
+    such a span joins those of its even and odd parts.
 
     p must be below P_LIMIT = 2^16.  Every product in this module is
     taken over int64 arrays of residues in [0, p) and reduced mod p
@@ -291,11 +302,12 @@ class FinAlgebra:
         bad = np.argwhere(np.triu((tbl != swapped).any(axis=2)))
         if bad.size:
             raise AlgebraError("graded commutativity fails at (%d,%d)" % tuple(bad[0]))
-        # J and the right multiplications x -> x w by its basis, shared by
-        # the associativity and nilpotency certificates
+        # G and its products g e_j, shared by the certificates below,
+        # FinModule and the resolution
         rad = radical_basis(self)
-        right = np.einsum("bj,ijn->bin", rad, tbl) % p
-        self._check_associative(rad, right)
+        self.generators = self._generators(rad)
+        self.gen_products = np.tensordot(self.generators, tbl, axes=(1, 0)) % p
+        self._check_associative(self.gen_products)
         # augmentation is an algebra map
         if self.aug_of(self.unit) != 1:
             raise AlgebraError("augmentation of the unit is not 1")
@@ -305,20 +317,17 @@ class FinAlgebra:
         if ((par == 1) & (self.aug != 0)).any():
             raise AlgebraError("augmentation does not vanish on odd part")
         # ker(aug) must be nilpotent, otherwise not local in our sense
-        self._check_radical_nilpotent(rad, right)
+        self._check_radical_nilpotent(rad, self.gen_products)
 
-    def _right_products(self, rows, right):
-        """rref basis of the span of v w for v in rows and w in J, from
-        the stack right of right multiplications by the basis of J."""
-        prods = np.tensordot(rows, right, axes=(1, 1)).reshape(-1, self.dim)
-        return rref(prods % self.p, self.p)
-
-    def _generators(self, rad, right):
+    def _generators(self, rad):
         """Lifts of a basis of J/J^2 if their right-nested words span A
         (one span closure of the unit under their left multiplications),
         otherwise the basis of J."""
         p, d = self.p, self.dim
-        j2, j2_piv = self._right_products(rad, right)
+        # J^2, spanned by the products v w of basis elements of J
+        right = np.tensordot(rad, self.table, axes=(1, 1)) % p  # e_i w
+        products = np.tensordot(rad, right, axes=(1, 1)).reshape(-1, d)
+        j2, j2_piv = rref(products % p, p)
         # the radical rows whose images in J/J^2 are independent
         images = rad @ quotient_map(j2, j2_piv, d, p).T % p
         _, lifts = rref(images.T, p)
@@ -327,13 +336,11 @@ class FinAlgebra:
         words, _ = _span_closure(_free_images(left, p), [self.unit], p)
         return gens if words.shape[0] == d else rad
 
-    def _check_associative(self, rad, right):
+    def _check_associative(self, ge):
         """(g e_j) e_k = g (e_j e_k) for g in the generators and all j,
-        k, as one stacked product; the class docstring proves that this
-        is associativity."""
+        k, as one stacked product from ge[g, j] = g e_j; the class
+        docstring proves that this is associativity."""
         p, tbl = self.p, self.table
-        self.generators = self._generators(rad, right)
-        ge = np.tensordot(self.generators, tbl, axes=(1, 0)) % p  # g e_j
         lhs = np.tensordot(ge, tbl, axes=(2, 0)) % p
         rhs = np.tensordot(tbl, ge, axes=(2, 1)).transpose(2, 0, 1, 3) % p
         bad = np.argwhere((lhs != rhs).any(axis=3))
@@ -342,13 +349,18 @@ class FinAlgebra:
                 "associativity fails at generator %d and (%d,%d)" % tuple(bad[0])
             )
 
-    def _check_radical_nilpotent(self, rad, right):
-        """J^(k+1) = J^k J, one stacked product and one rref per power;
-        the powers of a nilpotent J shrink strictly until they die."""
+    def _check_radical_nilpotent(self, rad, ge):
+        """J^(k+1) = sum_g g J^k (class docstring; associativity,
+        commutativity and a multiplicative augmentation are certified
+        before this runs), one stacked product of ge[g, j] = g e_j and
+        one rref per power; the powers of a nilpotent J shrink strictly
+        until they die."""
+        p, d = self.p, self.dim
         cur = rad
         e = 1
         while cur.shape[0] > 0:
-            nxt, _ = self._right_products(cur, right)
+            # row (v, g) is g v
+            nxt, _ = rref(np.tensordot(cur, ge, axes=(1, 1)).reshape(-1, d) % p, p)
             if nxt.shape[0] >= cur.shape[0]:
                 raise AlgebraError("augmentation kernel is not nilpotent")
             cur = nxt
@@ -468,8 +480,7 @@ class FinModule:
         if not np.array_equal(unit_mat, np.eye(self.dim, dtype=np.int64)):
             raise AlgebraError("unit does not act as identity")
         # compatibility on generators: rho(g e_j) == rho(g) rho(e_j)
-        ge = np.tensordot(alg.generators, alg.table, axes=(1, 0)) % p
-        lhs = np.tensordot(ge, self.act, axes=(2, 0)) % p
+        lhs = np.tensordot(alg.gen_products, self.act, axes=(2, 0)) % p
         rho_g = np.tensordot(alg.generators, self.act, axes=(1, 0)) % p
         rhs = np.matmul(rho_g[:, None], self.act[None]) % p
         if not np.array_equal(lhs, rhs):
@@ -562,16 +573,17 @@ def spanned_submodule(module, vectors):
     Returns (submodule, basis_rows) where basis_rows expresses the new
     module's basis inside the ambient one.
     """
-    p = module.algebra.p
+    alg, p = module.algebra, module.algebra.p
     rows = [np.asarray(v, np.int64) % p for v in vectors]
     if not rows:
         rows = [np.zeros(module.dim, np.int64)]
-    images_of = _dense_images(module.act, p)
-    red, pivots = _span_closure(images_of, rows, p)
+    # a span stable under G is a submodule (see FinAlgebra)
+    rho_g = np.tensordot(alg.generators, module.act, axes=(1, 0)) % p
+    red, pivots = _span_closure(_dense_images(rho_g, p), rows, p)
     # column j of act[i] holds the coordinates of e_i red[j]
-    images = images_of(red).reshape(module.algebra.dim, -1, module.dim)
+    images = _dense_images(module.act, p)(red).reshape(alg.dim, -1, module.dim)
     act = coords_in_rref(images, red, pivots, p).transpose(0, 2, 1)
-    return FinModule(module.algebra, act), red
+    return FinModule(alg, act), red
 
 
 def random_spanned_module(alg, rng, free_rank=2, n_vectors=2):
@@ -618,11 +630,15 @@ def socle_series_bases(module):
     Verifies strict growth up to k0, the containment J soc^(k+1) in
     soc^k, and termination at k0 <= e.  Violations raise AlgebraError
     since they can only come from a broken action.
+
+    Stage k is {x : gx in soc^(k-1) for g in G}, and the containment is
+    checked on G.  For a submodule S and homogeneous g, a (FinAlgebra
+    shows G homogeneous), graded commutativity gives g(ax) = +-a(gx),
+    so Gx in S gives Jx = sum_g g(Ax) in S.
     """
     alg = module.algebra
     p = alg.p
-    rad = radical_basis(alg)
-    rad_mats = np.tensordot(rad, module.act, axes=(1, 0)) % p
+    rho_g = np.tensordot(alg.generators, module.act, axes=(1, 0)) % p
     e = nilpotency_exponent(alg)
     stages = []
     prev_red = np.zeros((0, module.dim), dtype=np.int64)
@@ -631,14 +647,14 @@ def socle_series_bases(module):
         if len(stages) == e:
             raise AlgebraError("socle series fails to terminate by J-nilpotency")
         q = quotient_map(prev_red, prev_piv, module.dim, p)
-        stacked = (q @ rad_mats % p).reshape(-1, module.dim)
+        stacked = (q @ rho_g % p).reshape(-1, module.dim)
         kern = null_space(stacked, p)
         red, piv = rref(kern if kern else np.zeros((0, module.dim), np.int64), p)
         if red.shape[0] <= prev_red.shape[0]:
             raise AlgebraError("socle series is not strictly increasing")
         # J soc^k must land in soc^(k-1): every image g v must reduce to
         # zero against the rref basis of soc^(k-1), independently of q
-        images = np.tensordot(red, rad_mats, axes=(1, 2)).reshape(-1, module.dim)
+        images = np.tensordot(red, rho_g, axes=(1, 2)).reshape(-1, module.dim)
         if residual(images, prev_red, prev_piv, p).any():
             raise AlgebraError("J soc^k escapes soc^(k-1)")
         stages.append(red)
@@ -656,9 +672,8 @@ def nakayama_check(module):
     p = alg.p
     if module.dim == 0:
         return (0, 0)
-    rad = radical_basis(alg)
-    # JM is spanned by the columns of the action matrices of J
-    cols = np.tensordot(rad, module.act, axes=(1, 0)).transpose(0, 2, 1)
+    # JM = sum_g gM (see FinAlgebra): the columns of the matrices of G
+    cols = np.tensordot(alg.generators, module.act, axes=(1, 0)).transpose(0, 2, 1)
     jm = row_space(cols.reshape(-1, module.dim), p)
     top = module.dim - jm.shape[0]
     if top == 0 and module.dim > 0:
@@ -670,6 +685,18 @@ def nakayama_check(module):
 # minimal free resolutions of the residue field
 
 
+def _lift_generators(jk, candidates, p):
+    """The candidates outside the span of jk and the candidates before
+    them, in order: the rows a greedy extension of JK to K keeps.
+
+    Column c of the stack [jk; candidates]^T is a pivot column of its
+    rref exactly when it is not in the span of the columns before it,
+    so one rref picks them all."""
+    n = jk.shape[0]
+    _, piv = rref(np.vstack([jk, candidates]).T, p)
+    return candidates[[c - n for c in piv if c >= n]]
+
+
 def minimal_free_resolution(alg, s_max, shuffle_seed=0):
     """Betti numbers b_0..b_(s_max) of the residue field F_p over alg.
 
@@ -677,64 +704,51 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
     lifted from K/JK, the next kernel is computed by exact F_p linear
     algebra, and minimality is certified by checking that every kernel
     element has all its generator coordinates inside the radical.
+
+    JK = sum_g gK, as each K is a submodule (checked below), and closure
+    under G is closure under A (see FinAlgebra).
     """
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
     p = alg.p
     rng = random.Random(shuffle_seed)
     d = alg.dim
-    rad = radical_basis(alg)
-    # J and A act on A^rank block by block, for every rank
-    rad_images = _free_images(np.tensordot(rad, alg.table, axes=(1, 0)) % p, p)
+    # G and A act on A^rank block by block, for every rank
+    gen_images = _free_images(alg.gen_products, p)
     all_images = _free_images(alg.table, p)
     betti = [1]
     # K ⊆ A^rank, the first syzygy of F_p is the radical inside A^1
     rank = 1
-    k_rows = rad
+    k_rows = radical_basis(alg)
     for _ in range(s_max):
         if k_rows.shape[0] == 0:
             # resolution terminated; only happens for the field itself
             betti.append(0)
             continue
-        # JK, spanned by g v for g in the basis of J and v in K
-        jk_red, jk_piv = rref(rad_images(k_rows), p)
         # minimal generators: extend JK to K, order shuffled for lift
         # independence
-        candidates = list(range(k_rows.shape[0]))
-        rng.shuffle(candidates)
-        gens = []
-        cur_red, cur_piv = jk_red, jk_piv
-        for ci in candidates:
-            v = k_rows[ci]
-            if not in_row_space(v, cur_red, cur_piv, p):
-                gens.append(v)
-                cur_red, cur_piv = rref(np.vstack([cur_red, v.reshape(1, -1)]), p)
-        b = len(gens)
+        order = list(range(k_rows.shape[0]))
+        rng.shuffle(order)
+        gens = _lift_generators(gen_images(k_rows), k_rows[order], p)
+        b = gens.shape[0]
         betti.append(b)
         # map A^b -> A^rank sending the i-th free generator to gens[i];
         # the column for basis slot (gi, j) is e_j . gens[gi]
         ncols = b * d
-        gens = np.array(gens, dtype=np.int64).reshape(b, rank * d)
         big = all_images(gens).reshape(d, b, rank * d).transpose(2, 1, 0)
         kern = null_space(big.reshape(rank * d, ncols), p)
-        new_rows = (
-            np.array(kern, dtype=np.int64)
-            if kern
-            else np.zeros((0, ncols), dtype=np.int64)
-        )
+        new_rows = np.array(kern, dtype=np.int64).reshape(len(kern), ncols)
         # minimality: the kernel must sit inside J . A^b, so every
         # generator coordinate augments to zero
         if (new_rows.reshape(-1, b, d) @ alg.aug % p).any():
             raise AlgebraError("resolution is not minimal")
         rank = b
-        if new_rows.shape[0]:
-            # the kernel of a module map is a submodule; the closure
-            # is a cheap self-check and must not grow the span
-            k_rows, _ = _span_closure(all_images, new_rows, p)
-            if int(k_rows.shape[0]) != int(rref(new_rows, p)[0].shape[0]):
-                raise AlgebraError("kernel failed to be a submodule")
-        else:
-            k_rows = np.zeros((0, b * d), np.int64)
+        # the kernel of a module map is a submodule; the closure is a
+        # cheap self-check and must not grow the span, whose dimension
+        # is the number of rows null_space returns
+        k_rows, _ = _span_closure(gen_images, new_rows, p)
+        if k_rows.shape[0] != new_rows.shape[0]:
+            raise AlgebraError("kernel failed to be a submodule")
     return tuple(betti[: s_max + 1])
 
 

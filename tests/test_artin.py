@@ -17,7 +17,6 @@ from ramify.artin import (
     betti_numbers,
     coords_in_rref,
     free_module,
-    in_row_space,
     minimal_free_resolution,
     nakayama_check,
     nilpotency_exponent,
@@ -26,6 +25,7 @@ from ramify.artin import (
     radical_basis,
     random_spanned_module,
     regular_module,
+    residual,
     row_space,
     rref,
     socle_series,
@@ -62,10 +62,10 @@ def test_rref_shape_properties_randomized():
                 assert all(red[i, cc] == 0 for cc in range(c))
             # original rows lie in the reduced span and vice versa
             for row in mat:
-                assert in_row_space(row, red, piv, p)
+                assert not residual(row, red, piv, p).any()
             orig_red, orig_piv = rref(mat, p)
             for row in red:
-                assert in_row_space(row, orig_red, orig_piv, p)
+                assert not residual(row, orig_red, orig_piv, p).any()
 
 
 def _rref_oracle(rows, p):
@@ -268,11 +268,9 @@ def _associativity_oracle(table, p, triples=None):
             raise AlgebraError("associativity fails at (%d,%d,%d)" % (i, j, k))
 
 
-def _oracle_check_associative(self, rad, right):
-    """Stand-in for FinAlgebra._check_associative: every triple, and the
-    whole basis as generators, which makes the module check full too."""
+def _oracle_check_associative(self, ge):
+    """Stand-in for FinAlgebra._check_associative: every triple."""
     _associativity_oracle(self.table, self.p)
-    self.generators = np.eye(self.dim, dtype=np.int64)
 
 
 def _module_oracle(alg, act):
@@ -427,8 +425,8 @@ def _spy_on_fallback(monkeypatch):
     fell_back = []
     lifts_or_basis = FinAlgebra._generators
 
-    def spy(self, rad, right):
-        gens = lifts_or_basis(self, rad, right)
+    def spy(self, rad):
+        gens = lifts_or_basis(self, rad)
         fell_back.append(gens is rad)
         return gens
 
@@ -554,7 +552,7 @@ def test_spanned_submodule_closure():
     y3_corner = np.zeros(8, dtype=np.int64)
     y3_corner[3] = 1
     red, piv = rref(rows, 2)
-    assert in_row_space(y3_corner, red, piv, 2)
+    assert not residual(y3_corner, red, piv, 2).any()
 
 
 def _whole_basis_closure(images_of, rows, p):
@@ -738,7 +736,7 @@ def test_betti_tensor_square_grows_linearly():
 def test_resolution_certifies_minimality(monkeypatch):
     # if every element of K counts as a new generator, the generators of
     # A^b are not minimal and the kernel has a unit coordinate
-    monkeypatch.setattr(artin, "in_row_space", lambda *args: False)
+    monkeypatch.setattr(artin, "_lift_generators", lambda jk, candidates, p: candidates)
     with pytest.raises(AlgebraError, match="not minimal"):
         minimal_free_resolution(truncated_polynomial_algebra(2, 3), 2)
 
@@ -756,3 +754,164 @@ def test_betti_of_odd_prime_tensor():
     )
     b = betti_numbers(two, 4)
     assert b[0] == 1 and all(v > 0 for v in b)
+
+
+# ------------------------------------- generators of J/J^2 against the basis
+
+
+def _nilpotency_oracle(alg):
+    """The nilpotency exponent from J^(k+1) = J^k J, J acting by its
+    whole basis."""
+    p, d = alg.p, alg.dim
+    rad = radical_basis(alg)
+    right = np.einsum("bj,ijn->bin", rad, alg.table) % p
+    cur, e = rad, 1
+    while cur.shape[0]:
+        nxt = row_space(np.tensordot(cur, right, axes=(1, 1)).reshape(-1, d) % p, p)
+        assert nxt.shape[0] < cur.shape[0]
+        cur, e = nxt, e + 1
+    return e
+
+
+def _rad_mats(module):
+    """The action matrices of the basis of J."""
+    p = module.algebra.p
+    return np.tensordot(radical_basis(module.algebra), module.act, axes=(1, 0)) % p
+
+
+def _socle_bases_oracle(module):
+    """soc^k = {x : Jx in soc^(k-1)}, J acting by its whole basis."""
+    p, n = module.algebra.p, module.dim
+    rad_mats = _rad_mats(module)
+    stages, red, piv = [], np.zeros((0, n), np.int64), []
+    while red.shape[0] < n:
+        q = quotient_map(red, piv, n, p)
+        kern = null_space((q @ rad_mats % p).reshape(-1, n), p)
+        assert len(kern) > red.shape[0]
+        red, piv = rref(kern, p)
+        stages.append(red)
+    return stages
+
+
+def _nakayama_top_oracle(module):
+    """dim M / JM, JM spanned by the columns of the action matrices of
+    the basis of J."""
+    cols = _rad_mats(module).transpose(0, 2, 1).reshape(-1, module.dim)
+    return module.dim - row_space(cols, module.algebra.p).shape[0]
+
+
+def _greedy_generators(jk, candidates, p):
+    """The candidates outside the span of jk and of the candidates kept
+    before them, one rref per kept candidate."""
+    red, piv = rref(jk, p)
+    kept = []
+    for v in candidates:
+        if residual(v, red, piv, p).any():
+            kept.append(v)
+            red, piv = rref(np.vstack([red, v]), p)
+    return np.array(kept, dtype=np.int64).reshape(-1, candidates.shape[1])
+
+
+def _whole_basis_resolution(alg, s_max, shuffle_seed):
+    """Betti numbers with JK formed from the whole basis of J, the
+    generators kept by _greedy_generators and each kernel closed under
+    all of A."""
+    p, d = alg.p, alg.dim
+    rng = random.Random(shuffle_seed)
+    rad = radical_basis(alg)
+    rad_images = artin._free_images(np.tensordot(rad, alg.table, axes=(1, 0)) % p, p)
+    all_images = artin._free_images(alg.table, p)
+    betti, rank, k_rows = [1], 1, rad
+    for _ in range(s_max):
+        if k_rows.shape[0] == 0:
+            betti.append(0)
+            continue
+        order = list(range(k_rows.shape[0]))
+        rng.shuffle(order)
+        gens = _greedy_generators(rad_images(k_rows), k_rows[order], p)
+        b = gens.shape[0]
+        betti.append(b)
+        big = all_images(gens).reshape(d, b, rank * d).transpose(2, 1, 0)
+        kern = null_space(big.reshape(rank * d, b * d), p)
+        rank = b
+        k_rows = (artin._span_closure(all_images, kern, p)[0] if kern
+                  else np.zeros((0, b * d), np.int64))
+    return tuple(betti)
+
+
+def _oracle_algebras(p):
+    """F_p[y]/(y^m) for m <= 20, and Koszul tensor products with odd
+    factors."""
+    t = truncated_polynomial_algebra
+    algs = [t(p, m) for m in range(1, 21)]
+    algs += [
+        tensor_algebra(_exterior(p), t(p, 3)),
+        tensor_algebra(_exterior(p), _exterior(p)),
+        tensor_algebra(tensor_algebra(t(p, 2), _exterior(p)), t(p, 4)),
+    ]
+    return algs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_generator_actions_match_whole_basis_oracles(p, monkeypatch):
+    rng = random.Random(900 + p)
+    lifted = artin._lift_generators
+    rad_images = []  # the basis of J acting on A^rank, one per algebra
+    checked = []
+
+    def check_jk(jk, candidates, q):
+        # JK = sum_g gK spans what the basis of J sends K to, and one
+        # rref keeps the rows the greedy extension keeps
+        assert np.array_equal(row_space(jk, q), row_space(rad_images[-1](candidates), q))
+        got = lifted(jk, candidates, q)
+        assert np.array_equal(got, _greedy_generators(jk, candidates, q))
+        checked.append(got.shape[0])
+        return got
+
+    monkeypatch.setattr(artin, "_lift_generators", check_jk)
+    for alg in _oracle_algebras(p):
+        rad_mult = np.tensordot(radical_basis(alg), alg.table, axes=(1, 0)) % p
+        rad_images.append(artin._free_images(rad_mult, p))
+        assert nilpotency_exponent(alg) == _nilpotency_oracle(alg)
+        assert minimal_free_resolution(alg, 4, 1) == _whole_basis_resolution(alg, 4, 1)
+        free = free_module(alg, 2)
+        vectors = [np.array([rng.randrange(p) for _ in range(free.dim)], np.int64)
+                   for _ in range(rng.randrange(1, 3))]
+        sub, basis = spanned_submodule(free, vectors)
+        want, _ = artin._span_closure(artin._dense_images(free.act, p), vectors, p)
+        assert np.array_equal(basis, want)
+        for module in (regular_module(alg), sub, random_spanned_module(alg, rng)):
+            got = socle_series_bases(module)
+            want = _socle_bases_oracle(module)
+            assert [red.tolist() for red in got] == [red.tolist() for red in want]
+            assert nakayama_check(module)[0] == _nakayama_top_oracle(module)
+    assert checked
+
+
+def test_generator_actions_stack_at_most_dim_times_g_rows(monkeypatch):
+    # a refactor that goes back to acting by the whole basis of J must
+    # fail here, not only in timing
+    alg = truncated_polynomial_algebra(2, 40)
+    module = regular_module(alg)
+    bound = module.dim * len(alg.generators)
+    rows, jk_rows = [], []
+    rref_ = artin.rref
+    lifted = artin._lift_generators
+
+    def recording(stack, p):
+        rows.append(np.shape(stack)[0])
+        return rref_(stack, p)
+
+    def recording_jk(jk, candidates, p):
+        jk_rows.append((jk.shape[0], candidates.shape[0]))
+        return lifted(jk, candidates, p)
+
+    monkeypatch.setattr(artin, "rref", recording)
+    monkeypatch.setattr(artin, "_lift_generators", recording_jk)
+    alg._check_radical_nilpotent(radical_basis(alg), alg.gen_products)
+    socle_series_bases(module)
+    # every syzygy of F_p over F_2[y]/(y^40) lies in A^1, of dimension 40
+    assert minimal_free_resolution(alg, 6) == (1,) * 7
+    assert rows and max(rows) <= bound
+    assert len(jk_rows) == 6
+    assert all(jk <= k * len(alg.generators) for jk, k in jk_rows)

@@ -208,13 +208,13 @@ def test_s3_conjugation_chain_at_two():
     G = symmetric_group(3)
     swaps = [i for i, g in enumerate(G.elements) if perm_order(g) == 2]
     assert len(swaps) == 3
-    from ramify.artin import in_row_space, rref
+    from ramify.artin import residual, rref
 
     red, piv = rref(list(rep.stable_basis), 2)
     for a, b in [(swaps[0], swaps[1]), (swaps[0], swaps[2])]:
         vec = [0] * 6
         vec[a] = vec[b] = 1
-        assert in_row_space(vec, red, piv, 2)
+        assert not residual(vec, red, piv, 2).any()
 
 
 _RREF = artin.rref
