@@ -117,8 +117,9 @@ class RingElement:
 class CyclicCochainRing:
     """(Z/p^N)[y]/(w(y)) with w monic of degree rank = p^(rn).
 
-    Use make_cochain_ring to construct one; the constructor here only
-    assembles pre-validated data.
+    Use make_cochain_ring to construct one.  The constructor checks the
+    shape of w, the one check of it for either kind of law: monic of
+    degree rank, zero constant term, and w = y^rank mod p.
     """
 
     def __init__(self, fgl, r, context, w_coeffs, unit_series, distinguished):
@@ -235,6 +236,26 @@ def make_cochain_ring(F, r, N=8):
     Validates the precision budget, factors q_r, installs the monic
     relation w = y * g_r, and certifies the basic identities:
     the augmentation of q_r is exactly p^r and y * q_r = 0 in A_r.
+
+    The second identity certifies g_r, by Euclidean division in
+    _reduce_poly, which shares no code with the Hensel lifting of
+    fgl.weierstrass_preparation.  Let d = rank - 1 and c be q_r as
+    known, below y^(M - 1).  What it uses:
+      - g = g_r is monic of degree d with lower terms in (p), which the
+        ring constructor checks on w;
+      - q_r has its first unit coefficient at degree d: preparation
+        reads d off that coefficient, and deg g = d;
+      - M - 1 >= N d, as M >= minimum_series_precision.
+    If rho = c mod w has y rho = 0 in A_r, then y rho = rho_d w, so
+    rho = rho_d g and c = g (y tau + rho_d) mod p^N for the quotient
+    tau.  In Lambda = Z_p[y]/(g), g lifted to Z_p, y^d = y^d - g lies
+    in p Lambda, so y^(M - 1) lies in p^N Lambda, and q_r = c +
+    O(y^(M - 1)) is g v + p^N rho' with deg rho' < d.  With q_r = G U
+    its Weierstrass factorization, G monic of degree d, G = g v U^-1 +
+    p^N rho' U^-1 and deg(G - g) < d, so uniqueness of division by g
+    (Washington, Introduction to Cyclotomic Fields, 7.1) gives G = g
+    mod p^N: g is the distinguished factor.  A polynomial q_r is its own
+    distinguished factor, with unit 1.
     """
     if not isinstance(F, FormalGroupLaw):
         raise TypeError("expected a FormalGroupLaw")
@@ -264,29 +285,17 @@ def make_cochain_ring(F, r, N=8):
             % (F.context.describe(), N)
         )
 
-    rank = p ** (r * n)
     q_series = exact_quotient_by_y(F.p_series(r))
 
     if polynomial:
         # q_r = ((1+y)^(p^r) - 1)/y is already monic and distinguished
-        qc = [int(c) for c in q_series.coeffs]
-        if len(qc) != rank or qc[-1] != 1:
-            raise WeierstrassError("polynomial cofactor has unexpected degree")
-        dist = TruncatedSeries(context, tuple(c % context.modulus for c in qc), True)
+        dist = TruncatedSeries(context, q_series.coeffs, True)
         unit = TruncatedSeries(context, (1,), True)
-        w_coeffs = [0] + [c % context.modulus for c in qc]
     else:
         wf = weierstrass_preparation(q_series)
-        if wf.degree != rank - 1:
-            raise WeierstrassError(
-                "distinguished degree %d does not match rank %d" % (wf.degree, rank)
-            )
-        dist = wf.distinguished
-        unit = wf.unit
-        w_coeffs = [0] + [int(c) for c in dist.coeffs]
-        w_coeffs += [0] * (rank + 1 - len(w_coeffs))
+        dist, unit = wf.distinguished, wf.unit
 
-    ring = CyclicCochainRing(F, r, context, w_coeffs, unit, dist)
+    ring = CyclicCochainRing(F, r, context, (0,) + dist.coeffs, unit, dist)
     q_elt = ring.element([int(c) for c in q_series.coeffs])
     ring.q_elt = q_elt
 
@@ -368,12 +377,9 @@ def substitution_map(F, k, N=8):
         powers.append(powers[-1] * y_img)
     powers = tuple(powers)
 
-    # phi(w_1) = 0 in A_k
-    acc = ak.zero
-    pw = ak.one
-    for j, c in enumerate(a1.w_coeffs):
-        if j > 0:
-            pw = pw * y_img
+    # phi(w_1) = 0 in A_k; w_1 is monic of degree a1.rank
+    acc = powers[-1] * y_img
+    for c, pw in zip(a1.w_coeffs, powers):
         if c:
             acc = acc + pw.scale(int(c))
     if not acc.is_zero:

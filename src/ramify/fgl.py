@@ -17,10 +17,13 @@ is the closed form (1 + y)^(p^r) - 1, and its formal sum is a + b + a b.
 Weierstrass preparation factors a series with some unit coefficient as
 (distinguished monic polynomial) * (unit series) by quadratic Hensel
 lifting, in the variable y^t for t the gcd of the series' nonzero
-degrees.  Coefficient m of an intermediate array of length W is
-reliable mod p^min(N, floor((W - 1 - m) / d)), so the distinguished
-factor of a series of length at least (N + 2) d + 1 comes out correct
-mod p^N, while the unit is returned only on its reliable prefix.
+degrees.  Lifting stops once the residual lies on the slope
+p^min(N, floor((W - 1 - m) / d)), W the working length; then the
+distinguished factor of a series of length at least (N + 2) d + 1 is
+exact mod p^N and the unit is right on the prefix returned (proofs at
+weierstrass_preparation).  The factor of q_r = [p^r](y) / y is
+certified apart from the lifting, by y q_r = 0 in the ring A_r that
+cochain.make_cochain_ring builds from it.
 """
 
 from __future__ import annotations
@@ -510,22 +513,20 @@ class WeierstrassFactorization:
 def _weier_divide(h, g, d, modulus, work, N):
     """h = g * q + a with deg a < d, for monic g with g - y^d in (p).
 
-    The shift iteration contracts p-adically, one digit per pass.
+    The shift iteration contracts p-adically: successive q differ by
+    the shift of gamma times their previous difference, gamma = g - y^d
+    in (p), so pass k + 1 repeats pass k once p^k = 0 mod p^N.
     """
     gamma = g[:d]
     q = [0] * work
-    for _ in range(N + 3):
+    for _ in range(N + 1):
         t = _mul_raw(gamma, q, modulus, work)
         t = [(hv - tv) % modulus for hv, tv in zip(h, t)]
         qn = t[d:] + [0] * d
         if qn == q:
-            break
+            return q, t[:d]
         q = qn
-    else:
-        raise WeierstrassError("division fixed point did not stabilize")
-    t = _mul_raw(gamma, q, modulus, work)
-    t = [(hv - tv) % modulus for hv, tv in zip(h, t)]
-    return q, t[:d]
+    raise WeierstrassError("division fixed point did not stabilize")
 
 
 def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
@@ -536,20 +537,56 @@ def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
     coefficient.  A series with no unit coefficient is rejected, as is
     a truncated series too short to settle degree d.
 
+    Lifting.  Let c be s below y^work, the working length.  With g
+    monic of degree d, u a polynomial and the residual e = c - g u mod
+    (p^N, y^work), a step divides h = e u^-1 as h = g b + a, deg a < d
+    (_weier_divide), and sets g += a, u += u b.  As u h = e, the new
+    residual is -a u b mod y^work.  The start g = y^d, u = (c - c_<d) / y^d
+    leaves e = c_<d, divisible by p.  A power of p that divides e
+    divides h, a and b, so v_p(e) at least doubles each step: after
+    (N - 1).bit_length() steps e = 0 mod p^N, and rounds, one more test
+    than that, never runs out.  Every a lies in (p), so g stays
+    distinguished.
+
+    Stopping rule.  The loop stops at the first residual on the slope
+    v_p(e_m) >= min(N, floor((work - 1 - m) / d)) for all m < work.
+    Then E = s - g u is on the slope at every degree m: E_m = e_m below
+    y^work, and from y^(work - d) on the slope asks nothing, so the
+    unknown tail s - c = O(y^work) does not matter.
+
+    g is exact mod p^N.  In Lambda = Z_p[y]/(g), g lifted to Z_p,
+    y^d = y^d - g lies in p Lambda, so y^m lies in p^floor(m / d) Lambda.
+    If k >= min(N, floor((work - 1 - m) / d)) and k < N, then
+    m >= work - (k + 1) d, so p^k y^m lies in p^(floor(work / d) - 1)
+    Lambda, inside p^N Lambda as work >= (N + 1) d.  So E, and with it
+    s, is g v + p^N rho with deg rho < d.  Let s = G U be the
+    Weierstrass factorization; G has degree d, as d is the first unit
+    coefficient of s.  Then G = g v U^-1 + p^N rho U^-1, and G - g has
+    degree < d, so uniqueness of division by g (Washington,
+    Introduction to Cyclotomic Fields, 7.1) gives G = g mod p^N.
+
+    u is right below y^unit_len, unit_len = work - (N + 1) d.  As G = g
+    mod p^N, delta = U - u solves g delta = E.  Write g = y^d + gamma,
+    gamma in (p) of degree < d.  If v_p(delta_m) >= min(j, floor((work -
+    1 - d - m) / d)) for all m, then gamma delta and E obey that bound
+    with j + 1 and d added to the numerator, hence so does y^d delta =
+    E - gamma delta, and delta obeys it with j + 1.  From j = 0 to N:
+    delta_m = 0 mod p^N once work - 1 - d - m >= N d, that is m < unit_len.
+
     z-form.  Let t be the gcd of the degrees where s is nonzero, so t
     divides d and s = Q(z) with z = y^t.  Preparing Q = G(z) V(z) gives
     s = G(y^t) V(y^t), where G(y^t) is monic of degree d with lower
     terms divisible by p and V(y^t) is a unit; the Weierstrass
     factorization is unique, so these are the factors of s.  The same
-    holds for every array of the lifting below: products, inverses and
-    the shift by d of series in y^t stay in y^t, so run in y the loop
-    would hold the residual, the inverted unit and the quotient and
-    remainder of each division in Z[[y^t]].  It therefore runs on the
+    holds for every array of the lifting: products, inverses and the
+    shift by d of series in y^t stay in y^t, so run in y the loop would
+    hold the residual, the inverted unit and the quotient and remainder
+    of each division in Z[[y^t]].  It therefore runs on the
     z-coefficients, a length-work array in y being the ceil(work / t)
     coefficients of its degrees 0 mod t, and computes the same numbers
-    as the loop in y.  The length bound, the reliable prefix, the unit
-    length and the slope of the honesty check stay stated in y-degrees,
-    so every input passes or fails as it would in y.
+    as the loop in y.  The length bound, the slope and the unit length
+    stay stated in y-degrees, so every input passes or fails as it
+    would in y.
     """
     ctx = s.context
     if ctx.kind != "padic":
@@ -582,16 +619,14 @@ def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
     t = _stride(coeffs, 0, 0)
     c = (coeffs + [0] * (work - len(coeffs)))[::t]
     W, dz = len(c), d // t
+    slope = [p ** min(N, (work - 1 - j * t) // d) for j in range(W)]
     g = [0] * dz + [1]
     u = c[dz:] + [0] * dz
-    reliable = work - N * d  # residual must vanish mod p^N below this
-    rounds = max(2, math.ceil(math.log2(N)) + 2)
-    done = False
+    rounds = (N - 1).bit_length() + 1
     for _ in range(rounds):
         gu = _mul_raw(g, u, modulus, W)
         e = [(cv - gv) % modulus for cv, gv in zip(c, gu)]
-        if not any(e[: (reliable - 1) // t + 1]):  # the degrees j t < reliable
-            done = True
+        if not any(ev % sv for ev, sv in zip(e, slope)):
             break
         uinv = _inv_raw(u, modulus, W)
         h = _mul_raw(e, uinv, modulus, W)
@@ -600,17 +635,8 @@ def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
             g[i] = (g[i] + a[i]) % modulus
         ub = _mul_raw(u, bprime, modulus, W)
         u = [(uv + bv) % modulus for uv, bv in zip(u, ub)]
-    if not done:
+    else:
         raise WeierstrassError("Hensel lifting did not converge")
-    if g[dz] != 1 or any(g[i] % p for i in range(dz)):
-        raise WeierstrassError("computed factor is not distinguished")
-    # honesty check on the whole range: the residual obeys the
-    # reliability slope p^floor((work - 1 - m) / d) at y-degree m = j t
-    gu = _mul_raw(g, u, modulus, W)
-    for j in range(W):
-        lvl = min(N, (work - 1 - j * t) // d)
-        if (c[j] - gu[j]) % (p**lvl):
-            raise WeierstrassError("residual violates the reliability slope")
     unit_len = work - (N + 1) * d
     gy, uy = [0] * (d + 1), [0] * unit_len
     gy[::t] = g

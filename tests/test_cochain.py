@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import law_for, ring_for
+from test_fgl import _accepted_grid
 from ramify.coeff import ContextMismatch, padic_context
 from ramify.cochain import (
     MorphismError,
+    RingElement,
     make_cochain_ring,
     minimum_series_precision,
     mod_m_reduction,
@@ -17,10 +19,15 @@ from ramify.cochain import (
 from ramify.fgl import (
     PrecisionError,
     TruncatedSeries,
+    WeierstrassError,
+    WeierstrassFactorization,
+    exact_quotient_by_y,
     make_honda_fgl,
     make_multiplicative_fgl,
+    weierstrass_preparation,
 )
-from ramify import artin
+from ramify.homalg import ModuleDescriptor, tor_table
+from ramify import artin, cli, cochain, fgl
 
 GRID = [(p, n, r) for p in (2, 3) for n in (1, 2) for r in (1, 2)]
 
@@ -96,6 +103,101 @@ def test_minimum_series_precision_formula():
     assert minimum_series_precision(2, 1, 2, 8, True) == 5
     assert minimum_series_precision(2, 2, 1, 8, False) == 34
     assert minimum_series_precision(3, 2, 2, 8, False) == 804
+
+
+# ------------------------------------------ the accepted grid and mutants
+
+
+def _honda_grid():
+    """The accepted (p, n, r, N) with n >= 2 and N <= 16."""
+    return [pt for pt in _accepted_grid(16) if pt[1] >= 2]
+
+
+def _honda_law(p, n, r, N, extra=0):
+    M = minimum_series_precision(p, n, r, N, False) + extra
+    return make_honda_fgl(p, n, M, N)
+
+
+def test_every_grid_point_builds_a_ring_with_the_closed_form_tor(monkeypatch):
+    points = _honda_grid()
+    assert len(points) == 163
+    steps = [0]
+    inv_raw = fgl._inv_raw
+
+    def counting(*args):
+        steps[0] += 1
+        return inv_raw(*args)
+
+    monkeypatch.setattr(fgl, "_inv_raw", counting)
+    for p, n, r, N in points:
+        F = _honda_law(p, n, r, N)
+        F.p_series(r)  # its Newton solve inverts series too
+        steps[0] = 0
+        ring = make_cochain_ring(F, r, N)
+        # one inverse per Hensel step, within the bound that
+        # weierstrass_preparation proves
+        assert steps[0] <= (N - 1).bit_length(), (p, n, r, N)
+        # the unit is right through its length: q_r known rank - 1
+        # coefficients further prepares to a unit with the same prefix
+        longer = _honda_law(p, n, r, N, extra=ring.rank - 1)
+        unit = weierstrass_preparation(exact_quotient_by_y(longer.p_series(r))).unit
+        known = ring.unit_series.coeffs
+        assert unit.coeffs[: len(known)] == known, (p, n, r, N)
+        tor = tor_table(ring, 6).entries
+        assert tor[0] == ModuleDescriptor(free=1)
+        assert tor[1::2] == (ModuleDescriptor(free=0, torsion=(p**r,)),) * 3
+        assert all(e.is_zero for e in tor[2::2]), (p, n, r, N)
+
+
+def _mutate_preparation(monkeypatch, mutate):
+    """make_cochain_ring sees the prepared factors after mutate(g, u,
+    p^(N - 1)) has edited their coefficient lists."""
+    prepare = cochain.weierstrass_preparation
+
+    def mutated(q):
+        wf = prepare(q)
+        g, u = list(wf.distinguished.coeffs), list(wf.unit.coeffs)
+        mutate(g, u, q.context.modulus // q.context.p)
+        return WeierstrassFactorization(
+            TruncatedSeries(q.context, tuple(g), True),
+            TruncatedSeries(q.context, tuple(u), False),
+            wf.degree,
+        )
+
+    monkeypatch.setattr(cochain, "weierstrass_preparation", mutated)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_wrong_distinguished_factor_fails_the_ring_certificate(k, monkeypatch):
+    # g + p^(N-1) y^k is still monic and distinguished of degree rank - 1,
+    # so only y * q_r = 0 can tell it from g_r
+    def shift(g, u, step):
+        g[k] += step
+
+    _mutate_preparation(monkeypatch, shift)
+    for p, n, r, N in _honda_grid():
+        with pytest.raises(WeierstrassError, match=r"y \* q_r is nonzero"):
+            make_cochain_ring(_honda_law(p, n, r, N), r, N)
+
+
+def test_a_factor_of_the_wrong_degree_is_refused(monkeypatch):
+    def lower(g, u, step):
+        del g[0]  # (g - g_0) / y: monic of degree rank - 2
+
+    _mutate_preparation(monkeypatch, lower)
+    for p, n, r, N in [(2, 2, 1, 8), (3, 2, 1, 5), (2, 3, 2, 9)]:
+        with pytest.raises(WeierstrassError, match="wrong degree"):
+            make_cochain_ring(_honda_law(p, n, r, N), r, N)
+
+
+def test_a_wrong_unit_fails_the_cli_remultiplication(monkeypatch, capsys):
+    # u_0 + p^(N-1) moves the product at degree rank - 1, inside the window
+    def shift(g, u, step):
+        u[0] += step
+
+    _mutate_preparation(monkeypatch, shift)
+    assert cli.main(["weierstrass", "--p", "2", "--n", "2"]) == 2
+    assert "re-multiplication failed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -284,3 +386,30 @@ def test_substitution_image_of_y_is_y_times_cofactor():
 def test_substitution_validation():
     with pytest.raises(ValueError):
         substitution_map(law_for(2, 1), 0)
+
+
+def test_substitution_refuses_a_source_relation_it_does_not_kill(monkeypatch):
+    F = law_for(2, 2)
+    a1 = make_cochain_ring(F, 1)
+    w = list(a1.w_coeffs)
+    w[1] += 2**7  # p^(N - 1): phi(w_1) picks up p^(N - 1) phi(y)
+    monkeypatch.setattr(a1, "w_coeffs", tuple(w))
+    with pytest.raises(MorphismError, match="source relation"):
+        substitution_map(F, 2)
+
+
+def test_substitution_multiplies_rank_plus_one_times(monkeypatch):
+    # phi(y), its powers below y^rank_1, and phi(y)^rank_1 for phi(w_1)
+    F = law_for(3, 1)
+    make_cochain_ring(F, 1)
+    make_cochain_ring(F, 2)
+    products = [0]
+    mul = RingElement.__mul__
+
+    def counting(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(RingElement, "__mul__", counting)
+    substitution_map(F, 2)
+    assert products[0] == 1 + 2 + 1

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import law_for, ring_for
 from ramify import homalg
+from ramify.cochain import RingElement
 from ramify.homalg import (
     ChainMapError,
     HomologyError,
@@ -181,6 +182,23 @@ def test_periodic_complex_validation():
     other = ring_for(2, 1, 2)
     with pytest.raises(ValueError):
         PeriodicFreeComplex(ring, [other.y_elt])
+    # a bad square after the period has repeated is still found
+    with pytest.raises(HomologyError, match="d o d"):
+        PeriodicFreeComplex(ring, [ring.y_elt, ring.q_elt, ring.y_elt, ring.y_elt])
+
+
+def test_periodic_complex_checks_each_distinct_square_once(monkeypatch):
+    ring = ring_for(2, 2, 1)
+    products = [0]
+    mul = RingElement.__mul__
+
+    def counting(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(RingElement, "__mul__", counting)
+    build_resolution(ring, 7)  # y q and q y, each three times
+    assert products[0] == 2
 
 
 # ------------------------------------------------------------------ Tor pages
