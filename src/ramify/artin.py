@@ -19,7 +19,6 @@ spot, so all results are exact.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "socle_series",
     "nakayama_check",
     "minimal_free_resolution",
-    "betti_numbers",
     "rref",
     "null_space",
 ]
@@ -479,10 +477,11 @@ class FinModule:
         unit_mat = np.tensordot(alg.unit, self.act, axes=(0, 0)) % p
         if not np.array_equal(unit_mat, np.eye(self.dim, dtype=np.int64)):
             raise AlgebraError("unit does not act as identity")
-        # compatibility on generators: rho(g e_j) == rho(g) rho(e_j)
+        # compatibility on generators: rho(g e_j) == rho(g) rho(e_j);
+        # rho(G) is kept for the computations that act by G
         lhs = np.tensordot(alg.gen_products, self.act, axes=(2, 0)) % p
-        rho_g = np.tensordot(alg.generators, self.act, axes=(1, 0)) % p
-        rhs = np.matmul(rho_g[:, None], self.act[None]) % p
+        self.gen_act = np.tensordot(alg.generators, self.act, axes=(1, 0)) % p
+        rhs = np.matmul(self.gen_act[:, None], self.act[None]) % p
         if not np.array_equal(lhs, rhs):
             raise AlgebraError("action is not compatible with the product")
 
@@ -578,23 +577,21 @@ def spanned_submodule(module, vectors):
     if not rows:
         rows = [np.zeros(module.dim, np.int64)]
     # a span stable under G is a submodule (see FinAlgebra)
-    rho_g = np.tensordot(alg.generators, module.act, axes=(1, 0)) % p
-    red, pivots = _span_closure(_dense_images(rho_g, p), rows, p)
+    red, pivots = _span_closure(_dense_images(module.gen_act, p), rows, p)
     # column j of act[i] holds the coordinates of e_i red[j]
     images = _dense_images(module.act, p)(red).reshape(alg.dim, -1, module.dim)
     act = coords_in_rref(images, red, pivots, p).transpose(0, 2, 1)
     return FinModule(alg, act), red
 
 
-def random_spanned_module(alg, rng, free_rank=2, n_vectors=2):
-    """Submodule of A^free_rank spanned by random vectors; used by the
-    randomized Nakayama checks."""
-    free = free_module(alg, free_rank)
-    vecs = []
-    for _ in range(n_vectors):
-        vecs.append(
-            np.array([rng.randrange(alg.p) for _ in range(free.dim)], dtype=np.int64)
-        )
+def random_spanned_module(free, rng):
+    """Submodule of a free module spanned by two random vectors; used by
+    the randomized Nakayama checks, which build the free module once."""
+    p = free.algebra.p
+    vecs = [
+        np.array([rng.randrange(p) for _ in range(free.dim)], dtype=np.int64)
+        for _ in range(2)
+    ]
     sub, _ = spanned_submodule(free, vecs)
     return sub
 
@@ -638,7 +635,7 @@ def socle_series_bases(module):
     """
     alg = module.algebra
     p = alg.p
-    rho_g = np.tensordot(alg.generators, module.act, axes=(1, 0)) % p
+    rho_g = module.gen_act
     e = nilpotency_exponent(alg)
     stages = []
     prev_red = np.zeros((0, module.dim), dtype=np.int64)
@@ -668,13 +665,11 @@ def nakayama_check(module):
     If M is nonzero but M/JM vanishes the algebra or action is broken;
     that situation raises instead of returning.
     """
-    alg = module.algebra
-    p = alg.p
     if module.dim == 0:
         return (0, 0)
     # JM = sum_g gM (see FinAlgebra): the columns of the matrices of G
-    cols = np.tensordot(alg.generators, module.act, axes=(1, 0)).transpose(0, 2, 1)
-    jm = row_space(cols.reshape(-1, module.dim), p)
+    cols = module.gen_act.transpose(0, 2, 1)
+    jm = row_space(cols.reshape(-1, module.dim), module.algebra.p)
     top = module.dim - jm.shape[0]
     if top == 0 and module.dim > 0:
         raise AlgebraError("Nakayama violation: JM = M for nonzero M")
@@ -697,21 +692,25 @@ def _lift_generators(jk, candidates, p):
     return candidates[[c - n for c in piv if c >= n]]
 
 
-def minimal_free_resolution(alg, s_max, shuffle_seed=0):
+def minimal_free_resolution(alg, s_max):
     """Betti numbers b_0..b_(s_max) of the residue field F_p over alg.
 
     Builds the resolution one syzygy module at a time: generators are
     lifted from K/JK, the next kernel is computed by exact F_p linear
-    algebra, and minimality is certified by checking that every kernel
-    element has all its generator coordinates inside the radical.
+    algebra, and each step is certified exact and minimal, once.
 
     JK = sum_g gK, as each K is a submodule (checked below), and closure
-    under G is closure under A (see FinAlgebra).
+    under G is closure under A (see FinAlgebra).  Exactness: the map
+    A^b -> A^rank sends its free generators to the lifts, rows of the
+    submodule K, so its image lies in K, and it is all of K exactly when
+    its dimension b dim A - dim ker equals dim K.  Minimality: every
+    kernel element has all its generator coordinates inside the radical.
+    An exact and minimal resolution is the minimal one, whose ranks do
+    not depend on the lifts chosen.
     """
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
     p = alg.p
-    rng = random.Random(shuffle_seed)
     d = alg.dim
     # G and A act on A^rank block by block, for every rank
     gen_images = _free_images(alg.gen_products, p)
@@ -725,11 +724,8 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
             # resolution terminated; only happens for the field itself
             betti.append(0)
             continue
-        # minimal generators: extend JK to K, order shuffled for lift
-        # independence
-        order = list(range(k_rows.shape[0]))
-        rng.shuffle(order)
-        gens = _lift_generators(gen_images(k_rows), k_rows[order], p)
+        # minimal generators: extend JK to K
+        gens = _lift_generators(gen_images(k_rows), k_rows, p)
         b = gens.shape[0]
         betti.append(b)
         # map A^b -> A^rank sending the i-th free generator to gens[i];
@@ -737,6 +733,9 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
         ncols = b * d
         big = all_images(gens).reshape(d, b, rank * d).transpose(2, 1, 0)
         kern = null_space(big.reshape(rank * d, ncols), p)
+        # exactness: the image, inside K, has the dimension of K
+        if ncols - len(kern) != k_rows.shape[0]:
+            raise AlgebraError("resolution is not exact")
         new_rows = np.array(kern, dtype=np.int64).reshape(len(kern), ncols)
         # minimality: the kernel must sit inside J . A^b, so every
         # generator coordinate augments to zero
@@ -750,13 +749,3 @@ def minimal_free_resolution(alg, s_max, shuffle_seed=0):
         if k_rows.shape[0] != new_rows.shape[0]:
             raise AlgebraError("kernel failed to be a submodule")
     return tuple(betti[: s_max + 1])
-
-
-def betti_numbers(alg, s_max):
-    """Betti numbers of the residue field, with a lift-independence
-    cross-check: two different generator orderings must agree."""
-    first = minimal_free_resolution(alg, s_max, shuffle_seed=0)
-    second = minimal_free_resolution(alg, s_max, shuffle_seed=1)
-    if first != second:
-        raise AlgebraError("Betti numbers depend on the choice of lifts")
-    return first

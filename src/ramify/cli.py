@@ -54,6 +54,7 @@ _COMPUTE_ERRORS = (
     homalg.HomologyError,
     homalg.ChainMapError,
     emss.CutoffError,
+    groups.GroupError,
 )
 
 
@@ -355,7 +356,7 @@ def _cmd_kunneth(args):
 def _cmd_compare(args):
     F = _build_law(args.p, args.n, args.k, args.N, args.M)
     cmap = homalg.comparison_chain_map(F, args.k, args.L, N=args.N, seed=args.seed)
-    tmor = homalg.induced_tor_morphism(F, args.k, args.smax, N=args.N)
+    tmor = homalg.induced_tor_morphism(cmap.morphism, args.smax)
     params = {
         "p": args.p, "n": args.n, "k": args.k, "L": args.L,
         "N": args.N, "smax": args.smax, "seed": args.seed,
@@ -426,7 +427,7 @@ def _cmd_socle(args):
 
 def _cmd_betti(args):
     alg = _load_algebra(args)
-    betti = artin.betti_numbers(alg, args.smax)
+    betti = artin.minimal_free_resolution(alg, args.smax)
     params = {
         "p": args.p,
         "algebra": args.algebra or ("y^%d-truncated" % args.m),
@@ -443,10 +444,11 @@ def _cmd_nakayama(args):
     if args.count < 0:
         raise ValueError("count must be >= 0")
     alg = _load_algebra(args)
+    free = artin.free_module(alg, 2)
     rng = random.Random(args.seed)
     checks = 0
     for _ in range(args.count):
-        module = artin.random_spanned_module(alg, rng)
+        module = artin.random_spanned_module(free, rng)
         artin.nakayama_check(module)  # raises on a violation
         checks += 1
     params = {
@@ -672,9 +674,6 @@ def main(argv=None):
         print("error: %s" % exc.message, file=sys.stderr)
         return exc.code
     except _COMPUTE_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except groups.GroupError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -234,10 +234,15 @@ def make_cochain_ring(F, r, N=8):
     """Build A_r from the law F at p-adic precision N.
 
     Validates the precision budget, factors q_r, installs the monic
-    relation w = y * g_r, and certifies the basic identities:
-    the augmentation of q_r is exactly p^r and y * q_r = 0 in A_r.
+    relation w = y * g_r, and certifies y * q_r = 0 in A_r.
 
-    The second identity certifies g_r, by Euclidean division in
+    The augmentation of q_r, p^r, is not checked again here.  w has zero
+    constant term, so _reduce_poly never changes coefficient 0, and
+    that coefficient is the coefficient of y in [p^r](y), which
+    fgl.certify_honda_pseries (or the closed form of the multiplicative
+    law) already fixes.
+
+    The identity y * q_r = 0 certifies g_r, by Euclidean division in
     _reduce_poly, which shares no code with the Hensel lifting of
     fgl.weierstrass_preparation.  Let d = rank - 1 and c be q_r as
     known, below y^(M - 1).  What it uses:
@@ -299,12 +304,6 @@ def make_cochain_ring(F, r, N=8):
     q_elt = ring.element([int(c) for c in q_series.coeffs])
     ring.q_elt = q_elt
 
-    # certified identities
-    eps = ring.augmentation(q_elt)
-    if eps != p ** r:
-        raise WeierstrassError(
-            "augmentation of q_%d is %d, expected %d" % (r, eps, p ** r)
-        )
     if not (ring.y_elt * q_elt).is_zero:
         raise WeierstrassError("y * q_r is nonzero in the quotient ring")
 

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from ramify import artin, cli, emss
+from ramify import artin, cli, emss, homalg
 from ramify.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -101,6 +101,37 @@ def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
     text = target.read_text(encoding="utf-8")
     assert text.startswith("tool: ramify ring\n")
     assert text.endswith("verdict: OK\n")
+
+
+def test_each_command_builds_and_certifies_once(capsys, monkeypatch):
+    # a refactor that brings back repeated work must fail here, not only
+    # in timing
+    calls = {}
+    for module, name in ((homalg, "substitution_map"), (artin, "free_module"),
+                         (artin, "minimal_free_resolution")):
+        def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    degrees = []
+    component = homalg._component
+    monkeypatch.setattr(
+        homalg, "_component", lambda phi, s: degrees.append(s) or component(phi, s)
+    )
+    rc, out, _ = run_cli(["compare", "--p", "2", "--k", "3", "--L", "7", "--format", "json"],
+                         capsys)
+    assert rc == 0
+    assert calls == {"substitution_map": 1}
+    # one pass per distinct square, L |probes| squares certified
+    assert degrees and max(degrees) <= 2
+    assert json.loads(out)["result"]["squares_checked"] == 7 * (2 + homalg.RANDOM_PROBES)
+    calls.clear()
+    assert run_cli(["nakayama", "--m", "4", "--count", "5"], capsys)[0] == 0
+    assert calls == {"free_module": 1}
+    calls.clear()
+    assert run_cli(["betti", "--m", "3", "--smax", "5"], capsys)[0] == 0
+    assert calls == {"minimal_free_resolution": 1}
 
 
 # ------------------------------------------------------------------ exit codes

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import law_for, ring_for
 from ramify import homalg
-from ramify.cochain import RingElement
+from ramify.cochain import RingElement, substitution_map
 from ramify.homalg import (
     ChainMapError,
     HomologyError,
@@ -316,7 +316,7 @@ def test_comparison_chain_map_validation():
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_induced_tor_morphism(p, k):
-    tm = induced_tor_morphism(law_for(p, 1, max_r=max(k, 2)), k, 6)
+    tm = induced_tor_morphism(substitution_map(law_for(p, 1, max_r=max(k, 2)), k), 6)
     assert tm.k == k
     assert tm.multiplier == p ** (k - 1)
     assert tm.odd_injective
