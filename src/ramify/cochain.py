@@ -7,8 +7,13 @@ tower is
 
 where g_r is the distinguished (monic, degree p^(rn) - 1) Weierstrass
 factor of the cofactor q_r(y) = [p^r](y)/y.  Elements are canonical
-coefficient vectors of length p^(rn); reduction by the monic relation
-is exact Euclidean division, so every ring operation is exact mod p^N.
+coefficient vectors of length rank = p^(rn).  A product is the exact
+convolution of two such vectors, whose part of degree >= rank folds
+back by one matrix product with the ring's fold table (row i is
+y^(rank+i) mod w, built from w by Euclidean steps); a long series is
+reduced by Euclidean division.  Both are exact, so every ring operation
+is exact mod p^N.  Arrays are int64 when (p^N - 1)^2 rank < 2^63, which
+bounds every sum they form, and numpy arrays of Python ints otherwise.
 
 Truncated inputs are accepted only when their known prefix pins the
 image mod p^N.  Reducing an unknown tail coefficient y^m by w drops
@@ -34,7 +39,7 @@ from .fgl import (
     PrecisionError,
     TruncatedSeries,
     WeierstrassError,
-    _mul_raw,
+    _np_safe,
     exact_quotient_by_y,
     weierstrass_preparation,
 )
@@ -92,15 +97,7 @@ class RingElement:
 
     def __mul__(self, other):
         self._check_owner(other)
-        ring = self.ring
-        # exact integer convolution; the reduction below takes it mod p^N
-        conv = _mul_raw(self.coeffs, other.coeffs, None, 2 * ring.rank - 1)
-        return RingElement(ring, ring._reduce_poly(conv))
-
-    def scale(self, c):
-        """Multiply by an integer."""
-        m = self.ring.modulus
-        return RingElement(self.ring, tuple((a * c) % m for a in self.coeffs))
+        return RingElement(self.ring, self.ring._product(self.coeffs, other.coeffs))
 
     @property
     def is_zero(self):
@@ -134,6 +131,9 @@ class CyclicCochainRing:
         self.unit_series = unit_series
         self.distinguished = distinguished
         self._check_relation()
+        self.dtype = np.int64 if _np_safe(self.modulus, self.rank) else object
+        self._fold = np.zeros((self.rank - 1, self.rank), self.dtype)
+        self._fold_len = 0  # rows of _fold filled so far
         self.q_elt = None  # installed by make_cochain_ring
 
     def _check_relation(self):
@@ -150,9 +150,46 @@ class CyclicCochainRing:
 
     # -- canonical reduction
 
+    def _fold_rows(self, rows):
+        """Rows 0 .. rows - 1 of the fold table: row i is y^(rank+i)
+        mod w, a canonical vector.
+
+        Row 0 is -w below y^rank.  Row i+1 is y times row i, reduced by
+        one Euclidean step: row i shifted up one degree, plus its old top
+        coefficient times row 0.  The table grows only as far as a
+        product has reached, so a y * q product needs one row.
+        """
+        fold, m = self._fold, self.modulus
+        for i in range(self._fold_len, rows):
+            if i == 0:
+                fold[0] = [-c % m for c in self.w_coeffs[:-1]]
+            else:
+                row = fold[0] * fold[i - 1, -1]
+                row[1:] += fold[i - 1, :-1]
+                fold[i] = row % m
+        self._fold_len = max(self._fold_len, rows)
+        return fold[:rows]
+
+    def _product(self, a, b):
+        """Canonical tuple of a * b for canonical coefficient vectors.
+
+        Entries below m = p^N keep every sum below (m - 1)^2 rank, so
+        int64 arrays are exact: the convolution, and the fold of its
+        degrees >= rank, reduced mod m first, onto its lower part.
+        """
+        m, rank = self.modulus, self.rank
+        conv = np.convolve(np.asarray(a, self.dtype), np.asarray(b, self.dtype))
+        nonzero = np.flatnonzero(conv)
+        top = nonzero[-1] + 1 if len(nonzero) else 0
+        low = conv[: min(top, rank)] % m
+        if top > rank:
+            low = (low + (conv[rank:top] % m) @ self._fold_rows(top - rank)) % m
+        return tuple(low.tolist()) + (0,) * (rank - len(low))
+
     def _reduce_poly(self, coeffs):
         """Euclidean reduction of an integer coefficient list by the
-        monic relation; exact, returns a canonical tuple."""
+        monic relation; exact, returns a canonical tuple.  Used for the
+        long series a ring reduces once (q_r, from_series)."""
         m = self.modulus
         rank = self.rank
         c = [int(x) for x in coeffs]
@@ -171,10 +208,6 @@ class CyclicCochainRing:
 
     def element(self, coeffs):
         return RingElement(self, self._reduce_poly(list(coeffs)))
-
-    @property
-    def zero(self):
-        return RingElement(self, (0,) * self.rank)
 
     @property
     def one(self):
@@ -242,10 +275,13 @@ def make_cochain_ring(F, r, N=8):
     fgl.certify_honda_pseries (or the closed form of the multiplicative
     law) already fixes.
 
-    The identity y * q_r = 0 certifies g_r, by Euclidean division in
-    _reduce_poly, which shares no code with the Hensel lifting of
-    fgl.weierstrass_preparation.  Let d = rank - 1 and c be q_r as
-    known, below y^(M - 1).  What it uses:
+    The identity y * q_r = 0 certifies g_r.  q_r is reduced by the
+    Euclidean division of _reduce_poly, and the product y * q_r by the
+    ring's product, which folds degree rank back through row 0 of the
+    fold table: -w below y^rank, read off w alone (later rows follow
+    from it by Euclidean steps).  Neither shares code with the Hensel
+    lifting of fgl.weierstrass_preparation.  Let d = rank - 1 and c be
+    q_r as known, below y^(M - 1).  What it uses:
       - g = g_r is monic of degree d with lower terms in (p), which the
         ring constructor checks on w;
       - q_r has its first unit coefficient at degree d: preparation
@@ -319,12 +355,13 @@ def mod_m_reduction(ring):
     return artin.truncated_polynomial_algebra(ring.p, ring.rank)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RingMorphism:
     """phi: A_1 -> A_k determined by y |-> [p^(k-1)](y).
 
-    cofactor is the image Q of q_(k-1), so that phi(y) = y * Q; the
-    powers tuple caches phi on the monomial basis of A_1.
+    cofactor is the image Q of q_(k-1), so that phi(y) = y * Q; row i
+    of the rank_1 x rank_k matrix powers is phi(y^i), so phi of an
+    element is its coefficient vector times powers.
     """
 
     source: CyclicCochainRing
@@ -332,16 +369,22 @@ class RingMorphism:
     k: int
     image_of_y: RingElement
     cofactor: RingElement
-    powers: tuple
+    powers: np.ndarray
 
     def apply(self, elt):
         if elt.ring is not self.source:
             raise ValueError("element does not belong to the source ring")
-        acc = self.target.zero
-        for c, pw in zip(elt.coeffs, self.powers):
-            if c:
-                acc = acc + pw.scale(int(c))
-        return acc
+        ring = self.target
+        img = (np.asarray(elt.coeffs, ring.dtype) @ self.powers) % ring.modulus
+        return RingElement(ring, tuple(img.tolist()))
+
+
+def _powers_matrix(x, count):
+    """Rows x^0, ..., x^(count - 1) as coefficient vectors."""
+    rows = [x.ring.one]
+    for _ in range(count - 1):
+        rows.append(rows[-1] * x)
+    return np.array([e.coeffs for e in rows], x.ring.dtype)
 
 
 def substitution_map(F, k, N=8):
@@ -371,26 +414,22 @@ def substitution_map(F, k, N=8):
     if ak.augmentation(y_img) != 0:
         raise MorphismError("image of y has nonzero augmentation")
 
-    powers = [ak.one]
-    for _ in range(a1.rank - 1):
-        powers.append(powers[-1] * y_img)
-    powers = tuple(powers)
+    phi = RingMorphism(
+        source=a1,
+        target=ak,
+        k=k,
+        image_of_y=y_img,
+        cofactor=cof,
+        powers=_powers_matrix(y_img, a1.rank),
+    )
 
-    # phi(w_1) = 0 in A_k; w_1 is monic of degree a1.rank
-    acc = powers[-1] * y_img
-    for c, pw in zip(a1.w_coeffs, powers):
-        if c:
-            acc = acc + pw.scale(int(c))
-    if not acc.is_zero:
+    # phi(w_1) = phi(w_1 - y^rank_1) + phi(y)^rank_1 = 0 in A_k
+    top = RingElement(ak, tuple(phi.powers[-1].tolist())) * y_img
+    if not (phi.apply(RingElement(a1, a1.w_coeffs[:-1])) + top).is_zero:
         raise MorphismError("image of the source relation w_1 is nonzero")
 
     # injectivity mod p^N follows from full column rank mod p
-    cols = [pwr.coeffs for pwr in powers]
-    mat = np.array(cols, dtype=np.int64).T % F.p
-    red, piv = artin.rref(mat, F.p)
+    _, piv = artin.rref((phi.powers.T % F.p).astype(np.int64), F.p)
     if len(piv) != a1.rank:
         raise MorphismError("tower map is not injective")
-
-    return RingMorphism(
-        source=a1, target=ak, k=k, image_of_y=y_img, cofactor=cof, powers=powers
-    )
+    return phi

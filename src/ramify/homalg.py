@@ -104,8 +104,10 @@ class PeriodicFreeComplex:
                 raise ValueError("multiplier from a different ring")
             if ring.augmentation(m) % ring.p:
                 raise HomologyError("non-minimal multiplier: unit augmentation")
-        # one product per distinct adjacent pair: d o d repeats with the period
-        for a, b in dict.fromkeys(zip(self.multipliers, self.multipliers[1:])):
+        # one product per distinct unordered adjacent pair: d o d repeats
+        # with the period, and the ring is commutative
+        pairs = {frozenset(ab): ab for ab in zip(self.multipliers, self.multipliers[1:])}
+        for a, b in pairs.values():
             if not (a * b).is_zero:
                 raise HomologyError("d o d is nonzero in the ring")
 

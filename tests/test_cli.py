@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from ramify import artin, cli, emss, homalg
+from ramify import artin, cli, cochain, emss, homalg
 from ramify.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -107,13 +107,25 @@ def test_each_command_builds_and_certifies_once(capsys, monkeypatch):
     # a refactor that brings back repeated work must fail here, not only
     # in timing
     calls = {}
-    for module, name in ((homalg, "substitution_map"), (artin, "free_module"),
-                         (artin, "minimal_free_resolution")):
+    for module, name in ((homalg, "substitution_map"), (cochain, "_powers_matrix"),
+                         (artin, "free_module"), (artin, "minimal_free_resolution")):
         def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
+    filled = {}  # ring -> fold-table rows filled
+    fold_rows = cochain.CyclicCochainRing._fold_rows
+
+    def fold_spy(ring, rows):
+        table = fold_rows(ring, rows)
+        filled[ring] = ring._fold_len
+        return table
+
+    monkeypatch.setattr(cochain.CyclicCochainRing, "_fold_rows", fold_spy)
+    assert run_cli(["tor", "--p", "3", "--n", "2", "--r", "1"], capsys)[0] == 0
+    # every product tor makes is y q_r, which needs one row
+    assert list(filled.values()) == [1]
     degrees = []
     component = homalg._component
     monkeypatch.setattr(
@@ -122,7 +134,8 @@ def test_each_command_builds_and_certifies_once(capsys, monkeypatch):
     rc, out, _ = run_cli(["compare", "--p", "2", "--k", "3", "--L", "7", "--format", "json"],
                          capsys)
     assert rc == 0
-    assert calls == {"substitution_map": 1}
+    # one substitution map, and one matrix of powers that apply reads
+    assert calls == {"substitution_map": 1, "_powers_matrix": 1}
     # one pass per distinct square, L |probes| squares certified
     assert degrees and max(degrees) <= 2
     assert json.loads(out)["result"]["squares_checked"] == 7 * (2 + homalg.RANDOM_PROBES)
@@ -132,6 +145,20 @@ def test_each_command_builds_and_certifies_once(capsys, monkeypatch):
     calls.clear()
     assert run_cli(["betti", "--m", "3", "--smax", "5"], capsys)[0] == 0
     assert calls == {"minimal_free_resolution": 1}
+
+
+def test_compare_at_rank_729_has_the_closed_form(capsys):
+    # A_1 -> A_3 at p = 3, n = 2: the tower map multiplies odd Tor by
+    # p^(k-1) = 9, and the default L = 6 squares each have the 9
+    # monomials of A_1 plus the random probes
+    rc, out, _ = run_cli(["compare", "--p", "3", "--n", "2", "--k", "3"], capsys)
+    assert rc == 0
+    lines = out.splitlines()
+    assert "squares checked: 90" in lines and 90 == 6 * (9 + homalg.RANDOM_PROBES)
+    assert "multiplier: 9" in lines
+    for s in (1, 3, 5):
+        assert "Tor_%d map: times-p^(k-1) (x9) injective=True" % s in lines
+    assert lines[-1] == "verdict: OK"
 
 
 # ------------------------------------------------------------------ exit codes

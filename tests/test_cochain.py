@@ -203,6 +203,10 @@ def test_a_wrong_unit_fails_the_cli_remultiplication(monkeypatch, capsys):
 # ---------------------------------------------------------------- arithmetic
 
 
+def _neg(a):
+    return a.ring.element([-c for c in a.coeffs])
+
+
 @pytest.mark.parametrize("p,n,r", GRID)
 def test_ring_axioms_randomized(p, n, r):
     ring = ring_for(p, n, r)
@@ -216,8 +220,8 @@ def test_ring_axioms_randomized(p, n, r):
         assert (a * b).coeffs == (b * a).coeffs
         assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
         assert (a * (b + c)).coeffs == (a * b + a * c).coeffs
-        assert (a + a.scale(-1)).is_zero
-        assert ((a + b.scale(-1)) + b).coeffs == a.coeffs
+        assert (a + _neg(a)).is_zero
+        assert ((a + _neg(b)) + b).coeffs == a.coeffs
 
 
 @pytest.mark.parametrize("p,n,r", GRID)
@@ -269,12 +273,6 @@ def test_reduce_poly_matches_sympy_remainder(p, n, r):
         assert ring._reduce_poly(coeffs) == oracle(coeffs), coeffs
 
 
-def test_scale_accepts_coefficient_and_int():
-    ring = ring_for(2, 1, 1)
-    y = ring.y_elt
-    assert y.scale(3).coeffs == (0, 3)
-
-
 def test_cross_ring_operations_rejected():
     a = ring_for(2, 1, 1).y_elt
     b = ring_for(2, 1, 2).y_elt
@@ -301,6 +299,86 @@ def test_from_series_contract():
         ring.from_series(foreign)
     with pytest.raises(TypeError):
         ring.from_series([1, 2, 3])
+
+
+# ------------------------------------------------ products and the fold table
+
+# (p, n, r, N): int64 rings, among them (3, 1, 1, 19) with (m - 1)^2 rank
+# near 2^62, and object rings: (3, 1, 2, 19), whose (m - 1)^2 rank lies
+# between 2^63 and 2^64, and (7, 1, 1, 24).  An odd modulus, unlike a
+# power of 2, shows a wrapped int64 sum.
+PRODUCT_RINGS = [
+    (2, 1, 1, 8), (2, 2, 1, 8), (3, 1, 2, 8), (2, 2, 2, 8), (3, 2, 1, 5),
+    (3, 2, 2, 8), (5, 1, 1, 8), (3, 1, 1, 19), (3, 1, 2, 19), (7, 1, 1, 24),
+]
+
+
+def _reference_product(a, b):
+    """a * b by exact integer convolution, then Euclidean division."""
+    conv = [0] * (2 * len(a.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, z in enumerate(b.coeffs):
+            conv[i + j] += x * z
+    return a.ring._reduce_poly(conv)
+
+
+@pytest.mark.parametrize("p,n,r,N", PRODUCT_RINGS)
+def test_products_match_convolution_and_euclidean_division(p, n, r, N):
+    ring = ring_for(p, n, r, N=N)
+    m, rank = ring.modulus, ring.rank
+    assert ring.dtype == (np.int64 if (m - 1) ** 2 * rank < 2**63 else object)
+    rng = random.Random(1000 * p + 100 * n + 10 * r + N)
+    elts = [ring.y_elt, ring.q_elt, RingElement(ring, (m - 1,) * rank)]
+    elts += [ring.random_element(rng) for _ in range(4)]
+    for a in elts:
+        for b in elts:
+            assert (a * b).coeffs == _reference_product(a, b)
+
+
+@pytest.mark.parametrize("p,n,k,N", [(2, 1, 2, 8), (2, 1, 3, 8), (3, 1, 2, 8),
+                                     (2, 2, 2, 8), (3, 2, 2, 8), (7, 1, 2, 24)])
+def test_apply_is_the_sum_of_scaled_powers(p, n, k, N):
+    phi = substitution_map(law_for(p, n, max_r=max(k, 2), N=N), k, N)
+    a1, ak = phi.source, phi.target
+    m = ak.modulus
+    powers = [ak.one.coeffs]
+    for _ in range(a1.rank - 1):
+        powers.append(_reference_product(RingElement(ak, powers[-1]), phi.image_of_y))
+    assert phi.powers.tolist() == [list(pw) for pw in powers]
+    rng = random.Random(10 * p + n + k)
+    probes = [a1.one, a1.y_elt, RingElement(a1, (a1.modulus - 1,) * a1.rank)]
+    for x in probes + [a1.random_element(rng) for _ in range(5)]:
+        acc = [0] * ak.rank
+        for c, pw in zip(x.coeffs, powers):
+            acc = [(s + c * v) % m for s, v in zip(acc, pw)]
+        assert phi.apply(x).coeffs == tuple(acc)
+
+
+@pytest.mark.parametrize("p,n,r", GRID)
+def test_fold_row_i_is_y_to_the_rank_plus_i(p, n, r):
+    ring = ring_for(p, n, r)
+    rank = ring.rank
+    table = ring._fold_rows(rank - 1)
+    for i in range(rank - 1):
+        assert tuple(table[i].tolist()) == ring._reduce_poly([0] * (rank + i) + [1]), i
+
+
+@pytest.mark.parametrize("j", [0, -1])
+def test_a_wrong_fold_row_fails_the_ring_certificate(j, monkeypatch):
+    # the certificate y * q_r = 0 reads row 0 of the table it guards
+    fold_rows = cochain.CyclicCochainRing._fold_rows
+
+    def wrong(ring, rows):
+        table = fold_rows(ring, rows).copy()
+        table[0, j] = (table[0, j] + 1) % ring.modulus
+        return table
+
+    monkeypatch.setattr(cochain.CyclicCochainRing, "_fold_rows", wrong)
+    cases = [(make_multiplicative_fgl(2, M=5), 2, 8), (_honda_law(2, 2, 1, 8), 1, 8),
+             (_honda_law(3, 2, 1, 5), 1, 5)]
+    for F, r, N in cases:
+        with pytest.raises(WeierstrassError, match=r"y \* q_r is nonzero"):
+            make_cochain_ring(F, r, N)
 
 
 # ------------------------------------------------------------ mod-p reduction

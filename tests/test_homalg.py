@@ -197,8 +197,8 @@ def test_periodic_complex_checks_each_distinct_square_once(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(RingElement, "__mul__", counting)
-    build_resolution(ring, 7)  # y q and q y, each three times
-    assert products[0] == 2
+    build_resolution(ring, 7)  # y q and q y, each three times: one product
+    assert products[0] == 1
 
 
 # ------------------------------------------------------------------ Tor pages
