@@ -2,14 +2,15 @@
 
 Everything here is an explicit linear-algebra model: an algebra is a
 structure tensor over F_p together with an augmentation, and a module
-is a collection of action matrices.  The point of the module is the
-local Artinian package: radical, socle series, Nakayama-style zero
-detection, and Betti numbers of the residue field computed from an
-explicit minimal free resolution.
+is the action matrices rho(G) of the generators G of J/J^2, J the
+augmentation kernel.  The point of the module is the local Artinian
+package: radical, socle series, Nakayama-style zero detection, and
+Betti numbers of the residue field computed from an explicit minimal
+free resolution.
 
-Once an algebra is certified, these computations act by the generators
-G of J/J^2 (J the augmentation kernel), not by a basis of J, so their
-stacks have |G| dim M rows, not dim J dim M; FinAlgebra proves why.
+Once an algebra is certified, every computation acts by G, not by a
+basis of J, so its stacks have |G| dim M rows, not dim J dim M;
+FinAlgebra proves why.
 
 Only prime fields are supported.  The structure constants are kept as
 small numpy integer arrays and every product is reduced mod p on the
@@ -301,7 +302,7 @@ class FinAlgebra:
         if bad.size:
             raise AlgebraError("graded commutativity fails at (%d,%d)" % tuple(bad[0]))
         # G and its products g e_j, shared by the certificates below,
-        # FinModule and the resolution
+        # free_module and the resolution
         rad = radical_basis(self)
         self.generators = self._generators(rad)
         self.gen_products = np.tensordot(self.generators, tbl, axes=(1, 0)) % p
@@ -444,63 +445,27 @@ def tensor_algebra(a, b):
 
 
 class FinModule:
-    """Left module over a FinAlgebra given by explicit action matrices.
+    """Left module over a certified FinAlgebra, held by rho(G) alone.
 
-    act[i] is the matrix rho(e_i) of the action of basis element e_i.
-    Construction checks that the unit acts as the identity and that
-    rho(g e_j) = rho(g) rho(e_j) for every g in the algebra's
-    generators G and every j.  Proof that the action is then
-    multiplicative: T = {x : rho(x y) = rho(x) rho(y) for all y} is a
-    subspace that contains 1 and G, and it is closed under products,
-    since for x, x' in T and the associativity the algebra certified
-        rho((x x') y) = rho(x (x' y)) = rho(x) rho(x') rho(y)
-                      = rho(x x') rho(y).
-    So T contains the right-nested words in G, which span the algebra
-    (see FinAlgebra), and T is everything.
+    gen_act[g] is the matrix of the action of the algebra's
+    generators[g], and dim = gen_act.shape[1].  The right-nested words
+    in G span A (see FinAlgebra), so rho(G) fixes the whole action.
+    The constructors below build each FinModule from a certified
+    algebra, and their actions need no check of their own:
+    - On A^rank, x acts on each block by left multiplication, an action
+      as A is unital and associative.  rho(g e_j) = rho(g) rho(e_j) is
+      associativity at (g, e_j, x), which FinAlgebra._check_associative
+      certifies, and FinAlgebra proves associativity from those triples.
+    - A G-stable span is A-stable (see FinAlgebra), so the restriction
+      of an action to it is an action.  spanned_submodule reads the
+      restricted rho(g) off coords_in_rref, which raises if the span is
+      not G-stable.
     """
 
-    def __init__(self, algebra, act, labels=None):
+    def __init__(self, algebra, gen_act):
         self.algebra = algebra
-        self.act = np.array(act, dtype=np.int64) % algebra.p
-        if self.act.ndim != 3 or self.act.shape[0] != algebra.dim:
-            raise AlgebraError("need one action matrix per algebra basis element")
-        if self.act.shape[1] != self.act.shape[2]:
-            raise AlgebraError("action matrices must be square")
-        self.dim = self.act.shape[1]
-        self.labels = tuple(labels) if labels is not None else tuple(
-            "m%d" % i for i in range(self.dim)
-        )
-        self._validate()
-
-    def _validate(self):
-        alg, p = self.algebra, self.algebra.p
-        unit_mat = np.tensordot(alg.unit, self.act, axes=(0, 0)) % p
-        if not np.array_equal(unit_mat, np.eye(self.dim, dtype=np.int64)):
-            raise AlgebraError("unit does not act as identity")
-        # compatibility on generators: rho(g e_j) == rho(g) rho(e_j);
-        # rho(G) is kept for the computations that act by G
-        lhs = np.tensordot(alg.gen_products, self.act, axes=(2, 0)) % p
-        self.gen_act = np.tensordot(alg.generators, self.act, axes=(1, 0)) % p
-        rhs = np.matmul(self.gen_act[:, None], self.act[None]) % p
-        if not np.array_equal(lhs, rhs):
-            raise AlgebraError("action is not compatible with the product")
-
-    def act_vec(self, a, v):
-        """a.v for an algebra vector a and module vector v."""
-        mat = np.tensordot(np.asarray(a, np.int64) % self.algebra.p, self.act, axes=(0, 0))
-        return (mat % self.algebra.p) @ (np.asarray(v, np.int64) % self.algebra.p) % self.algebra.p
-
-
-def _free_action_blocks(alg, rank):
-    """Left multiplication matrices for A^rank, one per algebra basis elt."""
-    # the regular action: act[i][:, j] must be e_i * e_j = table[i, j, :]
-    reg = np.transpose(alg.table, (0, 2, 1)) % alg.p
-    out = np.zeros((alg.dim, rank * alg.dim, rank * alg.dim), dtype=np.int64)
-    for i in range(alg.dim):
-        for b in range(rank):
-            s = b * alg.dim
-            out[i, s : s + alg.dim, s : s + alg.dim] = reg[i]
-    return out
+        self.gen_act = gen_act
+        self.dim = gen_act.shape[1]
 
 
 def _dense_images(acts, p):
@@ -555,15 +520,14 @@ def _span_closure(images_of, rows, p):
 
 def regular_module(alg):
     """The algebra as a left module over itself."""
-    return FinModule(alg, _free_action_blocks(alg, 1), labels=alg.labels)
+    return free_module(alg, 1)
 
 
 def free_module(alg, rank):
-    """A^rank with the block-diagonal action."""
-    labels = tuple(
-        "%s#%d" % (alg.labels[i], b) for b in range(rank) for i in range(alg.dim)
-    )
-    return FinModule(alg, _free_action_blocks(alg, rank), labels=labels)
+    """A^rank, each rho(g) block diagonal: I_rank (x) the left
+    multiplication by g, whose column j is g e_j = gen_products[g, j]."""
+    eye = np.eye(rank, dtype=np.int64)
+    return FinModule(alg, np.kron(eye, alg.gen_products.transpose(0, 2, 1)))
 
 
 def spanned_submodule(module, vectors):
@@ -572,28 +536,25 @@ def spanned_submodule(module, vectors):
     Returns (submodule, basis_rows) where basis_rows expresses the new
     module's basis inside the ambient one.
     """
-    alg, p = module.algebra, module.algebra.p
+    p, rho_g = module.algebra.p, module.gen_act
     rows = [np.asarray(v, np.int64) % p for v in vectors]
     if not rows:
         rows = [np.zeros(module.dim, np.int64)]
     # a span stable under G is a submodule (see FinAlgebra)
-    red, pivots = _span_closure(_dense_images(module.gen_act, p), rows, p)
-    # column j of act[i] holds the coordinates of e_i red[j]
-    images = _dense_images(module.act, p)(red).reshape(alg.dim, -1, module.dim)
-    act = coords_in_rref(images, red, pivots, p).transpose(0, 2, 1)
-    return FinModule(alg, act), red
+    images_of = _dense_images(rho_g, p)
+    red, pivots = _span_closure(images_of, rows, p)
+    # column j of the restricted rho(g) holds the coordinates of g red[j]
+    images = images_of(red).reshape(rho_g.shape[0], red.shape[0], module.dim)
+    gen_act = coords_in_rref(images, red, pivots, p).transpose(0, 2, 1)
+    return FinModule(module.algebra, gen_act), red
 
 
 def random_spanned_module(free, rng):
     """Submodule of a free module spanned by two random vectors; used by
     the randomized Nakayama checks, which build the free module once."""
     p = free.algebra.p
-    vecs = [
-        np.array([rng.randrange(p) for _ in range(free.dim)], dtype=np.int64)
-        for _ in range(2)
-    ]
-    sub, _ = spanned_submodule(free, vecs)
-    return sub
+    vecs = [[rng.randrange(p) for _ in range(free.dim)] for _ in range(2)]
+    return spanned_submodule(free, vecs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +632,7 @@ def nakayama_check(module):
     cols = module.gen_act.transpose(0, 2, 1)
     jm = row_space(cols.reshape(-1, module.dim), module.algebra.p)
     top = module.dim - jm.shape[0]
-    if top == 0 and module.dim > 0:
+    if top == 0:
         raise AlgebraError("Nakayama violation: JM = M for nonzero M")
     return (top, module.dim)
 

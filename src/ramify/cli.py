@@ -20,7 +20,9 @@ Algebra input files (--algebra) are plain text: `labels:`,
 `parities:`, `aug:` lines with whitespace-separated entries, and one
 `mul: i j k value` line per nonzero structure constant (e_i * e_j has
 coefficient `value` on e_k).  Lines starting with '#' are comments.
-The first basis element is the unit.
+The first basis element is the unit.  Each of `labels:`, `parities:`
+and `aug:` appears once, each `i j k` triple at most once, and every
+parity is 0 or 1; any other file is refused with exit 65.
 """
 
 from __future__ import annotations
@@ -153,8 +155,8 @@ def _load_algebra(args):
 
 
 def _parse_algebra_file(text, p):
-    labels = parities = aug = None
-    muls = []
+    fields = {}  # labels, parities, aug
+    muls = {}  # (i, j, k) -> value
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -164,27 +166,30 @@ def _parse_algebra_file(text, p):
         key, _, rest = line.partition(":")
         key = key.strip()
         toks = rest.split()
-        if key == "labels":
-            labels = toks
-        elif key == "parities":
-            parities = [int(t) for t in toks]
-        elif key == "aug":
-            aug = [int(t) for t in toks]
+        if key in ("labels", "parities", "aug"):
+            if key in fields:
+                raise ValueError("repeated %s line" % key)
+            fields[key] = toks if key == "labels" else [int(t) for t in toks]
+            if key == "parities" and not set(fields[key]) <= {0, 1}:
+                raise ValueError("parities must be 0 or 1")
         elif key == "mul":
             if len(toks) != 4:
                 raise ValueError("mul needs 'i j k value': %r" % line)
-            muls.append(tuple(int(t) for t in toks))
+            i, j, k, v = (int(t) for t in toks)
+            if (i, j, k) in muls:
+                raise ValueError("repeated mul triple: %r" % line)
+            muls[i, j, k] = v
         else:
             raise ValueError("unknown key %r" % key)
-    if labels is None or parities is None or aug is None:
+    if len(fields) < 3:
         raise ValueError("file needs labels, parities and aug lines")
-    dim = len(labels)
+    dim = len(fields["labels"])
     table = np.zeros((dim, dim, dim), dtype=np.int64)
-    for i, j, k, v in muls:
+    for (i, j, k), v in muls.items():
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ValueError("mul index out of range")
         table[i, j, k] = v % p
-    return artin.FinAlgebra(p, labels, parities, table, aug)
+    return artin.FinAlgebra(p, fields["labels"], fields["parities"], table, fields["aug"])
 
 
 def _group_from_args(args):

@@ -13,7 +13,6 @@ from ramify import artin, cli
 from ramify.artin import (
     AlgebraError,
     FinAlgebra,
-    FinModule,
     coords_in_rref,
     free_module,
     minimal_free_resolution,
@@ -284,6 +283,47 @@ def _module_oracle(alg, act):
     return np.array_equal(lhs, rhs)
 
 
+def _dense_free_action(alg, rank):
+    """The action of every basis element e_i on A^rank, a block-diagonal
+    (rank dim A)^2 matrix whose column j of each block is e_i e_j."""
+    reg = np.transpose(alg.table, (0, 2, 1)) % alg.p
+    out = np.zeros((alg.dim, rank * alg.dim, rank * alg.dim), dtype=np.int64)
+    for i in range(alg.dim):
+        for b in range(rank):
+            s = b * alg.dim
+            out[i, s : s + alg.dim, s : s + alg.dim] = reg[i]
+    return out
+
+
+def _dense_restriction(act, basis, p):
+    """A dense action restricted to the span of the rref rows basis:
+    column j of matrix i holds the coordinates of e_i basis[j]."""
+    red, piv = rref(basis, p)
+    images = np.tensordot(act, red, axes=(2, 1)).transpose(0, 2, 1)
+    return coords_in_rref(images, red, piv, p).transpose(0, 2, 1)
+
+
+def _random_spanned(free, rng):
+    """random_spanned_module(free, rng) and the rref basis of its span,
+    from the same two vectors drawn from a twin of rng."""
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    module = random_spanned_module(free, rng)
+    vectors = [[twin.randrange(free.algebra.p) for _ in range(free.dim)] for _ in range(2)]
+    sub, basis = spanned_submodule(free, vectors)
+    assert np.array_equal(sub.gen_act, module.gen_act)
+    return module, basis
+
+
+def _assert_matches_dense(module, act):
+    """The module's rho(G) is the dense action act at the algebra's
+    generators, and act passes the full module check."""
+    alg = module.algebra
+    want = np.tensordot(alg.generators, act, axes=(1, 0)) % alg.p
+    assert np.array_equal(module.gen_act, want)
+    assert _module_oracle(alg, act)
+
+
 def _accepts(build):
     try:
         build()
@@ -339,9 +379,10 @@ def test_certificates_accept_library_and_workload_algebras():
         _associativity_oracle(alg.table, alg.p)
         # the lifts of J/J^2 span, so the generators are one per factor
         assert alg.generators.shape[0] == n_factors
-        free = free_module(alg, 2)
-        for module in (free, random_spanned_module(free, random.Random(3))):
-            assert _module_oracle(alg, module.act)
+        free, dense = free_module(alg, 2), _dense_free_action(alg, 2)
+        module, basis = _random_spanned(free, random.Random(3))
+        _assert_matches_dense(free, dense)
+        _assert_matches_dense(module, _dense_restriction(dense, basis, alg.p))
 
 
 def test_associativity_certificates_agree_on_table_mutants(monkeypatch):
@@ -369,28 +410,6 @@ def test_associativity_certificates_agree_on_table_mutants(monkeypatch):
             rejected += not new
             nonassociative += not _accepts(lambda: _associativity_oracle(table, p))
     assert rejected > 0 and nonassociative > 0
-
-
-def test_module_certificates_agree_on_action_mutants():
-    t = truncated_polynomial_algebra
-    two = tensor_algebra(t(2, 2), t(2, 2))
-    modules = [
-        free_module(t(3, 3), 2),
-        free_module(two, 1),
-        spanned_submodule(free_module(two, 2), [np.arange(8) % 2])[0],
-        random_spanned_module(free_module(t(3, 3), 2), random.Random(11)),
-    ]
-    rejected = 0
-    for module in modules:
-        alg, p = module.algebra, module.algebra.p
-        assert module.dim > 0 and _module_oracle(alg, module.act)
-        for idx in itertools.product(*map(range, module.act.shape)):
-            act = module.act.copy()
-            act[idx] = (act[idx] + 1) % p
-            new = _accepts(lambda: FinModule(alg, act))
-            assert new == _module_oracle(alg, act)
-            rejected += not new
-    assert rejected > 0
 
 
 def test_certificate_rejects_what_a_triple_sample_misses(tmp_path, capsys):
@@ -495,9 +514,9 @@ def test_regular_module_action_matches_table():
     alg = truncated_polynomial_algebra(2, 3)
     reg = regular_module(alg)
     assert reg.dim == 3
-    y = np.array([0, 1, 0], dtype=np.int64)
+    assert alg.generators.tolist() == [[0, 1, 0]]  # G = {y}
     v = np.array([1, 1, 0], dtype=np.int64)
-    assert reg.act_vec(y, v).tolist() == [0, 1, 1]
+    assert (reg.gen_act[0] @ v % 2).tolist() == [0, 1, 1]
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -506,9 +525,29 @@ def test_free_module_is_block_diagonal_regular(rank):
         truncated_polynomial_algebra(3, 2), truncated_polynomial_algebra(3, 3)
     )
     for alg in (truncated_polynomial_algebra(2, 3), two):
-        reg = regular_module(alg).act
-        want = [np.kron(np.eye(rank, dtype=np.int64), reg[i]) for i in range(alg.dim)]
-        assert np.array_equal(free_module(alg, rank).act, np.array(want))
+        reg = regular_module(alg).gen_act
+        want = [np.kron(np.eye(rank, dtype=np.int64), rho) for rho in reg]
+        assert np.array_equal(free_module(alg, rank).gen_act, np.array(want))
+
+
+def test_every_constructor_matches_the_dense_action():
+    # the modules carry no dense action and no check of their own, so
+    # each constructor's rho(G) is read against the dense action it
+    # restricts, and that action against the full module check
+    t = truncated_polynomial_algebra
+    files = [cli._parse_algebra_file(text, p) for p, _, text in _workload_algebra_files()]
+    rng = random.Random(16)
+    for alg in _small_algebras() + files + [t(2, 1), t(3, 1)]:
+        p = alg.p
+        _assert_matches_dense(regular_module(alg), _dense_free_action(alg, 1))
+        for rank in (1, 2, 3):
+            free, dense = free_module(alg, rank), _dense_free_action(alg, rank)
+            _assert_matches_dense(free, dense)
+            vectors = [[rng.randrange(p) for _ in range(free.dim)]]
+            sub, basis = spanned_submodule(free, vectors)
+            _assert_matches_dense(sub, _dense_restriction(dense, basis, p))
+            module, basis = _random_spanned(free, rng)
+            _assert_matches_dense(module, _dense_restriction(dense, basis, p))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -519,7 +558,7 @@ def test_blockwise_free_action_matches_dense_blocks(rank):
     for alg in _small_algebras() + [odd]:
         p, d = alg.p, alg.dim
         rows = rng.integers(0, p, (5, rank * d))
-        dense = artin._free_action_blocks(alg, rank)
+        dense = _dense_free_action(alg, rank)
         want = np.tensordot(dense, rows, axes=(2, 1)).transpose(0, 2, 1) % p
         got = artin._free_images(alg.table, p)(rows)
         assert np.array_equal(got, want.reshape(-1, rank * d))
@@ -531,15 +570,6 @@ def test_blockwise_free_action_matches_dense_blocks(rank):
         rad_mult = np.tensordot(rad, alg.table, axes=(1, 0)) % p
         got = artin._free_images(rad_mult, p)(rows)
         assert np.array_equal(got, want.reshape(-1, rank * d))
-
-
-def test_module_validation():
-    alg = truncated_polynomial_algebra(2, 2)
-    bad = np.zeros((2, 2, 2), dtype=np.int64)  # unit acts as zero
-    with pytest.raises(AlgebraError):
-        FinModule(alg, bad)
-    with pytest.raises(AlgebraError):
-        FinModule(alg, np.zeros((3, 2, 2), dtype=np.int64))
 
 
 def test_spanned_submodule_closure():
@@ -575,7 +605,7 @@ def test_span_closure_matches_the_whole_basis_closure(p):
         for rank in (1, 2, 3):
             free = free_module(alg, rank)
             actions = [
-                artin._dense_images(free.act, p),
+                artin._dense_images(_dense_free_action(alg, rank), p),
                 # one generator at a time: the closure takes several rounds
                 artin._free_images(alg.table[1:2], p),
                 artin._free_images(alg.table[1:], p),
@@ -616,37 +646,38 @@ def test_zero_module():
 # ----------------------------------------------------------------- socles
 
 
-def _socle_by_powers(module, k):
-    """soc^k M as the common kernel of a basis of J^k, with J^k built by
-    multiplying in the algebra rather than by climbing the series."""
-    alg, p = module.algebra, module.algebra.p
+def _socle_by_powers(alg, act, k):
+    """soc^k M as the common kernel of a basis of J^k acting by the dense
+    action act, with J^k built by multiplying in the algebra rather than
+    by climbing the series."""
+    p = alg.p
     rad = radical_basis(alg)
     power = list(rad)
     for _ in range(k - 1):
         products = [alg.mul(a, g) for a in power for g in rad]
         power = list(row_space(products, p)) if products else []
     if not power:
-        return np.eye(module.dim, dtype=np.int64)
-    mats = np.vstack([np.tensordot(b, module.act, axes=(0, 0)) % p for b in power])
+        return np.eye(act.shape[1], dtype=np.int64)
+    mats = np.vstack([np.tensordot(b, act, axes=(0, 0)) % p for b in power])
     return row_space(null_space(mats, p), p)
 
 
-def _check_socle_stages(module):
+def _check_socle_stages(module, act):
     """socle_series_bases agrees with socle_series and, stage by stage,
-    with the kernels of the powers of J."""
+    with the kernels of the powers of J acting by the dense action act."""
     series = socle_series(module)
     stages = socle_series_bases(module)
     assert len(stages) == series.k0
     assert tuple(red.shape[0] for red in stages) == series.dims
     for k, red in enumerate(stages, start=1):
-        assert red.tolist() == _socle_by_powers(module, k).tolist()
+        assert red.tolist() == _socle_by_powers(module.algebra, act, k).tolist()
     return series
 
 
 @pytest.mark.parametrize("m", range(2, 10))
 def test_socle_series_truncated_polynomial(m):
     alg = truncated_polynomial_algebra(2, m)
-    series = _check_socle_stages(regular_module(alg))
+    series = _check_socle_stages(regular_module(alg), _dense_free_action(alg, 1))
     assert series.dims == tuple(range(1, m + 1))
     assert series.k0 == m
     assert series.e == m
@@ -668,7 +699,7 @@ def test_socle_stage_bases_are_top_power_spans():
 def test_socle_series_tensor_square():
     a = truncated_polynomial_algebra(2, 2)
     two = tensor_algebra(a, truncated_polynomial_algebra(2, 2))
-    series = _check_socle_stages(regular_module(two))
+    series = _check_socle_stages(regular_module(two), _dense_free_action(two, 1))
     assert series.dims == (1, 3, 4)
     assert series.k0 == 3 and series.e == 3
 
@@ -703,16 +734,17 @@ def test_nakayama_randomized():
     ]
     for _ in range(30):
         alg = algs[rng.randrange(len(algs))]
-        mod = random_spanned_module(free_module(alg, 2), rng)
+        mod, basis = _random_spanned(free_module(alg, 2), rng)
+        act = _dense_restriction(_dense_free_action(alg, 2), basis, alg.p)
         top, dim = nakayama_check(mod)
         assert 0 <= top <= dim <= 16
         if dim > 0:
             assert top > 0
             # JM spanned vector by vector: g . m_j for g in J, m_j in M
-            jm = [mod.act_vec(g, m) for g in radical_basis(alg)
+            jm = [np.tensordot(g, act, axes=(0, 0)) @ m % alg.p for g in radical_basis(alg)
                   for m in np.eye(dim, dtype=np.int64)]
             assert top == dim - row_space(jm, alg.p).shape[0]
-        series = _check_socle_stages(mod)
+        series = _check_socle_stages(mod, act)
         if dim:
             assert series.dims[-1] == dim
             assert series.k0 <= series.e
@@ -788,16 +820,15 @@ def _nilpotency_oracle(alg):
     return e
 
 
-def _rad_mats(module):
-    """The action matrices of the basis of J."""
-    p = module.algebra.p
-    return np.tensordot(radical_basis(module.algebra), module.act, axes=(1, 0)) % p
+def _rad_mats(alg, act):
+    """The matrices of the basis of J in the dense action act."""
+    return np.tensordot(radical_basis(alg), act, axes=(1, 0)) % alg.p
 
 
-def _socle_bases_oracle(module):
+def _socle_bases_oracle(alg, act):
     """soc^k = {x : Jx in soc^(k-1)}, J acting by its whole basis."""
-    p, n = module.algebra.p, module.dim
-    rad_mats = _rad_mats(module)
+    p, n = alg.p, act.shape[1]
+    rad_mats = _rad_mats(alg, act)
     stages, red, piv = [], np.zeros((0, n), np.int64), []
     while red.shape[0] < n:
         q = quotient_map(red, piv, n, p)
@@ -808,11 +839,11 @@ def _socle_bases_oracle(module):
     return stages
 
 
-def _nakayama_top_oracle(module):
-    """dim M / JM, JM spanned by the columns of the action matrices of
-    the basis of J."""
-    cols = _rad_mats(module).transpose(0, 2, 1).reshape(-1, module.dim)
-    return module.dim - row_space(cols, module.algebra.p).shape[0]
+def _nakayama_top_oracle(alg, act):
+    """dim M / JM, JM spanned by the columns of the matrices of the basis
+    of J in the dense action act."""
+    n = act.shape[1]
+    return n - row_space(_rad_mats(alg, act).transpose(0, 2, 1).reshape(-1, n), alg.p).shape[0]
 
 
 def _greedy_generators(jk, candidates, p):
@@ -886,17 +917,20 @@ def test_generator_actions_match_whole_basis_oracles(p, monkeypatch):
         rad_images.append(artin._free_images(rad_mult, p))
         assert nilpotency_exponent(alg) == _nilpotency_oracle(alg)
         assert minimal_free_resolution(alg, 4) == _whole_basis_resolution(alg, 4)
-        free = free_module(alg, 2)
+        free, dense = free_module(alg, 2), _dense_free_action(alg, 2)
         vectors = [np.array([rng.randrange(p) for _ in range(free.dim)], np.int64)
                    for _ in range(rng.randrange(1, 3))]
         sub, basis = spanned_submodule(free, vectors)
-        want, _ = artin._span_closure(artin._dense_images(free.act, p), vectors, p)
+        want, _ = artin._span_closure(artin._dense_images(dense, p), vectors, p)
         assert np.array_equal(basis, want)
-        for module in (regular_module(alg), sub, random_spanned_module(free, rng)):
+        rand, rand_basis = _random_spanned(free, rng)
+        for module, act in ((regular_module(alg), _dense_free_action(alg, 1)),
+                            (sub, _dense_restriction(dense, basis, p)),
+                            (rand, _dense_restriction(dense, rand_basis, p))):
             got = socle_series_bases(module)
-            want = _socle_bases_oracle(module)
+            want = _socle_bases_oracle(alg, act)
             assert [red.tolist() for red in got] == [red.tolist() for red in want]
-            assert nakayama_check(module)[0] == _nakayama_top_oracle(module)
+            assert nakayama_check(module)[0] == _nakayama_top_oracle(alg, act)
     assert checked
 
 

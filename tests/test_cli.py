@@ -145,6 +145,39 @@ def test_each_command_builds_and_certifies_once(capsys, monkeypatch):
     calls.clear()
     assert run_cli(["betti", "--m", "3", "--smax", "5"], capsys)[0] == 0
     assert calls == {"minimal_free_resolution": 1}
+    # modules are held by rho(G), |G| = 1 for F_p[y]/(y^m): one free
+    # module and one submodule per check, and no dense action
+    shapes = []
+    init = artin.FinModule.__init__
+
+    def module_spy(self, algebra, gen_act):
+        shapes.append(gen_act.shape)
+        init(self, algebra, gen_act)
+
+    monkeypatch.setattr(artin.FinModule, "__init__", module_spy)
+    assert run_cli(["nakayama", "--m", "16", "--count", "5"], capsys)[0] == 0
+    assert len(shapes) == 6 and all(shape[0] == 1 for shape in shapes)
+    assert shapes[0] == (1, 32, 32)
+    shapes.clear()
+    assert run_cli(["socle", "--m", "40"], capsys)[0] == 0
+    assert shapes == [(1, 40, 40)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_field_algebra_at_m_1_has_the_closed_forms(p, capsys):
+    # F_p[y]/(y) = F_p: J = 0, so G is empty and every rho(G) stack has
+    # a zero-length generator axis
+    rc, out, _ = run_cli(["socle", "--p", str(p), "--m", "1", "--format", "json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["result"] == {"dims": [1], "k0": 1, "e": 1}
+    rc, out, _ = run_cli(["betti", "--p", str(p), "--m", "1", "--smax", "3",
+                          "--format", "json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["result"] == {"betti": [1, 0, 0, 0], "all_positive": False}
+    rc, out, _ = run_cli(["nakayama", "--p", str(p), "--m", "1", "--count", "3",
+                          "--format", "json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["result"] == {"checks": 3, "violations": 0}
 
 
 def test_compare_at_rank_729_has_the_closed_form(capsys):
@@ -249,6 +282,25 @@ def test_bad_input_files_are_65(tmp_path, capsys):
     bad.write_text("labels: 1 y\nmul: nonsense\n", encoding="utf-8")
     rc, _, err = run_cli(["betti", "--algebra", str(bad)], capsys)
     assert rc == 65 and "malformed" in err
+    # F_2[y]/(y^2); a second line for a key or a triple must not
+    # silently override the first
+    head = "labels: 1 y\nparities: 0 0\naug: 1 0\n"
+    muls = "mul: 0 0 0 1\nmul: 0 1 1 1\nmul: 1 0 1 1\n"
+    bad.write_text(head + muls, encoding="utf-8")
+    assert run_cli(["betti", "--algebra", str(bad)], capsys)[0] == 0
+    for text, why in [
+        (head + muls + "mul: 1 1 0 1\nmul: 1 1 0 0\n", "repeated mul triple"),
+        (head + muls + "mul: 0 1 1 1\n", "repeated mul triple"),
+        (head + "labels: 1 z\n" + muls, "repeated labels line"),
+        (head + "parities: 0 0\n" + muls, "repeated parities line"),
+        (head + "aug: 1 0\n" + muls, "repeated aug line"),
+        (head.replace("parities: 0 0", "parities: 0 3") + muls, "parities must be 0 or 1"),
+        (head.replace("parities: 0 0", "parities: 0 -1") + muls, "parities must be 0 or 1"),
+    ]:
+        bad.write_text(text, encoding="utf-8")
+        rc, out, err = run_cli(["betti", "--algebra", str(bad)], capsys)
+        assert rc == 65 and out == ""
+        assert err.startswith("error: malformed algebra file: " + why)
 
 
 def test_failed_allocation_is_refused_with_exit_2():
