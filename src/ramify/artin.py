@@ -8,9 +8,9 @@ package: radical, socle series, Nakayama-style zero detection, and
 Betti numbers of the residue field computed from an explicit minimal
 free resolution.
 
-Once an algebra is certified, every computation acts by G, not by a
-basis of J, so its stacks have |G| dim M rows, not dim J dim M;
-FinAlgebra proves why.
+A table from outside is validated once (validated_algebra).  Every
+computation acts by G, not by a basis of J, so its stacks have
+|G| dim M rows, not dim J dim M; FinAlgebra proves why.
 
 Only prime fields are supported.  The structure constants are kept as
 small numpy integer arrays and every product is reduced mod p on the
@@ -19,7 +19,6 @@ spot, so all results are exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ __all__ = [
     "FinAlgebra",
     "FinModule",
     "SocleSeries",
+    "validated_algebra",
     "truncated_polynomial_algebra",
     "tensor_algebra",
     "regular_module",
@@ -193,101 +193,60 @@ def check_exact(p):
         )
 
 
+def check_prime(p):
+    """Refuse a p that is not a prime below P_LIMIT."""
+    check_exact(p)
+    if not _is_prime(p):
+        raise AlgebraError("p must be prime")
+
+
 class FinAlgebra:
-    """Finite dimensional graded-commutative augmented F_p-algebra.
+    """Finite dimensional graded-commutative augmented local F_p-algebra,
+    held as given; only p, from --p, is checked.  Its constructors
+    (validated_algebra, truncated_polynomial_algebra) prove the rest.
 
-    table[i, j, k] is the e_k coefficient of e_i * e_j.  The basis
-    element with index 0 must be the unit unless an explicit unit
-    vector is supplied.  Construction checks that the unit is a two
-    sided unit, parity additivity, graded commutativity with Koszul
-    signs, associativity, that the augmentation is an algebra map that
-    vanishes on the odd part, and that the augmentation kernel is
-    nilpotent.  A non-nilpotent kernel means the algebra is not local
-    in the sense used here and is rejected.
+    table[i, j, k] is the e_k coefficient of e_i * e_j, e_0 is the unit,
+    and nilpotency is the least e with J^e = 0, J the augmentation
+    kernel.  The homogeneous rows G of generators lift a basis of
+    J/J^2, or are the basis of J, and their right-nested words
+    g1 (g2 (... (gk 1))) span A; gen_products[g, j] = G[g] e_j.
 
-    Associativity is certified on generators, in every dimension.  G
-    is a set of lifts of a basis of J/J^2 (J the augmentation kernel)
-    when their right-nested words g1 (g2 (... (gk 1))) span A, and the
-    basis of J otherwise, whose words 1 and g 1 = g span F_p 1 + J = A.
-    The certificate checks (g e_j) e_k = g (e_j e_k) for g in G and
-    all j, k.  Proof that this suffices: the set
-    S = {x : (x y) z = x (y z) for all y, z} is a subspace, it
-    contains 1 (the unit check), and it is closed under products, as
-    for x, x' in S
-        ((x x') y) z = (x (x' y)) z = x ((x' y) z)
-                     = x (x' (y z)) = (x x') (y z).
-    So S contains every right-nested word in G, and S = A once those
-    words span A.
+    Every computation acts by G, as J = sum_g gA: a nonempty
+    right-nested word is g w for a g in G, so A = F_p 1 + sum_g gA, and
+    sum_g gA lies in J = ker(eps) since eps(g a) = eps(g) eps(a) = 0,
+    which forces J = sum_g gA.  So JN = sum_g gN for a submodule N (with
+    N = J^k in A, J^(k+1) = sum_g g J^k), and a span stable under G is
+    a submodule, the words acting as products of the rho(g).
 
-    Every computation on a certified algebra acts by G, as
-    J = sum_g gA: a nonempty right-nested word is g w for a g in G, so
-    A = F_p 1 + sum_g gA, and sum_g gA lies in J = ker(eps) since
-    eps(g a) = eps(g) eps(a) = 0, which forces J = sum_g gA.  So
-    JN = sum_g gN for a submodule N (with N = J^k in A,
-    J^(k+1) = sum_g g J^k), and a span stable under G is a submodule,
-    the words acting as products of the rho(g).  G is homogeneous: J is
-    spanned by the homogeneous e_i - eps(e_i) 1 (eps kills the odd part,
-    and the odd part u of the unit kills each e_j by parity additivity,
-    so u = 1 u = u 1 = 0 by graded commutativity), and the rref basis of
-    such a span joins those of its even and odd parts.
-
-    p must be below P_LIMIT = 2^16.  Every product in this module is
-    taken over int64 arrays of residues in [0, p) and reduced mod p
-    afterwards: it is a sum of k terms, each the product of two
-    residues, so it is exact while (p - 1)^2 k < 2^63.  Its inner
-    length k is at most the dimension of an algebra or module the
-    computation builds, and p < 2^16 keeps every k < 2^31 exact.  A
-    larger p is refused (check_exact), since wrapped int64 sums would
-    give wrong answers or a hang.
+    p must be below P_LIMIT = 2^16.  Every product here is taken over
+    int64 residues in [0, p) and reduced mod p afterwards: a sum of k
+    products of two residues, exact while (p - 1)^2 k < 2^63, so for
+    every k < 2^31, and k is at most the dimension of an algebra or
+    module the computation builds.  check_exact refuses a larger p,
+    whose wrapped int64 sums would give wrong answers or a hang.
     """
 
-    def __init__(self, p, labels, parities, table, aug, unit=None):
-        check_exact(p)
-        if not _is_prime(p):
-            raise AlgebraError("p must be prime")
+    def __init__(self, p, labels, parities, table, aug, generators, gen_products, nilpotency):
+        check_prime(p)
         self.p = int(p)
-        self.labels = tuple(str(s) for s in labels)
-        self.dim = len(self.labels)
-        if self.dim == 0:
-            raise AlgebraError("algebra must be nonzero")
-        self.parities = tuple(int(x) % 2 for x in parities)
-        if len(self.parities) != self.dim:
-            raise AlgebraError("parity list has wrong length")
-        self.table = np.array(table, dtype=np.int64) % p
-        if self.table.shape != (self.dim, self.dim, self.dim):
-            raise AlgebraError("structure tensor has wrong shape")
-        self.aug = np.array(aug, dtype=np.int64) % p
-        if self.aug.shape != (self.dim,):
-            raise AlgebraError("augmentation vector has wrong length")
-        if unit is None:
-            unit = np.zeros(self.dim, dtype=np.int64)
-            unit[0] = 1
-        self.unit = np.array(unit, dtype=np.int64) % p
+        self.labels = labels
+        self.dim = len(labels)
+        self.parities = parities
+        self.table = table
+        self.aug = aug
+        self.generators = generators
+        self.gen_products = gen_products
+        self.nilpotency = nilpotency
         self._radical = None
-        self._nilpotency = None
-        self._validate()
 
-    # -- arithmetic on coefficient vectors
-
-    def mul(self, x, y):
-        x = np.asarray(x, dtype=np.int64) % self.p
-        y = np.asarray(y, dtype=np.int64) % self.p
-        left = np.tensordot(x, self.table, axes=(0, 0)) % self.p
-        return y @ left % self.p
-
-    def aug_of(self, x):
-        return int(np.dot(np.asarray(x, dtype=np.int64) % self.p, self.aug) % self.p)
-
-    # -- validation
+    # -- validation, for validated_algebra
 
     def _validate(self):
         p, d, tbl = self.p, self.dim, self.table
         par = np.array(self.parities, dtype=np.int64)
+        # unit: row j of e_0 * e_j and of e_j * e_0 must be e_j
         eye = np.eye(d, dtype=np.int64)
-        # unit: row j of 1 * e_j and of e_j * 1 must be e_j
-        one_x = np.tensordot(self.unit, tbl, axes=(0, 0)) % p
-        x_one = np.tensordot(self.unit, tbl, axes=(0, 1)) % p
-        bad = np.flatnonzero((one_x != eye).any(axis=1) | (x_one != eye).any(axis=1))
+        bad = np.flatnonzero((tbl[0] != eye).any(axis=1) | (tbl[:, 0] != eye).any(axis=1))
         if bad.size:
             raise AlgebraError("unit fails on basis element %d" % bad[0])
         # parity additivity: e_i e_j supported on parity p_i + p_j
@@ -308,7 +267,7 @@ class FinAlgebra:
         self.gen_products = np.tensordot(self.generators, tbl, axes=(1, 0)) % p
         self._check_associative(self.gen_products)
         # augmentation is an algebra map
-        if self.aug_of(self.unit) != 1:
+        if self.aug[0] != 1:
             raise AlgebraError("augmentation of the unit is not 1")
         if not np.array_equal(tbl @ self.aug % p, np.outer(self.aug, self.aug) % p):
             raise AlgebraError("augmentation is not multiplicative")
@@ -332,13 +291,13 @@ class FinAlgebra:
         _, lifts = rref(images.T, p)
         gens = rad[lifts]
         left = np.tensordot(gens, self.table, axes=(1, 0)) % p
-        words, _ = _span_closure(_free_images(left, p), [self.unit], p)
+        words, _ = _span_closure(_free_images(left, p), np.eye(1, d, dtype=np.int64), p)
         return gens if words.shape[0] == d else rad
 
     def _check_associative(self, ge):
         """(g e_j) e_k = g (e_j e_k) for g in the generators and all j,
-        k, as one stacked product from ge[g, j] = g e_j; the class
-        docstring proves that this is associativity."""
+        k, as one stacked product from ge[g, j] = g e_j;
+        validated_algebra proves that this is associativity."""
         p, tbl = self.p, self.table
         lhs = np.tensordot(ge, tbl, axes=(2, 0)) % p
         rhs = np.tensordot(tbl, ge, axes=(2, 1)).transpose(2, 0, 1, 3) % p
@@ -364,10 +323,53 @@ class FinAlgebra:
                 raise AlgebraError("augmentation kernel is not nilpotent")
             cur = nxt
             e += 1
-        self._nilpotency = e
+        self.nilpotency = e
 
     def __repr__(self):
         return "FinAlgebra(p=%d, dim=%d)" % (self.p, self.dim)
+
+
+def validated_algebra(p, labels, parities, table, aug):
+    """The FinAlgebra of a structure tensor from outside, unit e_0, once
+    it is checked: e_0 is a two-sided unit, parity additivity, graded
+    commutativity with Koszul signs, associativity, an augmentation that
+    is an algebra map vanishing on the odd part, and a nilpotent
+    augmentation kernel J (else the algebra is not local in our sense).
+    G, gen_products and nilpotency are derived on the way.
+
+    Associativity is certified on G, in every dimension, as
+    (g e_j) e_k = g (e_j e_k) for g in G and all j, k.  G lifts a basis
+    of J/J^2 when their right-nested words span A, and is the basis of
+    J otherwise, whose words 1 and g 1 = g span F_p 1 + J = A.  The set
+    S = {x : (x y) z = x (y z) for all y, z} is a subspace, holds 1
+    (the unit check) and is closed under products: for x, x' in S
+        ((x x') y) z = (x (x' y)) z = x ((x' y) z)
+                     = x (x' (y z)) = (x x') (y z).
+    So S holds every right-nested word in G, and S = A.
+
+    G is homogeneous: J is spanned by the homogeneous e_i - eps(e_i) e_0
+    (eps kills the odd part, and e_0 = e_0 e_0 is even by parity
+    additivity), and the rref basis of such a span joins those of its
+    even and odd parts.
+    """
+    check_prime(p)
+    labels = tuple(str(s) for s in labels)
+    d = len(labels)
+    if d == 0:
+        raise AlgebraError("algebra must be nonzero")
+    parities = tuple(int(x) % 2 for x in parities)
+    if len(parities) != d:
+        raise AlgebraError("parity list has wrong length")
+    table = np.array(table, dtype=np.int64) % p
+    if table.shape != (d, d, d):
+        raise AlgebraError("structure tensor has wrong shape")
+    aug = np.array(aug, dtype=np.int64) % p
+    if aug.shape != (d,):
+        raise AlgebraError("augmentation vector has wrong length")
+    # _validate fills in generators, gen_products and nilpotency
+    alg = FinAlgebra(p, labels, parities, table, aug, None, None, None)
+    alg._validate()
+    return alg
 
 
 def radical_basis(alg):
@@ -377,15 +379,16 @@ def radical_basis(alg):
     whenever the kernel is nilpotent, which construction guarantees.
     """
     if alg._radical is None:
-        # e_i - aug(e_i) * unit lies in the kernel
-        rows = np.eye(alg.dim, dtype=np.int64) - np.outer(alg.aug, alg.unit)
+        # e_i - aug(e_i) e_0 lies in the kernel
+        rows = np.eye(alg.dim, dtype=np.int64)
+        rows[:, 0] -= alg.aug
         alg._radical, _ = rref(rows, alg.p)
     return alg._radical
 
 
 def nilpotency_exponent(alg):
     """Least e with J^e = 0; J = ker(augmentation)."""
-    return alg._nilpotency
+    return alg.nilpotency
 
 
 # -- constructors
@@ -400,45 +403,35 @@ def _truncated_table(m):
 
 
 def truncated_polynomial_algebra(p, m):
-    """F_p[y]/(y^m), basis 1, y, ..., y^(m-1), everything in parity 0."""
+    """F_p[y]/(y^m), basis 1, y, ..., y^(m-1), all in parity 0: a
+    quotient of F_p[y], so associative and commutative with unit 1, and
+    eps(y) = 0 is the quotient map.  J^k = (y^k) is spanned by y^k, ...,
+    y^(m-1), so J/J^2 has the basis y (none at m = 1), whose words y^k
+    span A: G = {y}, acting by the shift y e_j = e_(j+1), and
+    J^(m-1) != 0 = J^m.  minimal_free_resolution reads the dense table."""
     if m < 1:
         raise AlgebraError("m must be >= 1")
     table = _truncated_table(m)
     labels = tuple("1" if i == 0 else ("y" if i == 1 else "y^%d" % i) for i in range(m))
-    aug = np.zeros(m, dtype=np.int64)
-    aug[0] = 1
-    return FinAlgebra(p, labels, (0,) * m, table, aug)
+    aug = np.eye(1, m, dtype=np.int64)[0]
+    generators = np.eye(m, dtype=np.int64)[1:2]
+    shift = np.eye(m, k=1, dtype=np.int64)[None][: len(generators)]
+    return FinAlgebra(p, labels, (0,) * m, table, aug, generators, shift, m)
 
 
 def tensor_algebra(a, b):
-    """Graded tensor product with the Koszul sign rule.
-
-    (x (x) y) * (x' (x) y') = (-1)^(|y||x'|) (xx') (x) (yy').
-    """
+    """Graded tensor product with the Koszul sign rule, checked by
+    validated_algebra: (x (x) y) * (x' (x) y') = (-1)^(|y||x'|) (xx') (x) (yy'),
+    and e_(i dim b + j) = e_i (x) e_j, so e_0 (x) e_0 is the unit."""
     if a.p != b.p:
         raise AlgebraError("tensor factors live over different primes")
-    p = a.p
-    da, db = a.dim, b.dim
-    d = da * db
-    idx = lambda i, j: i * db + j
-    table = np.zeros((d, d, d), dtype=np.int64)
-    for i1, j1, i2, j2 in itertools.product(range(da), range(db), range(da), range(db)):
-        sign = -1 if b.parities[j1] and a.parities[i2] else 1
-        left = a.table[i1, i2]
-        right = b.table[j1, j2]
-        block = np.outer(left, right).reshape(-1)
-        table[idx(i1, j1), idx(i2, j2)] = (sign * block) % p
-    labels = tuple(
-        "%s*%s" % (a.labels[i], b.labels[j])
-        for i in range(da)
-        for j in range(db)
-    )
-    parities = tuple(
-        (a.parities[i] + b.parities[j]) % 2 for i in range(da) for j in range(db)
-    )
-    aug = np.outer(a.aug, b.aug).reshape(-1) % p
-    unit = np.outer(a.unit, b.unit).reshape(-1) % p
-    return FinAlgebra(p, labels, parities, table, aug, unit=unit)
+    # sign[j1, i2] = -1 when b's e_j1 and a's e_i2 are both odd
+    sign = np.where(np.outer(b.parities, a.parities) == 1, -1, 1)
+    table = np.einsum("ikm,jln,jk->ijklmn", a.table, b.table, sign)
+    labels = ["%s*%s" % (x, y) for x in a.labels for y in b.labels]
+    parities = np.add.outer(a.parities, b.parities).reshape(-1)
+    aug = np.outer(a.aug, b.aug).reshape(-1)
+    return validated_algebra(a.p, labels, parities, table.reshape((len(labels),) * 3), aug)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +446,8 @@ class FinModule:
     The constructors below build each FinModule from a certified
     algebra, and their actions need no check of their own:
     - On A^rank, x acts on each block by left multiplication, an action
-      as A is unital and associative.  rho(g e_j) = rho(g) rho(e_j) is
-      associativity at (g, e_j, x), which FinAlgebra._check_associative
-      certifies, and FinAlgebra proves associativity from those triples.
+      as A is unital and associative (validated_algebra certifies it on
+      G, and truncated_polynomial_algebra is a quotient of F_p[y]).
     - A G-stable span is A-stable (see FinAlgebra), so the restriction
       of an action to it is an action.  spanned_submodule reads the
       restricted rho(g) off coords_in_rref, which raises if the span is

@@ -140,7 +140,7 @@ def _emit(tool, params, result, verdict, lines, args):
 
 def _load_algebra(args):
     """Algebra from --algebra file, or F_p[y]/(y^m) from --m."""
-    artin.check_exact(args.p)  # a refusal (exit 2), before any file is read
+    artin.check_prime(args.p)  # a refusal (exit 2), before any file is read
     if getattr(args, "algebra", None):
         try:
             with open(args.algebra, "r", encoding="utf-8") as fh:
@@ -189,7 +189,7 @@ def _parse_algebra_file(text, p):
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ValueError("mul index out of range")
         table[i, j, k] = v % p
-    return artin.FinAlgebra(p, fields["labels"], fields["parities"], table, fields["aug"])
+    return artin.validated_algebra(p, fields["labels"], fields["parities"], table, fields["aug"])
 
 
 def _group_from_args(args):

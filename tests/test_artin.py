@@ -31,6 +31,7 @@ from ramify.artin import (
     spanned_submodule,
     tensor_algebra,
     truncated_polynomial_algebra,
+    validated_algebra,
 )
 
 
@@ -189,6 +190,19 @@ def test_quotient_map_kills_exactly_the_span():
 # ------------------------------------------------------------------ algebras
 
 
+def _mul(alg, x, y):
+    """The product x y of coefficient vectors, through the dense table."""
+    x = np.asarray(x, dtype=np.int64) % alg.p
+    y = np.asarray(y, dtype=np.int64) % alg.p
+    left = np.tensordot(x, alg.table, axes=(0, 0)) % alg.p
+    return y @ left % alg.p
+
+
+def _aug_of(alg, x):
+    """The augmentation of a coefficient vector."""
+    return int(np.dot(np.asarray(x, dtype=np.int64) % alg.p, alg.aug) % alg.p)
+
+
 def test_field_algebra():
     k = truncated_polynomial_algebra(5, 1)  # F_5 = F_5[y]/(y)
     assert k.dim == 1
@@ -202,25 +216,27 @@ def test_truncated_polynomial_algebra_structure():
     assert alg.dim == 4
     assert alg.labels == ("1", "y", "y^2", "y^3")
     y = np.array([0, 1, 0, 0], dtype=np.int64)
-    y2 = alg.mul(y, y)
+    y2 = _mul(alg, y, y)
     assert y2.tolist() == [0, 0, 1, 0]
-    assert alg.mul(y2, y2).tolist() == [0, 0, 0, 0]
-    assert alg.aug_of(np.array([2, 1, 1, 1])) == 2
+    assert _mul(alg, y2, y2).tolist() == [0, 0, 0, 0]
+    assert _aug_of(alg, np.array([2, 1, 1, 1])) == 2
     assert nilpotency_exponent(alg) == 4
     assert len(radical_basis(alg)) == 3
     with pytest.raises(AlgebraError):
         truncated_polynomial_algebra(3, 0)
 
 
+def _split_field_square():
+    """F_2 x F_2 in the unit-first basis {1, f}, f = (0, 1), f^2 = f."""
+    table = np.zeros((2, 2, 2), dtype=np.int64)
+    table[0, 0, 0] = table[0, 1, 1] = table[1, 0, 1] = table[1, 1, 1] = 1
+    return table
+
+
 def test_algebra_validation_rejects_nonlocal():
     # k x k split algebra: idempotent radical complement, not local
-    p = 2
-    table = np.zeros((2, 2, 2), dtype=np.int64)
-    table[0, 0, 0] = 1
-    table[1, 1, 1] = 1
-    unit = (1, 1)
     with pytest.raises(AlgebraError):
-        FinAlgebra(p, ("a", "b"), (0, 0), table, (1, 0), unit=unit)
+        validated_algebra(2, ("1", "f"), (0, 0), _split_field_square(), (1, 0))
 
 
 def test_algebra_validation_rejects_bad_augmentation():
@@ -230,7 +246,7 @@ def test_algebra_validation_rejects_bad_augmentation():
     table[0, 1, 1] = 1
     table[1, 0, 1] = 1
     with pytest.raises(AlgebraError):
-        FinAlgebra(2, ("1", "y"), (0, 0), table, (1, 1))
+        validated_algebra(2, ("1", "y"), (0, 0), table, (1, 1))
 
 
 def test_algebra_validation_rejects_nonassociative():
@@ -240,13 +256,55 @@ def test_algebra_validation_rejects_nonassociative():
     table[1, 0, 1] = 1
     table[1, 1, 0] = 1  # y*y = 1 makes y a unit outside the radical
     with pytest.raises(AlgebraError):
-        FinAlgebra(2, ("1", "y"), (0, 0), table, (1, 0))
+        validated_algebra(2, ("1", "y"), (0, 0), table, (1, 0))
 
 
 def test_algebra_has_no_seed():
+    # nor a unit parameter: the unit is e_0, as in the file format
     alg = truncated_polynomial_algebra(2, 3)
-    with pytest.raises(TypeError):
-        FinAlgebra(2, alg.labels, alg.parities, alg.table, alg.aug, seed=0)
+    fields = (alg.labels, alg.parities, alg.table, alg.aug)
+    held = fields + (alg.generators, alg.gen_products, alg.nilpotency)
+    for extra in ({"seed": 0}, {"unit": np.eye(3, dtype=np.int64)[0]}):
+        with pytest.raises(TypeError):
+            FinAlgebra(2, *held, **extra)
+        with pytest.raises(TypeError):
+            validated_algebra(2, *fields, **extra)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_truncated_polynomial_algebra_is_what_the_validator_derives(p):
+    for m in range(1, 41):
+        alg = truncated_polynomial_algebra(p, m)
+        want = validated_algebra(p, alg.labels, alg.parities, artin._truncated_table(m), alg.aug)
+        assert (alg.p, alg.dim, alg.labels, alg.parities) == (p, m, want.labels, want.parities)
+        for name in ("table", "aug", "generators", "gen_products"):
+            got, ref = getattr(alg, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (m, name)
+        assert alg.nilpotency == want.nilpotency == m
+        assert np.array_equal(radical_basis(alg), radical_basis(want))
+
+
+def _tensor_table_oracle(a, b):
+    """The structure tensor of a (x) b, one Koszul-signed block per
+    pair of basis products."""
+    da, db = a.dim, b.dim
+    d = da * db
+    table = np.zeros((d, d, d), dtype=np.int64)
+    for i1, j1, i2, j2 in itertools.product(range(da), range(db), range(da), range(db)):
+        sign = -1 if b.parities[j1] and a.parities[i2] else 1
+        block = np.outer(a.table[i1, i2], b.table[j1, j2]).reshape(-1)
+        table[i1 * db + j1, i2 * db + j2] = (sign * block) % a.p
+    return table
+
+
+def test_tensor_table_matches_the_blockwise_oracle():
+    algs = _small_algebras()
+    pairs = [(a, b) for a in algs for b in algs if a.p == b.p]
+    assert any(1 in a.parities and 1 in b.parities for a, b in pairs)
+    for a, b in pairs:
+        got = tensor_algebra(a, b).table
+        want = _tensor_table_oracle(a, b)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ----------------------------------------------- certificates against oracles
@@ -275,8 +333,7 @@ def _module_oracle(alg, act):
     """The full module check: the unit acts as the identity and
     act(e_i e_j) = act(e_i) act(e_j) for every pair i, j."""
     p = alg.p
-    unit_mat = np.tensordot(alg.unit, act, axes=(0, 0)) % p
-    if not np.array_equal(unit_mat, np.eye(act.shape[1], dtype=np.int64)):
+    if not np.array_equal(act[0] % p, np.eye(act.shape[1], dtype=np.int64)):
         return False
     lhs = np.einsum("ijk,kab->ijab", alg.table, act) % p
     rhs = np.einsum("iab,jbc->ijac", act, act) % p
@@ -354,7 +411,7 @@ def _workload_algebra_files():
 def _exterior(p):
     table = np.zeros((2, 2, 2), dtype=np.int64)
     table[0, 0, 0] = table[0, 1, 1] = table[1, 0, 1] = 1
-    return FinAlgebra(p, ("1", "x"), (0, 1), table, (1, 0))
+    return validated_algebra(p, ("1", "x"), (0, 1), table, (1, 0))
 
 
 def _small_algebras():
@@ -401,7 +458,7 @@ def test_associativity_certificates_agree_on_table_mutants(monkeypatch):
                 mutants.append(one % p)
         for table in mutants:
             def build():
-                FinAlgebra(p, alg.labels, par, table, alg.aug, unit=alg.unit)
+                validated_algebra(p, alg.labels, par, table, alg.aug)
 
             new = _accepts(build)
             with monkeypatch.context() as m:
@@ -428,7 +485,7 @@ def test_certificate_rejects_what_a_triple_sample_misses(tmp_path, capsys):
     with pytest.raises(AlgebraError, match="associativity"):
         _associativity_oracle(table, 2)
     with pytest.raises(AlgebraError, match="associativity fails at generator 0"):
-        FinAlgebra(2, labels, (0,) * 16, table, aug)
+        validated_algebra(2, labels, (0,) * 16, table, aug)
     lines = ["labels: " + " ".join(labels), "parities: " + " 0" * 16, "aug: 1" + " 0" * 15]
     lines += ["mul: %d %d %d 1" % tuple(ijk) for ijk in np.argwhere(table)]
     path = tmp_path / "nonassoc.alg"
@@ -462,25 +519,24 @@ def test_fallback_generators_reject_nonassociative_tables(monkeypatch):
     table[1, 1, 2] = table[2, 2, 3] = 1
     fell_back = _spy_on_fallback(monkeypatch)
     with pytest.raises(AlgebraError, match="associativity"):
-        FinAlgebra(3, ("1", "x", "s", "t"), (0,) * 4, table, (1, 0, 0, 0))
+        validated_algebra(3, ("1", "x", "s", "t"), (0,) * 4, table, (1, 0, 0, 0))
     assert fell_back == [True]
 
 
 def test_fallback_generators_reject_nonlocal_tables(monkeypatch):
-    # F_2 x F_2 and F_3[y]/(y^2) x F_3: J^2 = J for the first, and the
-    # idempotent (0, 1) of the second is in no right-nested word of the
+    # F_2 x F_2 as {1, f} with f^2 = f, and F_3[y]/(y^2) x F_3 as
+    # {1, y, f} with y^2 = yf = 0 and f^2 = f: J^2 = J for the first, and
+    # the idempotent f of the second is in no right-nested word of the
     # lifts, so both fall back, pass associativity and fail nilpotency
-    split = np.zeros((2, 2, 2), dtype=np.int64)
-    split[0, 0, 0] = split[1, 1, 1] = 1
-    trunc = truncated_polynomial_algebra(3, 2)
     prod = np.zeros((3, 3, 3), dtype=np.int64)
-    prod[:2, :2, :2] = trunc.table
+    for i in range(3):
+        prod[0, i, i] = prod[i, 0, i] = 1
     prod[2, 2, 2] = 1
     fell_back = _spy_on_fallback(monkeypatch)
     with pytest.raises(AlgebraError, match="not nilpotent"):
-        FinAlgebra(2, ("a", "b"), (0, 0), split, (1, 0), unit=(1, 1))
+        validated_algebra(2, ("1", "f"), (0, 0), _split_field_square(), (1, 0))
     with pytest.raises(AlgebraError, match="not nilpotent"):
-        FinAlgebra(3, ("1", "y", "f"), (0, 0, 0), prod, (1, 0, 0), unit=(1, 0, 1))
+        validated_algebra(3, ("1", "y", "f"), (0, 0, 0), prod, (1, 0, 0))
     assert fell_back == [True, True]
 
 
@@ -490,16 +546,16 @@ def test_tensor_algebra_koszul_sign():
     table[0, 0, 0] = 1
     table[0, 1, 1] = 1
     table[1, 0, 1] = 1
-    ext = FinAlgebra(3, ("1", "x"), (0, 1), table, (1, 0))
+    ext = validated_algebra(3, ("1", "x"), (0, 1), table, (1, 0))
     two = tensor_algebra(ext, ext)
     assert two.dim == 4
     x1 = np.array([0, 0, 1, 0], dtype=np.int64)  # x (x) 1
     x2 = np.array([0, 1, 0, 0], dtype=np.int64)  # 1 (x) x
-    fwd = two.mul(x1, x2)
-    bwd = two.mul(x2, x1)
+    fwd = _mul(two, x1, x2)
+    bwd = _mul(two, x2, x1)
     assert fwd.tolist() == [0, 0, 0, 1]
     assert bwd.tolist() == [0, 0, 0, 2]  # odd-odd swap picks up -1
-    assert two.mul(x1, x1).tolist() == [0, 0, 0, 0]
+    assert _mul(two, x1, x1).tolist() == [0, 0, 0, 0]
 
 
 def test_tensor_algebra_prime_mismatch():
@@ -654,7 +710,7 @@ def _socle_by_powers(alg, act, k):
     rad = radical_basis(alg)
     power = list(rad)
     for _ in range(k - 1):
-        products = [alg.mul(a, g) for a in power for g in rad]
+        products = [_mul(alg, a, g) for a in power for g in rad]
         power = list(row_space(products, p)) if products else []
     if not power:
         return np.eye(act.shape[1], dtype=np.int64)
@@ -730,7 +786,7 @@ def test_nakayama_randomized():
         tensor_algebra(
             truncated_polynomial_algebra(2, 2), truncated_polynomial_algebra(2, 2)
         ),
-        FinAlgebra(2, ("1", "x", "y"), (0, 0, 0), square_zero, (1, 0, 0)),
+        validated_algebra(2, ("1", "x", "y"), (0, 0, 0), square_zero, (1, 0, 0)),
     ]
     for _ in range(30):
         alg = algs[rng.randrange(len(algs))]

@@ -161,6 +161,21 @@ def test_each_command_builds_and_certifies_once(capsys, monkeypatch):
     shapes.clear()
     assert run_cli(["socle", "--m", "40"], capsys)[0] == 0
     assert shapes == [(1, 40, 40)]
+    # the validator runs once per algebra file, and never on an algebra
+    # the library builds
+    validated = []
+    validate = artin.FinAlgebra._validate
+    monkeypatch.setattr(artin.FinAlgebra, "_validate",
+                        lambda alg: validated.append(alg.dim) or validate(alg))
+    algebra = os.path.join(HERE, "golden", "tensor_2x2.alg")
+    for cmd in (["socle"], ["betti", "--smax", "3"], ["nakayama", "--count", "3"]):
+        for source, runs in ((["--m", "6"], []), (["--algebra", algebra], [4])):
+            validated.clear()
+            assert run_cli(cmd + ["--p", "2"] + source, capsys)[0] == 0
+            assert validated == runs, cmd + source
+    validated.clear()
+    assert run_cli(["reduce-k", "--p", "2", "--n", "2"], capsys)[0] == 0
+    assert validated == []
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -378,6 +393,13 @@ def test_primes_past_int64_exactness_are_refused(capsys):
                 assert "p = %d is too large" % p in err
     with pytest.raises(artin.AlgebraError, match="too large"):
         artin.truncated_polynomial_algebra(artin.P_LIMIT + 1, 2)
+    # a p below the bound that is not prime is a refusal too, before
+    # any file is read
+    for p in (4, 1):
+        for source in (["--m", "2"], ["--algebra", algebra]):
+            rc, out, err = run_cli(["socle", "--p", str(p)] + source, capsys)
+            assert rc == 2 and out == ""
+            assert err == "error: p must be prime\n"
 
 
 def _basis_mod_p(rows, p):

@@ -28,7 +28,6 @@ REASONS = ("README API", "test oracle", "benchmark tracer name", "error message"
 ALLOWED = {
     "artin.py": {
         "FinAlgebra.__repr__": "repr",
-        "FinAlgebra.mul": "test oracle",
         "tensor_algebra": "README API",
     },
     "cli.py": {
