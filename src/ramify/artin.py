@@ -76,18 +76,16 @@ def rref(rows, p):
     had no nonzero at or below the r of its time; and each later step
     only swaps rows at or below r or subtracts from a row a multiple of
     a row at or below r, which keeps those zeros.  So the subtraction
-    leaves columns < c alone.  The output is the unique rref of the
-    row span, whichever cells are skipped.
+    leaves columns < c alone.  A column zero in every input row (all of
+    them when there are none) stays zero under every row operation, so
+    it never holds a pivot and is not visited.  The output is the unique
+    rref of the row span, whichever cells and columns are skipped.
     """
-    a = np.array(rows, dtype=np.int64) % p
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if a.size == 0:
-        return np.zeros((0, a.shape[1] if a.ndim == 2 else 0), dtype=np.int64), []
-    nrows, ncols = a.shape
+    a = np.atleast_2d(np.array(rows, dtype=np.int64) % p)
+    nrows = a.shape[0]
     r = 0
     pivots = []
-    for c in range(ncols):
+    for c in np.flatnonzero(a.any(axis=0)).tolist():
         # the rows with a nonzero in column c; the pivot is the first at or below r
         nz = np.flatnonzero(a[:, c])
         k = int(nz.searchsorted(r))
@@ -141,23 +139,15 @@ def coords_in_rref(vecs, reduced, pivots, p):
 
 
 def null_space(mat, p):
-    """Basis of {x : mat @ x = 0 mod p}, as a list of int64 vectors."""
-    a = np.array(mat, dtype=np.int64) % p
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    ncols = a.shape[1]
-    red, pivots = rref(a, p)
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = np.zeros(ncols, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-int(red[i, f])) % p
-        basis.append(v)
-    return basis
+    """Basis of {x : mat @ x = 0 mod p}, as a list of int64 vectors:
+    one per free column f, 1 at f and -red[i, f] at the pivot c_i."""
+    red, pivots = rref(mat, p)
+    ncols = red.shape[1]
+    free = np.delete(np.arange(ncols), pivots)
+    basis = np.zeros((free.size, ncols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -red[:, free].T % p
+    return list(basis)
 
 
 def quotient_map(reduced, pivots, n, p):
@@ -166,15 +156,11 @@ def quotient_map(reduced, pivots, n, p):
     Coordinates on the quotient are the non-pivot positions of the
     reduction of a vector by the rref rows.
     """
-    # t maps v (column) to its reduction v - sum_i v[c_i] * reduced[i]
+    # t maps v (column) to its reduction v - sum_i v[c_i] * reduced[i];
+    # after reduction every pivot coordinate vanishes
     t = np.eye(n, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        t[:, c] -= reduced[i]
-    # After reduction every pivot coordinate vanishes, so the quotient
-    # coordinates live at the non-pivot positions.
-    pivset = set(pivots)
-    nonpiv = [c for c in range(n) if c not in pivset]
-    return t[nonpiv, :] % p
+    t[:, pivots] -= reduced.T
+    return np.delete(t, pivots, axis=0) % p
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +484,26 @@ def _span_closure(images_of, rows, p):
     images of the earlier rows already lie in the current span (by
     induction), so once the new rows' images add nothing, the span is
     stable by linearity.
+
+    The basis grows without being row-reduced again.  A round's
+    residuals, and so their rref new, are zero at the pivots of cur;
+    let Q be the pivots of new.  cur - cur[:, Q] @ new is zero on Q and
+    unchanged on the pivots of cur, and keeps each row's pivot c_i:
+    cur_i[q] != 0 puts q after c_i, and new's row with pivot q is zero
+    left of q.  So both blocks, in pivot order, are the unique rref of
+    span(cur) + span(new).  The product sums |Q| products of residues,
+    exact in int64 (see FinAlgebra).
     """
     cur, piv = rref(rows, p)
     new = cur
     while True:
-        # only what the images add to the span goes through rref again
         resid = residual(images_of(new), cur, piv, p)
-        new = resid[resid.any(axis=1)]
-        if new.shape[0] == 0:
+        new, add_piv = rref(resid[resid.any(axis=1)], p)
+        if not add_piv:
             return cur, piv
-        cur, piv = rref(np.vstack([cur, new]), p)
+        cur = (cur - cur[:, add_piv] @ new) % p
+        order = np.argsort(piv + add_piv)
+        cur, piv = np.vstack([cur, new])[order], sorted(piv + add_piv)
 
 
 def regular_module(alg):

@@ -68,10 +68,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports through exit codes instead of dying."""
+    """argparse that reports through exit codes instead of dying: 64
+    for an unknown subcommand, 2 for any other usage error."""
 
     def error(self, message):
-        raise _UsageError(64 if "invalid choice" in message else 2, message)
+        unknown = message.startswith(("argument cmd:", "argument gcmd:"))
+        raise _UsageError(64 if unknown else 2, message)
 
 
 # ---------------------------------------------------------------------------

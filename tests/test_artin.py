@@ -120,10 +120,16 @@ def _rref_oracle_inputs(p, rng):
                  rng.integers(0, 2, (rows, cols)) * (p - 1), rng.integers(0, p, (1, cols))]
     mats += [np.zeros((0, 5), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
              np.zeros((4, 6), dtype=np.int64), [[p - 1]], [0, p - 1, 1]]
+    # leading all-zero columns, which rref never visits
+    mats.append(np.eye(1, 32, 20, dtype=np.int64) * (p - 1))
+    for rows, cols, k in [(1, 32, 20), (6, 10, 3), (30, 12, 9), (4, 8, 7)]:
+        a = rng.integers(0, p, (rows, cols))
+        a[:, :k] = 0
+        mats += [a, np.hstack([a[:, k:], a[:, :k]])]
     return mats
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 65521])
 def test_rref_matches_full_update_oracle(p):
     for mat in _rref_oracle_inputs(p, np.random.default_rng(p)):
         red, piv = rref(mat, p)
@@ -653,10 +659,11 @@ def _whole_basis_closure(images_of, rows, p):
         cur, piv = rref(np.vstack([cur, resid]), p)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
 def test_span_closure_matches_the_whole_basis_closure(p):
     rng = random.Random(700 + p)
     t = truncated_polynomial_algebra
+    cases = []
     for alg in (t(p, 3), t(p, 5), tensor_algebra(t(p, 2), t(p, 3))):
         for rank in (1, 2, 3):
             free = free_module(alg, rank)
@@ -672,10 +679,42 @@ def test_span_closure_matches_the_whole_basis_closure(p):
                         np.array([rng.randrange(p) for _ in range(free.dim)], np.int64)
                         for _ in range(n_rows)
                     ]
-                    got, got_piv = artin._span_closure(images_of, rows, p)
-                    want, want_piv = _whole_basis_closure(images_of, rows, p)
-                    assert np.array_equal(got, want)
-                    assert list(got_piv) == list(want_piv)
+                    cases.append((images_of, rows, 1))
+    # (F_p[y]/(y^16))^2 under G = {y}: the closure grows by a shift per
+    # round, so it takes 16 rounds, and every entry p - 1 is the largest
+    # residue the int64 products see
+    shift = artin._free_images(t(p, 16).gen_products, p)
+    for rows in ([np.full(32, p - 1, np.int64)],
+                 [np.full(32, p - 1, np.int64), np.eye(32, dtype=np.int64)[20] * (p - 1)],
+                 [np.array([rng.randrange(p) for _ in range(32)], np.int64)]):
+        cases.append((shift, rows, 15))
+    for images_of, rows, min_rounds in cases:
+        rounds = []
+        counted = lambda r, f=images_of: rounds.append(1) or f(r)
+        got, got_piv = artin._span_closure(counted, rows, p)
+        want, want_piv = _whole_basis_closure(images_of, rows, p)
+        assert np.array_equal(got, want)
+        assert list(got_piv) == list(want_piv)
+        assert len(rounds) >= min_rounds
+
+
+def test_span_closure_row_reduces_each_row_once(monkeypatch):
+    """rref sees the rows given and the nonzero residuals, at most |G|
+    per basis row: for two seeded vectors of (F_2[y]/(y^16))^2 with a
+    31-dimensional closure that is 31 rows, where re-reducing the whole
+    basis every round handed rref 271."""
+    free = free_module(truncated_polynomial_algebra(2, 16), 2)
+    rng = random.Random(4)
+    vectors = [[rng.randrange(2) for _ in range(free.dim)] for _ in range(2)]
+    seen = []
+    real = artin.rref
+    monkeypatch.setattr(
+        artin, "rref", lambda rows, p: seen.append(np.atleast_2d(rows).shape[0]) or real(rows, p)
+    )
+    sub, _ = spanned_submodule(free, vectors)
+    n_gens = free.gen_act.shape[0]
+    assert sub.dim == 31 and n_gens == 1
+    assert sum(seen) <= len(vectors) + n_gens * sub.dim
 
 
 @pytest.mark.parametrize("rank", [1, 2])

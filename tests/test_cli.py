@@ -221,6 +221,15 @@ def test_unknown_subcommand_is_64(capsys):
     assert rc == 64
 
 
+def test_bad_option_choice_is_2_not_64(capsys):
+    # 64 is reserved for an unknown subcommand; a bad option value is a
+    # usage error like any other
+    rc, _, err = run_cli(["socle", "--p", "2", "--m", "3", "--format", "xml"], capsys)
+    assert rc == 2 and "invalid choice" in err
+    rc, _, err = run_cli(["group", "conjnil", "--gens", "(1,2)", "--format", "xml"], capsys)
+    assert rc == 2 and "invalid choice" in err
+
+
 def test_missing_subcommand_is_2(capsys):
     rc, _, err = run_cli([], capsys)
     assert rc == 2 and "subcommand" in err
