@@ -139,15 +139,16 @@ def coords_in_rref(vecs, reduced, pivots, p):
 
 
 def null_space(mat, p):
-    """Basis of {x : mat @ x = 0 mod p}, as a list of int64 vectors:
-    one per free column f, 1 at f and -red[i, f] at the pivot c_i."""
+    """Basis of {x : mat @ x = 0 mod p}, as the rows of a (k, ncols)
+    int64 array: one per free column f, 1 at f and -red[i, f] at the
+    pivot c_i."""
     red, pivots = rref(mat, p)
     ncols = red.shape[1]
     free = np.delete(np.arange(ncols), pivots)
     basis = np.zeros((free.size, ncols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = -red[:, free].T % p
-    return list(basis)
+    return basis
 
 
 def quotient_map(reduced, pivots, n, p):
@@ -595,7 +596,7 @@ def socle_series_bases(module):
         q = quotient_map(prev_red, prev_piv, module.dim, p)
         stacked = (q @ rho_g % p).reshape(-1, module.dim)
         kern = null_space(stacked, p)
-        red, piv = rref(kern if kern else np.zeros((0, module.dim), np.int64), p)
+        red, piv = rref(kern, p)
         if red.shape[0] <= prev_red.shape[0]:
             raise AlgebraError("socle series is not strictly increasing")
         # J soc^k must land in soc^(k-1): every image g v must reduce to
@@ -681,11 +682,10 @@ def minimal_free_resolution(alg, s_max):
         # the column for basis slot (gi, j) is e_j . gens[gi]
         ncols = b * d
         big = all_images(gens).reshape(d, b, rank * d).transpose(2, 1, 0)
-        kern = null_space(big.reshape(rank * d, ncols), p)
+        new_rows = null_space(big.reshape(rank * d, ncols), p)
         # exactness: the image, inside K, has the dimension of K
-        if ncols - len(kern) != k_rows.shape[0]:
+        if ncols - new_rows.shape[0] != k_rows.shape[0]:
             raise AlgebraError("resolution is not exact")
-        new_rows = np.array(kern, dtype=np.int64).reshape(len(kern), ncols)
         # minimality: the kernel must sit inside J . A^b, so every
         # generator coordinate augments to zero
         if (new_rows.reshape(-1, b, d) @ alg.aug % p).any():

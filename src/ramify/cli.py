@@ -44,6 +44,7 @@ from .fgl import (
     exact_quotient_by_y,
     make_honda_fgl,
     make_multiplicative_fgl,
+    validated_series,
 )
 
 _COMPUTE_ERRORS = (
@@ -252,8 +253,9 @@ def _cmd_weierstrass(args):
     while x and x % args.p == 0:
         x //= args.p
         val += 1
-    # distinguished * unit must reproduce q_r through y^(rank+1)
+    # distinguished * unit must reproduce q_r mod p^N through y^(rank+1)
     q = exact_quotient_by_y(F.p_series(args.r))
+    q = validated_series(ring.context, q.coeffs, q.exact)
     prod = dist * ring.unit_series
     width = rank + 2
     ok = _series_prefix(prod, width) == _series_prefix(q, width)

@@ -12,8 +12,9 @@ convolution of two such vectors, whose part of degree >= rank folds
 back by one matrix product with the ring's fold table (row i is
 y^(rank+i) mod w, built from w by Euclidean steps); a long series is
 reduced by Euclidean division.  Both are exact, so every ring operation
-is exact mod p^N.  Arrays are int64 when (p^N - 1)^2 rank < 2^63, which
-bounds every sum they form, and numpy arrays of Python ints otherwise.
+is exact mod p^N.  Arrays take the dtype fgl._dtype gives for p^N and
+rank: int64 when (p^N - 1)^2 rank < 2^63, which bounds every sum they
+form, and numpy arrays of Python ints otherwise.
 
 Truncated inputs are accepted only when their known prefix pins the
 image mod p^N.  Reducing an unknown tail coefficient y^m by w drops
@@ -39,8 +40,9 @@ from .fgl import (
     PrecisionError,
     TruncatedSeries,
     WeierstrassError,
-    _np_safe,
+    _dtype,
     exact_quotient_by_y,
+    validated_series,
     weierstrass_preparation,
 )
 
@@ -131,7 +133,7 @@ class CyclicCochainRing:
         self.unit_series = unit_series
         self.distinguished = distinguished
         self._check_relation()
-        self.dtype = np.int64 if _np_safe(self.modulus, self.rank) else object
+        self.dtype = _dtype(self.modulus, self.rank)
         self._fold = np.zeros((self.rank - 1, self.rank), self.dtype)
         self._fold_len = 0  # rows of _fold filled so far
         self.q_elt = None  # installed by make_cochain_ring
@@ -330,7 +332,7 @@ def make_cochain_ring(F, r, N=8):
 
     if polynomial:
         # q_r = ((1+y)^(p^r) - 1)/y is already monic and distinguished
-        dist = TruncatedSeries(context, q_series.coeffs, True)
+        dist = validated_series(context, q_series.coeffs, True)
         unit = TruncatedSeries(context, (1,), True)
     else:
         wf = weierstrass_preparation(q_series)

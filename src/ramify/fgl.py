@@ -47,9 +47,13 @@ class WeierstrassError(Exception):
 _INF = float("inf")
 
 
-def _np_safe(modulus: int, length: int) -> bool:
-    # every convolution partial sum must fit in int64
-    return (modulus - 1) ** 2 * max(length, 1) < 2**63
+def _dtype(modulus, length):
+    """int64 when every partial sum of a convolution of length-term
+    vectors of residues mod modulus fits in it; numpy arrays of Python
+    ints otherwise, and for exact ZZ (modulus None)."""
+    if modulus is not None and (modulus - 1) ** 2 * max(length, 1) < 2**63:
+        return np.int64
+    return object
 
 
 def _mul_raw(a, b, modulus, out_len):
@@ -63,25 +67,10 @@ def _mul_raw(a, b, modulus, out_len):
     la, lb = min(len(a), out_len), min(len(b), out_len)
     if la == 0 or lb == 0:
         return [0] * out_len
-    if modulus is not None and _np_safe(modulus, min(la, lb)):
-        conv = np.convolve(
-            np.asarray(a[:la], dtype=np.int64), np.asarray(b[:lb], dtype=np.int64)
-        )
-        vals = (conv[:out_len] % modulus).tolist()
-        return vals + [0] * (out_len - len(vals))
-    out = [0] * min(out_len, la + lb - 1)
-    for i in range(la):
-        av = a[i]
-        if not av:
-            continue
-        jtop = min(lb, out_len - i)
-        for j in range(jtop):
-            bv = b[j]
-            if bv:
-                out[i + j] += av * bv
-    if modulus is not None:
-        out = [v % modulus for v in out]
-    return out + [0] * (out_len - len(out))
+    dtype = _dtype(modulus, min(la, lb))
+    conv = np.convolve(np.asarray(a[:la], dtype), np.asarray(b[:lb], dtype))[:out_len]
+    vals = (conv if modulus is None else conv % modulus).tolist()
+    return vals + [0] * (out_len - len(vals))
 
 
 def _pow_raw(base, e, modulus, out_len):
@@ -120,21 +109,15 @@ class TruncatedSeries:
 
     ``exact`` promises that every omitted coefficient is genuinely zero,
     so the series is a polynomial and survives any precision demand.
-    Trailing zeros of exact series are trimmed to a canonical form.
+    The holder checks nothing.  Its builder keeps the invariant: each
+    coefficient is canonical in the context, an exact series has no
+    trailing zeros, and a truncated series knows at least one degree
+    (validated_series enforces it on coefficients from outside).
     """
 
     context: Context
     coeffs: tuple
     exact: bool = False
-
-    def __post_init__(self):
-        vals = [self.context.canon(v) for v in self.coeffs]
-        if self.exact:
-            while vals and vals[-1] == 0:
-                vals.pop()
-        elif not vals:
-            raise PrecisionError("a truncated series must know at least one degree")
-        object.__setattr__(self, "coeffs", tuple(vals))
 
     def _eff(self):
         return _INF if self.exact else len(self.coeffs)
@@ -154,25 +137,19 @@ class TruncatedSeries:
     def __add__(self, other):
         self._match(other)
         L = min(self._eff(), other._eff())
-        if L == _INF:
-            n = max(len(self.coeffs), len(other.coeffs))
-            vals = [self._entry(i) + other._entry(i) for i in range(n)]
-            return TruncatedSeries(self.context, tuple(vals), True)
-        L = int(L)
-        vals = [self._entry(i) + other._entry(i) for i in range(L)]
-        return TruncatedSeries(self.context, tuple(vals), False)
+        n = max(len(self.coeffs), len(other.coeffs)) if L == _INF else int(L)
+        vals = [self._entry(i) + other._entry(i) for i in range(n)]
+        return validated_series(self.context, vals, L == _INF)
 
     def __mul__(self, other):
         self._match(other)
         m = self.context.modulus
         if self.exact and other.exact:
-            if not self.coeffs or not other.coeffs:
-                return TruncatedSeries(self.context, (), True)
             out_len = len(self.coeffs) + len(other.coeffs) - 1
-            vals = _mul_raw(list(self.coeffs), list(other.coeffs), m, out_len)
-            return TruncatedSeries(self.context, tuple(vals), True)
+            vals = _mul_raw(self.coeffs, other.coeffs, m, out_len)
+            return validated_series(self.context, vals, True)
         L = int(min(self._eff(), other._eff()))
-        vals = _mul_raw(list(self.coeffs), list(other.coeffs), m, L)
+        vals = _mul_raw(self.coeffs, other.coeffs, m, L)
         return TruncatedSeries(self.context, tuple(vals), False)
 
     def compose(self, inner: "TruncatedSeries"):
@@ -183,8 +160,8 @@ class TruncatedSeries:
         m = self.context.modulus
         if self.exact and inner.exact:
             acc = TruncatedSeries(self.context, (), True)
-            for k in range(len(self.coeffs) - 1, -1, -1):
-                acc = acc * inner + TruncatedSeries(self.context, (self.coeffs[k],), True)
+            for c in reversed(self.coeffs):
+                acc = acc * inner + validated_series(self.context, (c,), True)
             return acc
         L = int(min(self._eff(), inner._eff()))
         b = list(inner.coeffs[:L]) + [0] * max(0, L - len(inner.coeffs))
@@ -192,9 +169,7 @@ class TruncatedSeries:
         kmax = min(len(self.coeffs), L)
         for k in range(kmax - 1, -1, -1):
             acc = _mul_raw(acc, b, m, L)
-            acc[0] = acc[0] + self.coeffs[k]
-            if m is not None:
-                acc[0] %= m
+            acc[0] = self.context.canon(acc[0] + self.coeffs[k])
         return TruncatedSeries(self.context, tuple(acc), False)
 
     def __repr__(self):
@@ -208,6 +183,20 @@ class TruncatedSeries:
         body = " + ".join(terms) if terms else "0"
         tail = "" if self.exact else " + O(y^%d)" % len(self.coeffs)
         return "TruncatedSeries(%s; %s%s)" % (self.context.describe(), body, tail)
+
+
+def validated_series(context, coeffs, exact=False) -> TruncatedSeries:
+    """A TruncatedSeries from coefficients that may break its invariant:
+    each is made canonical (TypeError for a non-int), an exact series
+    loses its trailing zeros, and an empty truncated one raises
+    PrecisionError."""
+    vals = [context.canon(v) for v in coeffs]
+    if exact:
+        while vals and vals[-1] == 0:
+            vals.pop()
+    elif not vals:
+        raise PrecisionError("a truncated series must know at least one degree")
+    return TruncatedSeries(context, tuple(vals), exact)
 
 
 def exact_quotient_by_y(s: TruncatedSeries) -> TruncatedSeries:

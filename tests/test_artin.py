@@ -153,7 +153,7 @@ def test_null_space_randomized():
             assert len(basis) == n - len(piv)  # rank-nullity
             for v in basis:
                 assert not (mat @ v % p).any()
-            if basis:
+            if len(basis):
                 kred, kpiv = rref(basis, p)
                 assert kred.shape[0] == len(basis)  # independent
 
@@ -972,8 +972,7 @@ def _whole_basis_resolution(alg, s_max):
         big = all_images(gens).reshape(d, b, rank * d).transpose(2, 1, 0)
         kern = null_space(big.reshape(rank * d, b * d), p)
         rank = b
-        k_rows = (artin._span_closure(all_images, kern, p)[0] if kern
-                  else np.zeros((0, b * d), np.int64))
+        k_rows = artin._span_closure(all_images, kern, p)[0]
     return tuple(betti)
 
 

@@ -7,6 +7,7 @@ byte for byte, and run twice to pin determinism.
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,7 +16,7 @@ import time
 
 import pytest
 
-from ramify import artin, cli, cochain, emss, homalg
+from ramify import artin, cli, cochain, emss, fgl, homalg
 from ramify.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -207,6 +208,61 @@ def test_compare_at_rank_729_has_the_closed_form(capsys):
     for s in (1, 3, 5):
         assert "Tor_%d map: times-p^(k-1) (x9) injective=True" % s in lines
     assert lines[-1] == "verdict: OK"
+
+
+@pytest.mark.parametrize("p,r,N", [(2, 4, 8), (5, 2, 3), (3, 3, 4)])
+def test_multiplicative_weierstrass_reads_the_cofactor_mod_p_n(p, r, N, capsys):
+    # q_r = ((1 + y)^(p^r) - 1) / y has binomials past p^N; the factor and
+    # the re-multiplication live in Z/p^N
+    rc, out, _ = run_cli(["weierstrass", "--p", str(p), "--n", "1", "--r", str(r),
+                          "--N", str(N), "--format", "json"], capsys)
+    assert rc == 0
+    result = json.loads(out)["result"]
+    q = p**r
+    assert result["distinguished"] == [math.comb(q, k + 1) % p**N for k in range(q)]
+    assert result["constant_valuation"] == r
+    assert result["remultiplication_matches"] is True
+
+
+# p^(N + imax) is past the int64 bound: these series multiply as Python ints
+OBJECT_PATH = [
+    ["tor", "--p", "7", "--n", "2", "--r", "1", "--N", "12", "--format", "json"],
+    ["weierstrass", "--p", "7", "--n", "2", "--r", "1", "--N", "14"],
+]
+
+
+def test_object_dtype_tor_has_the_closed_form(capsys, monkeypatch):
+    dtypes = []
+    dtype = fgl._dtype
+    monkeypatch.setattr(fgl, "_dtype", lambda *args: dtypes.append(dtype(*args)) or dtypes[-1])
+    rc, out, _ = run_cli(OBJECT_PATH[0], capsys)
+    assert rc == 0 and object in dtypes
+    entries = json.loads(out)["result"]["entries"]
+    assert entries[0] == {"free": 1, "torsion": []}
+    for s, entry in enumerate(entries[1:], 1):
+        assert entry == {"free": 0, "torsion": [1] if s % 2 else []}  # Z/7 in odd degrees
+
+
+def test_every_series_the_library_builds_is_already_valid(capsys, monkeypatch):
+    # TruncatedSeries checks nothing; every series built on the golden
+    # runs and the object-dtype runs must be what validated_series makes
+    built = []
+    init = fgl.TruncatedSeries.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.chdir(HERE)  # --algebra paths in GOLDEN are tests-relative
+    with monkeypatch.context() as m:
+        m.setattr(fgl.TruncatedSeries, "__init__", spy)
+        for argv in list(GOLDEN.values()) + OBJECT_PATH:
+            assert main(list(argv)) == 0, argv
+    capsys.readouterr()
+    kinds = {(s.context.kind, s.exact) for s in built}
+    assert kinds >= {("int", True), ("padic", True), ("padic", False)}
+    for s in built:
+        assert fgl.validated_series(s.context, s.coeffs, s.exact) == s
 
 
 # ------------------------------------------------------------------ exit codes

@@ -24,6 +24,7 @@ from ramify.fgl import (
     exact_quotient_by_y,
     make_honda_fgl,
     make_multiplicative_fgl,
+    validated_series,
     weierstrass_preparation,
 )
 from ramify.homalg import ModuleDescriptor, tor_table
@@ -159,8 +160,8 @@ def _mutate_preparation(monkeypatch, mutate):
         g, u = list(wf.distinguished.coeffs), list(wf.unit.coeffs)
         mutate(g, u, q.context.modulus // q.context.p)
         return WeierstrassFactorization(
-            TruncatedSeries(q.context, tuple(g), True),
-            TruncatedSeries(q.context, tuple(u), False),
+            validated_series(q.context, g, True),
+            validated_series(q.context, u, False),
             wf.degree,
         )
 

@@ -1,8 +1,10 @@
 """Truncated series arithmetic, p-series construction, and preparation."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ramify import fgl
@@ -20,6 +22,7 @@ from ramify.fgl import (
     formal_sum,
     make_honda_fgl,
     make_multiplicative_fgl,
+    validated_series,
     weierstrass_preparation,
 )
 
@@ -27,15 +30,36 @@ from ramify.fgl import (
 # ---------------------------------------------------------------- series core
 
 
-def test_exact_series_trims_trailing_zeros():
-    s = TruncatedSeries(ZZ, (1, 2, 0, 0), True)
+def test_validated_series_canonicalises_each_coefficient():
+    s = validated_series(padic_context(3, 2), (9, -1, 14, 4), False)
+    assert s == TruncatedSeries(padic_context(3, 2), (0, 8, 5, 4), False)
+    assert validated_series(ZZ, (-7, 10**30), False).coeffs == (-7, 10**30)
+    with pytest.raises(TypeError):
+        validated_series(ZZ, (1, 1.5), True)
+
+
+def test_validated_series_trims_trailing_zeros_of_exact_series():
+    s = validated_series(ZZ, (1, 2, 0, 0), True)
     assert s.coeffs == (1, 2)
     assert s.exact and s._entry(17) == 0
+    # zeros mod the context count: 2 y * 128 y = 0 mod 256
+    assert validated_series(padic_context(2, 8), (0, 0, 256), True).coeffs == ()
+    # a truncated series keeps its known zeros
+    assert validated_series(ZZ, (1, 0, 0), False).coeffs == (1, 0, 0)
 
 
-def test_truncated_series_needs_a_known_degree():
+def test_validated_series_refuses_an_empty_truncated_series():
     with pytest.raises(PrecisionError):
-        TruncatedSeries(ZZ, (), False)
+        validated_series(ZZ, (), False)
+    assert validated_series(ZZ, (), True).coeffs == ()
+
+
+def test_exact_product_drops_the_zeros_it_makes():
+    ctx = padic_context(2, 8)
+    a = TruncatedSeries(ctx, (0, 2), True)
+    b = TruncatedSeries(ctx, (0, 128), True)
+    assert a * b == TruncatedSeries(ctx, (), True)
+    assert (a * TruncatedSeries(ctx, (), True)).coeffs == ()
 
 
 def test_addition_takes_the_shorter_precision():
@@ -76,7 +100,7 @@ def test_series_ring_identities_randomized():
             def rand_series():
                 L = rng.randrange(1, 7)
                 vals = tuple(rng.randrange(-hi, hi) for _ in range(L))
-                return TruncatedSeries(ctx, vals, rng.random() < 0.3)
+                return validated_series(ctx, vals, rng.random() < 0.3)
 
             a, b, c = rand_series(), rand_series(), rand_series()
             assert ((a + b) + c).coeffs == (a + (b + c)).coeffs
@@ -134,6 +158,66 @@ def test_series_inverse_roundtrip_randomized():
         else:
             v = fgl._inv_raw(c, m, len(c))
             assert fgl._mul_raw(c, v, m, len(c)) == [1] + [0] * (len(c) - 1)
+
+
+def _convolve_oracle(a, b, modulus, out_len):
+    """The first out_len coefficients of a b, mod modulus (None: exact),
+    by the schoolbook double loop."""
+    if out_len <= 0:
+        return []
+    la, lb = min(len(a), out_len), min(len(b), out_len)
+    if la == 0 or lb == 0:
+        return [0] * out_len
+    out = [0] * min(out_len, la + lb - 1)
+    for i in range(la):
+        av = a[i]
+        if not av:
+            continue
+        jtop = min(lb, out_len - i)
+        for j in range(jtop):
+            bv = b[j]
+            if bv:
+                out[i + j] += av * bv
+    if modulus is not None:
+        out = [v % modulus for v in out]
+    return out + [0] * (out_len - len(out))
+
+
+def _int64_edge(length):
+    """The largest modulus whose length-term products _mul_raw may sum
+    in int64, and the next one."""
+    inside = math.isqrt((2**63 - 1) // length) + 1
+    assert (inside - 1) ** 2 * length < 2**63 <= inside**2 * length
+    return inside, inside + 1
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 40])
+def test_mul_raw_matches_the_schoolbook_oracle(length):
+    # length is the shorter operand's, which sets the dtype of the call;
+    # moduli just inside and just outside int64, and exact ZZ
+    inside, outside = _int64_edge(length)
+    assert fgl._dtype(inside, length) is np.int64
+    assert fgl._dtype(outside, length) is object
+    assert fgl._dtype(None, length) is object
+    rng = random.Random(length)
+    for modulus in (inside, outside, None):
+        hi = modulus or 10**25
+        lo = 0 if modulus else -hi
+        for lb in (length, length + 3):
+            for fill in ("random", "extremal"):
+                if fill == "random":
+                    a = [rng.randrange(lo, hi) for _ in range(length)]
+                    b = [rng.randrange(lo, hi) for _ in range(lb)]
+                else:
+                    a, b = [hi - 1] * length, [hi - 1] * lb
+                full = length + lb - 1
+                for out_len in (1, length, full - 1, full, full + 4):
+                    want = _convolve_oracle(a, b, modulus, out_len)
+                    assert fgl._mul_raw(a, b, modulus, out_len) == want
+                    assert fgl._mul_raw(b, a, modulus, out_len) == want
+        for out_len in (0, 3):
+            assert fgl._mul_raw([], [1, 2], modulus, out_len) == [0] * out_len
+            assert fgl._mul_raw([1, 2], [], modulus, out_len) == [0] * out_len
 
 
 def test_exact_quotient_by_y():
@@ -310,18 +394,18 @@ def _stride_one(coeffs, s, offset):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_p_series_in_z_matches_the_stride_one_solver(p, monkeypatch):
     # every grid point with N <= 16, solved in z = y^(p^n - 1) and in y;
-    # some of them overflow int64 even at length M / (p^n - 1), so the
-    # exact fallback of _mul_raw runs in both forms
-    exact = 0
+    # some of them overflow int64 even at length M / (p^n - 1), so
+    # _mul_raw's convolution of Python-int object arrays runs in both forms
+    objects = 0
     for _, n, r, N in [pt for pt in _accepted_grid(16) if pt[0] == p]:
         M = minimum_series_precision(p, n, r, N, False)
         imax = _honda_imax(p, n, M)
-        exact += not fgl._np_safe(p ** (N + imax), (M - 2) // (p**n - 1) + 1)
+        objects += fgl._dtype(p ** (N + imax), (M - 2) // (p**n - 1) + 1) is object
         z_form = make_honda_fgl(p, n, M, N).p_series(r).coeffs
         with monkeypatch.context() as m:
             m.setattr(fgl, "_stride", _stride_one)
             assert make_honda_fgl(p, n, M, N).p_series(r).coeffs == z_form
-    assert exact > 0 or p == 2
+    assert objects > 0 or p == 2
 
 
 def _tower_tor_points():
