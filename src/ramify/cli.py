@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Every subcommand prints a deterministic report, either as a plain
-text table or as canonical JSON ({tool, version, params, result,
-verdict}, sorted keys).  Identical invocations produce byte-identical
-output, which the golden tests rely on.
+Every subcommand returns one record, (tool, params, verdict, rows),
+and _emit renders it as a deterministic report: a plain text table or
+canonical JSON ({tool, version, params, result, verdict}, sorted keys).
+Identical invocations produce byte-identical output, which the golden
+tests rely on.
 
 Exit codes: 0 for a completed computation (MATCH and MISMATCH are
-both completed diagnostics), 2 for a precondition violation or a
-failed computation (an out-of-memory allocation included), 3 for an
-INCONCLUSIVE diagnostic, 64 for an unknown subcommand, 65 for a
-malformed input file or generator string.
+both completed diagnostics), 2 for a precondition violation, a failed
+computation (an out-of-memory allocation included) or an --out path
+that cannot be written, 3 for an INCONCLUSIVE diagnostic, 64 for an
+unknown subcommand, 65 for a malformed input file or generator string.
 
 Model selection: height 1 uses the multiplicative law (exact integer
 coefficients), height >= 2 the functional-equation law over Z_p.  The
@@ -81,14 +82,27 @@ class _Parser(argparse.ArgumentParser):
 # shared plumbing
 
 
-def _build_law(p, n, r, N, M=None):
+def _build_law(args, exponent="r"):
     """Formal group law for the requested height, with enough series
-    precision for exponent r work at p-adic precision N."""
+    precision for work at the exponent flag (--r, or --k for compare)
+    at p-adic precision N.  The flags M is derived from are checked
+    first, so a refusal names the flag at fault."""
+    p, n, r, N = args.p, args.n, getattr(args, exponent), args.N
+    if r < 0:
+        raise ValueError("%s must be >= 0" % exponent)
+    if n >= 2 and N < 1:
+        raise ValueError("N must be >= 1 at height n >= 2")
+    M = args.M
     if M is None:
         M = minimum_series_precision(p, n, r, N, polynomial_pseries=(n == 1))
     if n == 1:
         return make_multiplicative_fgl(p, M=M)
     return make_honda_fgl(p, n, M=M, N=N)
+
+
+def _tower(args):
+    """The ring A_r of the r-th tower stage, on the law ring.fgl."""
+    return make_cochain_ring(_build_law(args), args.r, N=args.N)
 
 
 def _descriptor_json(desc, p):
@@ -113,29 +127,56 @@ def _series_prefix(series, length):
     return coeffs
 
 
-def _params_line(params):
-    return "params: " + " ".join("%s=%s" % (k, v) for k, v in params.items())
+def _params(args, *names, **computed):
+    """The params of a report, in table order: the named flags, then the
+    computed values."""
+    return dict({name: getattr(args, name) for name in names}, **computed)
 
 
-def _emit(tool, params, result, verdict, lines, args):
+def _algebra_params(args, *names):
+    """p, the --algebra file or the --m truncation, then the named flags."""
+    algebra = args.algebra or "y^%d-truncated" % args.m
+    return dict({"p": args.p, "algebra": algebra}, **_params(args, *names))
+
+
+def _row(label, key, value, text=None):
+    """A one-line row: `label: text` in the table, text defaulting to
+    the value, and the value under key in the JSON result."""
+    return ["%s: %s" % (label, value if text is None else text)], key, value
+
+
+def _emit(record, args):
+    """Render a record (tool, params, verdict, rows) as the table or as
+    JSON.  A row (lines, key, value) shows as its lines in the table and
+    as result[key] = value in JSON; a row with key None is table only,
+    one with no lines JSON only."""
+    tool, params, verdict, rows = record
     if args.format == "json":
         text = json.dumps(
             {
                 "tool": tool,
                 "version": __version__,
                 "params": params,
-                "result": result,
+                "result": {key: value for _, key, value in rows if key is not None},
                 "verdict": verdict,
             },
             sort_keys=True,
             indent=2,
         ) + "\n"
     else:
-        head = ["tool: %s" % tool, "version: %s" % __version__, _params_line(params)]
-        text = "\n".join(head + lines + ["verdict: %s" % verdict]) + "\n"
+        lines = [
+            "tool: %s" % tool,
+            "version: %s" % __version__,
+            "params: " + " ".join("%s=%s" % item for item in params.items()),
+        ]
+        lines += [line for row_lines, _, _ in rows for line in row_lines]
+        text = "\n".join(lines + ["verdict: %s" % verdict]) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(2, "cannot write %s: %s" % (args.out, exc))
     else:
         sys.stdout.write(text)
     return 3 if verdict == "INCONCLUSIVE" else 0
@@ -144,7 +185,7 @@ def _emit(tool, params, result, verdict, lines, args):
 def _load_algebra(args):
     """Algebra from --algebra file, or F_p[y]/(y^m) from --m."""
     artin.check_prime(args.p)  # a refusal (exit 2), before any file is read
-    if getattr(args, "algebra", None):
+    if args.algebra:
         try:
             with open(args.algebra, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -226,326 +267,205 @@ def _cycle_str(perm):
 
 
 def _cmd_pseries(args):
-    F = _build_law(args.p, args.n, args.r, args.N, args.M)
+    F = _build_law(args)
     series = F.p_series(args.r)
     rank = args.p ** (args.r * args.n)
     window = min(rank + 2, len(series.coeffs))
-    prefix = _series_prefix(series, window)
-    params = {
-        "p": args.p, "n": args.n, "r": args.r, "N": args.N,
-        "M": F.M, "model": "multiplicative" if args.n == 1 else "functional-equation",
-    }
-    pairs = [[d, c] for d, c in enumerate(prefix) if c]
-    lines = ["coeff y^%d: %d" % (d, c) for d, c in pairs]
-    lines.append("leading degree: %d" % rank)
-    result = {"coeffs": pairs, "leading_degree": rank, "shown_through": window - 1}
-    return "ramify pseries", params, result, "OK", lines
+    pairs = [[d, c] for d, c in enumerate(_series_prefix(series, window)) if c]
+    model = "multiplicative" if args.n == 1 else "functional-equation"
+    return "ramify pseries", _params(args, "p", "n", "r", "N", M=F.M, model=model), "OK", [
+        (["coeff y^%d: %d" % (d, c) for d, c in pairs], "coeffs", pairs),
+        _row("leading degree", "leading_degree", rank),
+        ([], "shown_through", window - 1),
+    ]
 
 
 def _cmd_weierstrass(args):
-    F = _build_law(args.p, args.n, args.r, args.N, args.M)
-    ring = make_cochain_ring(F, args.r, N=args.N)
-    rank = ring.rank
-    dist = ring.distinguished
+    ring = _tower(args)
+    F, dist = ring.fgl, ring.distinguished
     dist_coeffs = [int(c) for c in dist.coeffs]
-    const = dist_coeffs[0]
-    val, x = 0, const
+    val, x = 0, dist_coeffs[0]
     while x and x % args.p == 0:
         x //= args.p
         val += 1
     # distinguished * unit must reproduce q_r mod p^N through y^(rank+1)
     q = exact_quotient_by_y(F.p_series(args.r))
     q = validated_series(ring.context, q.coeffs, q.exact)
-    prod = dist * ring.unit_series
-    width = rank + 2
-    ok = _series_prefix(prod, width) == _series_prefix(q, width)
-    if not ok:
+    width = ring.rank + 2
+    if _series_prefix(dist * ring.unit_series, width) != _series_prefix(q, width):
         raise WeierstrassError("re-multiplication failed to match the cofactor")
-    params = {"p": args.p, "n": args.n, "r": args.r, "N": args.N, "M": F.M}
-    lines = [
-        "distinguished degree: %d" % (rank - 1),
-        "distinguished coeffs: %s" % dist_coeffs,
-        "constant term valuation: %d" % val,
-        "remultiplication window: y^0..y^%d" % (width - 1),
-        "remultiplication matches: True",
+    return "ramify weierstrass", _params(args, "p", "n", "r", "N", M=F.M), "OK", [
+        _row("distinguished degree", "degree", ring.rank - 1),
+        _row("distinguished coeffs", "distinguished", dist_coeffs),
+        _row("constant term valuation", "constant_valuation", val),
+        _row("remultiplication window", "window", width, "y^0..y^%d" % (width - 1)),
+        _row("remultiplication matches", "remultiplication_matches", True),
     ]
-    result = {
-        "distinguished": dist_coeffs,
-        "degree": rank - 1,
-        "constant_valuation": val,
-        "remultiplication_matches": True,
-        "window": width,
-    }
-    return "ramify weierstrass", params, result, "OK", lines
 
 
 def _cmd_ring(args):
-    F = _build_law(args.p, args.n, args.r, args.N, args.M)
-    ring = make_cochain_ring(F, args.r, N=args.N)
-    aug_q = ring.augmentation(ring.q_elt)
-    yq_zero = (ring.y_elt * ring.q_elt).is_zero
-    params = {"p": args.p, "n": args.n, "r": args.r, "N": args.N, "M": F.M}
-    lines = [
-        "modulus: %d" % ring.modulus,
-        "rank: %d" % ring.rank,
-        "w coeffs: %s" % list(ring.w_coeffs),
-        "q coeffs: %s" % list(ring.q_elt.coeffs),
-        "aug(q): %d" % aug_q,
-        "y*q = 0: %s" % yq_zero,
+    ring = _tower(args)
+    return "ramify ring", _params(args, "p", "n", "r", "N", M=ring.fgl.M), "OK", [
+        _row("modulus", "modulus", ring.modulus),
+        _row("rank", "rank", ring.rank),
+        _row("w coeffs", "w", list(ring.w_coeffs)),
+        _row("q coeffs", "q", list(ring.q_elt.coeffs)),
+        _row("aug(q)", "aug_q", ring.augmentation(ring.q_elt)),
+        _row("y*q = 0", "yq_zero", (ring.y_elt * ring.q_elt).is_zero),
     ]
-    result = {
-        "modulus": ring.modulus,
-        "rank": ring.rank,
-        "w": list(ring.w_coeffs),
-        "q": list(ring.q_elt.coeffs),
-        "aug_q": aug_q,
-        "yq_zero": yq_zero,
-    }
-    return "ramify ring", params, result, "OK", lines
 
 
 def _cmd_reduce_k(args):
-    F = _build_law(args.p, args.n, args.r, args.N, args.M)
-    ring = make_cochain_ring(F, args.r, N=args.N)
-    alg = mod_m_reduction(ring)
-    params = {"p": args.p, "n": args.n, "r": args.r, "N": args.N}
-    lines = [
-        "dim: %d" % alg.dim,
-        "labels: %s" % " ".join(alg.labels),
-        "nilpotency exponent: %d" % artin.nilpotency_exponent(alg),
+    alg = mod_m_reduction(_tower(args))
+    return "ramify reduce-k", _params(args, "p", "n", "r", "N"), "OK", [
+        _row("dim", "dim", alg.dim),
+        _row("labels", "labels", list(alg.labels), " ".join(alg.labels)),
+        _row("nilpotency exponent", "nilpotency_exponent", artin.nilpotency_exponent(alg)),
     ]
-    result = {
-        "dim": alg.dim,
-        "labels": list(alg.labels),
-        "nilpotency_exponent": artin.nilpotency_exponent(alg),
-    }
-    return "ramify reduce-k", params, result, "OK", lines
 
 
 def _cmd_tor(args):
-    F = _build_law(args.p, args.n, args.r, args.N, args.M)
-    ring = make_cochain_ring(F, args.r, N=args.N)
-    table = homalg.tor_table(ring, args.smax)
-    params = {"p": args.p, "n": args.n, "r": args.r, "N": args.N, "smax": args.smax}
-    lines = ["Tor_%d = %s" % (s, table.entry(s)) for s in range(args.smax + 1)]
-    result = {
-        "entries": [_descriptor_json(table.entry(s), args.p) for s in range(args.smax + 1)]
-    }
-    return "ramify tor", params, result, "OK", lines
+    entries = homalg.tor_table(_tower(args), args.smax).entries
+    return "ramify tor", _params(args, "p", "n", "r", "N", "smax"), "OK", [
+        (["Tor_%d = %s" % (s, e) for s, e in enumerate(entries)], "entries",
+         [_descriptor_json(e, args.p) for e in entries]),
+    ]
 
 
 def _cmd_kunneth(args):
-    F = _build_law(args.p, args.n, args.r, args.N, args.M)
-    ring = make_cochain_ring(F, args.r, N=args.N)
-    page = homalg.kunneth_page(ring, args.smax)
-    params = {"p": args.p, "n": args.n, "r": args.r, "N": args.N, "smax": args.smax}
-    lines = ["E2[s=%d] = %s" % (s, page.entries[s]) for s in range(args.smax + 1)]
-    for d in page.differentials:
-        lines.append(
-            "d^%d: %s -> %s: forced zero (%s)" % (d.index, d.source, d.target, d.reason)
-        )
-    lines.append("E_inf = E2: True")
-    result = {
-        "entries": [_descriptor_json(e, args.p) for e in page.entries],
-        "differentials": [
-            {
-                "index": d.index,
-                "source": list(d.source),
-                "target": list(d.target),
-                "forced_zero": d.forced_zero,
-                "reason": d.reason,
-            }
-            for d in page.differentials
-        ],
-        "degenerates": True,
-    }
-    return "ramify kunneth", params, result, "OK", lines
+    page = homalg.kunneth_page(_tower(args), args.smax)
+    diffs = page.differentials
+    return "ramify kunneth", _params(args, "p", "n", "r", "N", "smax"), "OK", [
+        (["E2[s=%d] = %s" % (s, e) for s, e in enumerate(page.entries)], "entries",
+         [_descriptor_json(e, args.p) for e in page.entries]),
+        (["d^%d: %s -> %s: forced zero (%s)" % (d.index, d.source, d.target, d.reason)
+          for d in diffs], "differentials",
+         [{"index": d.index, "source": list(d.source), "target": list(d.target),
+           "forced_zero": d.forced_zero, "reason": d.reason} for d in diffs]),
+        _row("E_inf = E2", "degenerates", True),
+    ]
 
 
 def _cmd_compare(args):
-    F = _build_law(args.p, args.n, args.k, args.N, args.M)
+    F = _build_law(args, "k")
     cmap = homalg.comparison_chain_map(F, args.k, args.L, N=args.N, seed=args.seed)
     tmor = homalg.induced_tor_morphism(cmap.morphism, args.smax)
-    params = {
-        "p": args.p, "n": args.n, "k": args.k, "L": args.L,
-        "N": args.N, "smax": args.smax, "seed": args.seed,
-    }
-    lines = [
-        "squares checked: %d" % cmap.squares_checked,
-        "multiplier: %d" % tmor.multiplier,
+    entries = list(enumerate(tmor.entries))
+    params = _params(args, "p", "n", "k", "L", "N", "smax", "seed")
+    return "ramify compare", params, "OK", [
+        _row("squares checked", "squares_checked", cmap.squares_checked),
+        _row("multiplier", "multiplier", tmor.multiplier),
+        (["Tor_%d map: %s (x%d) injective=%s" % (s, kind, mult, inj)
+          for s, (kind, mult, inj) in entries], "entries",
+         [{"s": s, "kind": kind, "multiplier": mult, "injective": inj}
+          for s, (kind, mult, inj) in entries]),
+        ([], "odd_injective", tmor.odd_injective),
     ]
-    for s, (kind, mult, inj) in enumerate(tmor.entries):
-        lines.append("Tor_%d map: %s (x%d) injective=%s" % (s, kind, mult, inj))
-    result = {
-        "squares_checked": cmap.squares_checked,
-        "multiplier": tmor.multiplier,
-        "entries": [
-            {"s": s, "kind": kind, "multiplier": mult, "injective": inj}
-            for s, (kind, mult, inj) in enumerate(tmor.entries)
-        ],
-        "odd_injective": tmor.odd_injective,
-    }
-    return "ramify compare", params, result, "OK", lines
 
 
 def _cmd_rational(args):
-    F = _build_law(args.p, args.n, args.r, args.N, args.M)
-    ring = make_cochain_ring(F, args.r, N=args.N)
-    ranks = homalg.rational_tor(ring, args.smax)
-    params = {"p": args.p, "n": args.n, "r": args.r, "N": args.N, "smax": args.smax}
-    lines = ["rank s=%d: %d" % (s, v) for s, v in enumerate(ranks)]
-    result = {"ranks": list(ranks)}
-    return "ramify rational", params, result, "OK", lines
+    ranks = list(homalg.rational_tor(_tower(args), args.smax))
+    return "ramify rational", _params(args, "p", "n", "r", "N", "smax"), "OK", [
+        (["rank s=%d: %d" % (s, v) for s, v in enumerate(ranks)], "ranks", ranks),
+    ]
 
 
 def _cmd_converge(args):
-    F = _build_law(args.p, args.n, args.r, args.N, args.M)
-    ring = make_cochain_ring(F, args.r, N=args.N)
-    rep = homalg.convergence_diagnostic(ring, args.smax, rational=args.rational)
-    params = {
-        "p": args.p, "n": args.n, "r": args.r, "N": args.N,
-        "smax": args.smax, "mode": rep.mode,
-    }
-    lines = ["expected abutment: free rank %d, even degrees" % rep.expected.free]
-    for s, desc in rep.odd_witnesses:
-        lines.append("witness s=%d: %s" % (s, desc))
-    lines.append("note: %s" % rep.notes)
-    result = {
-        "expected": _descriptor_json(rep.expected, args.p),
-        "witnesses": [
-            {"s": s, "module": _descriptor_json(d, args.p)} for s, d in rep.odd_witnesses
-        ],
-        "notes": rep.notes,
-    }
-    return "ramify converge", params, result, rep.verdict, lines
+    rep = homalg.convergence_diagnostic(_tower(args), args.smax, rational=args.rational)
+    params = _params(args, "p", "n", "r", "N", "smax", mode=rep.mode)
+    return "ramify converge", params, rep.verdict, [
+        (["expected abutment: free rank %d, even degrees" % rep.expected.free], "expected",
+         _descriptor_json(rep.expected, args.p)),
+        (["witness s=%d: %s" % (s, d) for s, d in rep.odd_witnesses], "witnesses",
+         [{"s": s, "module": _descriptor_json(d, args.p)} for s, d in rep.odd_witnesses]),
+        _row("note", "notes", rep.notes),
+    ]
 
 
 def _cmd_socle(args):
     alg = _load_algebra(args)
     series = artin.socle_series(artin.regular_module(alg))
-    params = {"p": args.p, "algebra": args.algebra or ("y^%d-truncated" % args.m)}
-    lines = [
-        "algebra dim: %d" % alg.dim,
-        "socle dims: %s" % " ".join(str(d) for d in series.dims),
-        "k0: %d" % series.k0,
-        "nilpotency exponent: %d" % series.e,
+    return "ramify socle", _algebra_params(args), "OK", [
+        _row("algebra dim", None, alg.dim),
+        _row("socle dims", "dims", list(series.dims), " ".join(map(str, series.dims))),
+        _row("k0", "k0", series.k0),
+        _row("nilpotency exponent", "e", series.e),
     ]
-    result = {"dims": list(series.dims), "k0": series.k0, "e": series.e}
-    return "ramify socle", params, result, "OK", lines
 
 
 def _cmd_betti(args):
-    alg = _load_algebra(args)
-    betti = artin.minimal_free_resolution(alg, args.smax)
-    params = {
-        "p": args.p,
-        "algebra": args.algebra or ("y^%d-truncated" % args.m),
-        "smax": args.smax,
-    }
-    lines = ["b_%d = %d" % (s, b) for s, b in enumerate(betti)]
-    zero_free = all(b > 0 for b in betti)
-    lines.append("all positive: %s" % zero_free)
-    result = {"betti": list(betti), "all_positive": zero_free}
-    return "ramify betti", params, result, "OK", lines
+    betti = list(artin.minimal_free_resolution(_load_algebra(args), args.smax))
+    return "ramify betti", _algebra_params(args, "smax"), "OK", [
+        (["b_%d = %d" % (s, b) for s, b in enumerate(betti)], "betti", betti),
+        _row("all positive", "all_positive", all(b > 0 for b in betti)),
+    ]
 
 
 def _cmd_nakayama(args):
     if args.count < 0:
         raise ValueError("count must be >= 0")
-    alg = _load_algebra(args)
-    free = artin.free_module(alg, 2)
+    free = artin.free_module(_load_algebra(args), 2)
     rng = random.Random(args.seed)
-    checks = 0
     for _ in range(args.count):
-        module = artin.random_spanned_module(free, rng)
-        artin.nakayama_check(module)  # raises on a violation
-        checks += 1
-    params = {
-        "p": args.p,
-        "algebra": args.algebra or ("y^%d-truncated" % args.m),
-        "count": args.count,
-        "seed": args.seed,
-    }
-    lines = ["checks run: %d" % checks, "violations: 0"]
-    result = {"checks": checks, "violations": 0}
-    return "ramify nakayama", params, result, "OK", lines
+        artin.nakayama_check(artin.random_spanned_module(free, rng))  # raises on a violation
+    return "ramify nakayama", _algebra_params(args, "count", "seed"), "OK", [
+        _row("checks run", "checks", args.count),
+        _row("violations", "violations", 0),
+    ]
 
 
 def _cmd_emss(args):
     rep = emss.final_page_report(args.p, args.S)
-    params = {"p": args.p, "S": args.S}
-    lines = []
-    if rep.verdict != "INCONCLUSIVE":
-        for page in rep.pages:
-            lines.append("page %d: dim %d" % (page.index, page.total_dimension))
-            if page.record is not None:
-                rec = page.record
-                lines[-1] += " (after round %d, d^%d)" % (rec.round, rec.nominal_index)
-        lines.append(
-            "survivors in window (s <= %d): %s"
-            % (rep.window, " ".join(str(m) for m in rep.survivors))
-        )
-        lines.append("total dim: %d" % rep.total_dim)
-    lines.append("note: %s" % rep.notes)
-    result = {
-        "window": rep.window,
-        "pages": [
-            {"index": pg.index, "dim": pg.total_dimension} for pg in rep.pages
-        ],
-        "survivors": [str(m) for m in rep.survivors],
-        "total_dim": rep.total_dim,
-        "notes": rep.notes,
-    }
-    return "ramify emss", params, result, rep.verdict, lines
+    pages = []
+    for page in rep.pages:
+        pages.append("page %d: dim %d" % (page.index, page.total_dimension))
+        if page.record is not None:
+            rec = page.record
+            pages[-1] += " (after round %d, d^%d)" % (rec.round, rec.nominal_index)
+    survivors = [str(m) for m in rep.survivors]
+    rows = [
+        (pages, "pages", [{"index": pg.index, "dim": pg.total_dimension} for pg in rep.pages]),
+        _row("survivors in window (s <= %d)" % rep.window, "survivors", survivors,
+             " ".join(survivors)),
+        ([], "window", rep.window),
+        _row("total dim", "total_dim", rep.total_dim),
+    ]
+    if rep.verdict == "INCONCLUSIVE":  # the table shows only the note
+        rows = [([], key, value) for _, key, value in rows]
+    return "ramify emss", _params(args, "p", "S"), rep.verdict, rows + [
+        _row("note", "notes", rep.notes),
+    ]
 
 
 def _cmd_group(args):
     G = _group_from_args(args)
+    order = _row("group order", "group_order", G.order)
     if args.gcmd == "sylow":
         syl = groups.sylow_subgroup(G, args.p, seed=args.seed)
-        params = {"p": args.p, "gens": args.gens, "seed": args.seed}
-        lines = [
-            "group order: %d" % G.order,
-            "sylow order: %d" % syl.order,
-            "elements: %s" % " ".join(_cycle_str(g) for g in syl.elements),
+        cycles = [_cycle_str(g) for g in syl.elements]
+        return "ramify group sylow", _params(args, "p", "gens", "seed"), "OK", [
+            order,
+            _row("sylow order", "sylow_order", syl.order),
+            _row("elements", "elements", cycles, " ".join(cycles)),
         ]
-        result = {
-            "group_order": G.order,
-            "sylow_order": syl.order,
-            "elements": [_cycle_str(g) for g in syl.elements],
-        }
-        return "ramify group sylow", params, result, "OK", lines
     if args.gcmd == "complement":
         rep = groups.has_normal_p_complement(G, args.p)
-        params = {"p": args.p, "gens": args.gens}
-        lines = [
-            "group order: %d" % G.order,
-            "candidate order: %d" % rep.candidate_order,
-            "expected order: %d" % rep.expected_order,
-            "elements: %s" % " ".join(_cycle_str(g) for g in rep.subgroup.elements),
-        ]
-        result = {
-            "group_order": G.order,
-            "candidate_order": rep.candidate_order,
-            "expected_order": rep.expected_order,
-            "elements": [_cycle_str(g) for g in rep.subgroup.elements],
-        }
+        cycles = [_cycle_str(g) for g in rep.subgroup.elements]
         verdict = "COMPLEMENT" if rep.exists else "NO COMPLEMENT"
-        return "ramify group complement", params, result, verdict, lines
+        return "ramify group complement", _params(args, "p", "gens"), verdict, [
+            order,
+            _row("candidate order", "candidate_order", rep.candidate_order),
+            _row("expected order", "expected_order", rep.expected_order),
+            _row("elements", "elements", cycles, " ".join(cycles)),
+        ]
     rep = groups.conjugation_nilpotent(G, args.p)
-    params = {"p": args.p, "gens": args.gens}
-    lines = [
-        "group order: %d" % G.order,
-        "chain dims: %s" % " > ".join(str(d) for d in rep.chain_dims),
-        "stable dim: %d" % rep.stable_dim,
-    ]
-    result = {
-        "group_order": G.order,
-        "chain_dims": list(rep.chain_dims),
-        "stable_dim": rep.stable_dim,
-    }
     verdict = "NILPOTENT" if rep.nilpotent else "NOT NILPOTENT"
-    return "ramify group conjnil", params, result, verdict, lines
+    return "ramify group conjnil", _params(args, "p", "gens"), verdict, [
+        order,
+        _row("chain dims", "chain_dims", list(rep.chain_dims),
+             " > ".join(map(str, rep.chain_dims))),
+        _row("stable dim", "stable_dim", rep.stable_dim),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +597,7 @@ def main(argv=None):
         print("error: group needs one of sylow|complement|conjnil", file=sys.stderr)
         return 2
     try:
-        tool, params, result, verdict, lines = args.func(args)
-        return _emit(tool, params, result, verdict, lines, args)
+        return _emit(args.func(args), args)
     except _UsageError as exc:
         print("error: %s" % exc.message, file=sys.stderr)
         return exc.code

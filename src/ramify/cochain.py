@@ -306,12 +306,8 @@ def make_cochain_ring(F, r, N=8):
         raise ValueError("r must be >= 1")
     if r >= N:
         raise ValueError("need r < N so that p^r is a nonzero canonical lift")
-    cache = getattr(F, "_ring_cache", None)
-    if cache is None:
-        cache = {}
-        F._ring_cache = cache
-    if (r, N) in cache:
-        return cache[(r, N)]
+    if (r, N) in F._ring_cache:
+        return F._ring_cache[(r, N)]
 
     p, n = F.p, F.n
     polynomial = F.kind == "multiplicative"
@@ -345,7 +341,7 @@ def make_cochain_ring(F, r, N=8):
     if not (ring.y_elt * q_elt).is_zero:
         raise WeierstrassError("y * q_r is nonzero in the quotient ring")
 
-    cache[(r, N)] = ring
+    F._ring_cache[(r, N)] = ring
     return ring
 
 

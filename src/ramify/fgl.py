@@ -397,6 +397,7 @@ class FormalGroupLaw:
         self.M = M
         self.context = context
         self._pseries = {}
+        self._ring_cache = {}  # (r, N) -> A_r, filled by make_cochain_ring
 
     def describe(self) -> str:
         if self.kind == "multiplicative":

@@ -350,8 +350,6 @@ class DifferentialRecord:
     index: int  # differential d^index
     source: tuple  # (s, t)
     target: tuple
-    source_desc: ModuleDescriptor
-    target_desc: ModuleDescriptor
     forced_zero: bool
     reason: str
 
@@ -390,8 +388,6 @@ def kunneth_page(ring, s_max):
                 index=rho,
                 source=(rho, 0),
                 target=(0, 0),
-                source_desc=src,
-                target_desc=tgt,
                 forced_zero=True,
                 reason="torsion source, torsion-free target",
             )

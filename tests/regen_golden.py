@@ -1,4 +1,5 @@
-"""Regenerate the golden CLI transcripts.
+"""Regenerate the golden CLI transcripts, the table and the JSON
+report of every GOLDEN invocation.
 
 Run from the repository root:
 
@@ -15,7 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from test_cli import GOLDEN  # noqa: E402
+from test_cli import GOLDEN_BOTH  # noqa: E402
 
 from ramify.cli import main  # noqa: E402
 
@@ -23,7 +24,7 @@ from ramify.cli import main  # noqa: E402
 def regenerate():
     here = os.path.dirname(os.path.abspath(__file__))
     os.chdir(here)
-    for fname, argv in GOLDEN.items():
+    for fname, argv in GOLDEN_BOTH.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             rc = main(list(argv))

@@ -1,8 +1,9 @@
 """Command-line contract: golden transcripts, exit codes, JSON shape.
 
 The golden files live in tests/golden/ and are regenerated with
-`python tests/regen_golden.py`; every entry in GOLDEN is compared
-byte for byte, and run twice to pin determinism.
+`python tests/regen_golden.py`.  Every GOLDEN invocation is pinned in
+both formats, the table in NAME.txt and the JSON report in NAME.json;
+each file is compared byte for byte, and run twice to pin determinism.
 """
 
 import itertools
@@ -52,19 +53,33 @@ GOLDEN = {
 }
 
 
+def _both_formats(golden):
+    """{file: argv} for the table and the JSON report of each entry."""
+    both = {}
+    for fname, argv in golden.items():
+        stem = os.path.splitext(fname)[0]
+        table = argv[:-2] if argv[-2:] == ["--format", "json"] else argv
+        both[stem + ".txt"] = table
+        both[stem + ".json"] = table + ["--format", "json"]
+    return both
+
+
+GOLDEN_BOTH = _both_formats(GOLDEN)
+
+
 def run_cli(argv, capsys):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
 
-@pytest.mark.parametrize("fname", sorted(GOLDEN))
+@pytest.mark.parametrize("fname", sorted(GOLDEN_BOTH))
 def test_golden_transcripts(fname, capsys, monkeypatch):
     monkeypatch.chdir(HERE)  # --algebra paths in GOLDEN are tests-relative
     with open(os.path.join(HERE, "golden", fname), encoding="utf-8") as fh:
         want = fh.read()
-    rc1, out1, _ = run_cli(GOLDEN[fname], capsys)
-    rc2, out2, _ = run_cli(GOLDEN[fname], capsys)
+    rc1, out1, _ = run_cli(GOLDEN_BOTH[fname], capsys)
+    rc2, out2, _ = run_cli(GOLDEN_BOTH[fname], capsys)
     assert rc1 == rc2 == 0
     assert out1 == out2  # determinism across runs in one process
     assert out1 == want
@@ -102,6 +117,14 @@ def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
     text = target.read_text(encoding="utf-8")
     assert text.startswith("tool: ramify ring\n")
     assert text.endswith("verdict: OK\n")
+
+
+def test_unwritable_out_is_2_with_nothing_on_stdout(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    rc, out, err = run_cli(["ring", "--out", str(target)], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot write %s: " % target)
+    assert not target.parent.exists()
 
 
 def test_each_command_builds_and_certifies_once(capsys, monkeypatch):
@@ -302,6 +325,27 @@ def test_bad_option_value_is_2(capsys):
     assert rc == 2
     rc, _, err = run_cli(["group", "conjnil", "--gens", "(1,2)", "--p", "6"], capsys)
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tor", "--r", "-1"], "r must be >= 0"),
+    (["compare", "--k", "-1"], "k must be >= 0"),
+    (["rational", "--r", "-1"], "r must be >= 0"),
+    (["pseries", "--n", "2", "--N", "-3"], "N must be >= 1 at height n >= 2"),
+    (["tor", "--n", "2", "--N", "0"], "N must be >= 1 at height n >= 2"),
+])
+def test_bad_tower_flags_are_named_before_m_is_derived(argv, message, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and out == "" and err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv", [
+    ["pseries", "--r", "0"],
+    ["pseries", "--N", "0"],
+])
+def test_edge_tower_flags_still_answer(argv, capsys):
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0 and out.endswith("verdict: OK\n")
 
 
 def test_negative_count_is_2(capsys):
