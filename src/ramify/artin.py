@@ -197,6 +197,9 @@ class FinAlgebra:
     kernel.  The homogeneous rows G of generators lift a basis of
     J/J^2, or are the basis of J, and their right-nested words
     g1 (g2 (... (gk 1))) span A; gen_products[g, j] = G[g] e_j.
+    words is a basis of A by such words: word 0 is the unit, and its
+    entry j - 1 = (parent, g), parent < j, makes word j the product
+    G[g] (word parent).  Only spanned_submodule reads it.
 
     Every computation acts by G, as J = sum_g gA: a nonempty
     right-nested word is g w for a g in G, so A = F_p 1 + sum_g gA, and
@@ -213,7 +216,8 @@ class FinAlgebra:
     whose wrapped int64 sums would give wrong answers or a hang.
     """
 
-    def __init__(self, p, labels, parities, table, aug, generators, gen_products, nilpotency):
+    def __init__(self, p, labels, parities, table, aug, generators, words, gen_products,
+                 nilpotency):
         check_prime(p)
         self.p = int(p)
         self.labels = labels
@@ -222,6 +226,7 @@ class FinAlgebra:
         self.table = table
         self.aug = aug
         self.generators = generators
+        self.words = words
         self.gen_products = gen_products
         self.nilpotency = nilpotency
         self._radical = None
@@ -250,7 +255,7 @@ class FinAlgebra:
         # G and its products g e_j, shared by the certificates below,
         # free_module and the resolution
         rad = radical_basis(self)
-        self.generators = self._generators(rad)
+        self.generators, self.words = self._generators(rad)
         self.gen_products = np.tensordot(self.generators, tbl, axes=(1, 0)) % p
         self._check_associative(self.gen_products)
         # augmentation is an algebra map
@@ -265,9 +270,13 @@ class FinAlgebra:
         self._check_radical_nilpotent(rad, self.gen_products)
 
     def _generators(self, rad):
-        """Lifts of a basis of J/J^2 if their right-nested words span A
-        (one span closure of the unit under their left multiplications),
-        otherwise the basis of J."""
+        """(G, words): the lifts of a basis of J/J^2 and the words a
+        breadth-first search from the unit keeps, if those span A;
+        otherwise the basis of J and its words 1, g.  Each round keeps,
+        by one rref of the transposed stack as in _lift_generators, the
+        products g w (w from the last round) outside the span of the
+        words and of the products before them.  So g w lies in the span
+        of the words for every kept w: the words span a G-stable space."""
         p, d = self.p, self.dim
         # J^2, spanned by the products v w of basis elements of J
         right = np.tensordot(rad, self.table, axes=(1, 1)) % p  # e_i w
@@ -278,8 +287,19 @@ class FinAlgebra:
         _, lifts = rref(images.T, p)
         gens = rad[lifts]
         left = np.tensordot(gens, self.table, axes=(1, 0)) % p
-        words, _ = _span_closure(_free_images(left, p), np.eye(1, d, dtype=np.int64), p)
-        return gens if words.shape[0] == d else rad
+        rows, words, last = np.eye(1, d, dtype=np.int64), [], [0]
+        while last:
+            # candidate k is G[k % |G|] times the word last[k // |G|]
+            cand = np.tensordot(rows[last], left, axes=(1, 1)).reshape(-1, d) % p
+            n = rows.shape[0]
+            _, piv = rref(np.vstack([rows, cand]).T, p)
+            keep = [c - n for c in piv if c >= n]
+            words += [(last[k // len(gens)], k % len(gens)) for k in keep]
+            rows = np.vstack([rows, cand[keep]])
+            last = list(range(n, rows.shape[0]))
+        if rows.shape[0] == d:
+            return gens, tuple(words)
+        return rad, tuple((0, i) for i in range(d - 1))
 
     def _check_associative(self, ge):
         """(g e_j) e_k = g (e_j e_k) for g in the generators and all j,
@@ -353,8 +373,8 @@ def validated_algebra(p, labels, parities, table, aug):
     aug = np.array(aug, dtype=np.int64) % p
     if aug.shape != (d,):
         raise AlgebraError("augmentation vector has wrong length")
-    # _validate fills in generators, gen_products and nilpotency
-    alg = FinAlgebra(p, labels, parities, table, aug, None, None, None)
+    # _validate fills in generators, words, gen_products and nilpotency
+    alg = FinAlgebra(p, labels, parities, table, aug, None, None, None, None)
     alg._validate()
     return alg
 
@@ -403,7 +423,8 @@ def truncated_polynomial_algebra(p, m):
     aug = np.eye(1, m, dtype=np.int64)[0]
     generators = np.eye(m, dtype=np.int64)[1:2]
     shift = np.eye(m, k=1, dtype=np.int64)[None][: len(generators)]
-    return FinAlgebra(p, labels, (0,) * m, table, aug, generators, shift, m)
+    words = tuple((j - 1, 0) for j in range(1, m))
+    return FinAlgebra(p, labels, (0,) * m, table, aug, generators, words, shift, m)
 
 
 def tensor_algebra(a, b):
@@ -474,39 +495,6 @@ def _free_images(mult, p):
     return images_of
 
 
-def _span_closure(images_of, rows, p):
-    """Closure of the row span under an action given by images_of,
-    which maps a stack of rows to the stack of their images.
-
-    Returns (reduced, pivots), the rref basis of the smallest stable
-    subspace containing rows.
-
-    Only the rows added in the last round go through images_of: the
-    images of the earlier rows already lie in the current span (by
-    induction), so once the new rows' images add nothing, the span is
-    stable by linearity.
-
-    The basis grows without being row-reduced again.  A round's
-    residuals, and so their rref new, are zero at the pivots of cur;
-    let Q be the pivots of new.  cur - cur[:, Q] @ new is zero on Q and
-    unchanged on the pivots of cur, and keeps each row's pivot c_i:
-    cur_i[q] != 0 puts q after c_i, and new's row with pivot q is zero
-    left of q.  So both blocks, in pivot order, are the unique rref of
-    span(cur) + span(new).  The product sums |Q| products of residues,
-    exact in int64 (see FinAlgebra).
-    """
-    cur, piv = rref(rows, p)
-    new = cur
-    while True:
-        resid = residual(images_of(new), cur, piv, p)
-        new, add_piv = rref(resid[resid.any(axis=1)], p)
-        if not add_piv:
-            return cur, piv
-        cur = (cur - cur[:, add_piv] @ new) % p
-        order = np.argsort(piv + add_piv)
-        cur, piv = np.vstack([cur, new])[order], sorted(piv + add_piv)
-
-
 def regular_module(alg):
     """The algebra as a left module over itself."""
     return free_module(alg, 1)
@@ -520,20 +508,25 @@ def free_module(alg, rank):
 
 
 def spanned_submodule(module, vectors):
-    """Smallest submodule containing the given vectors.
+    """Smallest submodule AV containing the given vectors V.
 
     Returns (submodule, basis_rows) where basis_rows expresses the new
     module's basis inside the ambient one.
+
+    The span is one rref of the blocks w V for the words w of the
+    algebra: block 0 is V, and block j is g (block parent) for word
+    j = (parent, g), one product by rho(g) each.  Correctness does not
+    rest on the words.  The stack holds V and lies in AV, and
+    coords_in_rref raises unless its span is G-stable, a submodule (see
+    FinAlgebra); so a span that passes is exactly AV.
     """
     p, rho_g = module.algebra.p, module.gen_act
-    rows = [np.asarray(v, np.int64) % p for v in vectors]
-    if not rows:
-        rows = [np.zeros(module.dim, np.int64)]
-    # a span stable under G is a submodule (see FinAlgebra)
-    images_of = _dense_images(rho_g, p)
-    red, pivots = _span_closure(images_of, rows, p)
+    blocks = [np.array(vectors, dtype=np.int64).reshape(-1, module.dim) % p]
+    for parent, g in module.algebra.words:
+        blocks.append(blocks[parent] @ rho_g[g].T % p)
+    red, pivots = rref(np.vstack(blocks), p)
     # column j of the restricted rho(g) holds the coordinates of g red[j]
-    images = images_of(red).reshape(rho_g.shape[0], red.shape[0], module.dim)
+    images = _dense_images(rho_g, p)(red).reshape(rho_g.shape[0], red.shape[0], module.dim)
     gen_act = coords_in_rref(images, red, pivots, p).transpose(0, 2, 1)
     return FinModule(module.algebra, gen_act), red
 
@@ -691,10 +684,9 @@ def minimal_free_resolution(alg, s_max):
         if (new_rows.reshape(-1, b, d) @ alg.aug % p).any():
             raise AlgebraError("resolution is not minimal")
         rank = b
-        # the kernel of a module map is a submodule; the closure is a
-        # cheap self-check and must not grow the span, whose dimension
-        # is the number of rows null_space returns
-        k_rows, _ = _span_closure(gen_images, new_rows, p)
-        if k_rows.shape[0] != new_rows.shape[0]:
+        # the kernel of a module map is a submodule; a cheap self-check
+        # that its span is G-stable
+        k_rows, k_piv = rref(new_rows, p)
+        if residual(gen_images(k_rows), k_rows, k_piv, p).any():
             raise AlgebraError("kernel failed to be a submodule")
     return tuple(betti[: s_max + 1])

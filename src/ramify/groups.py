@@ -293,24 +293,26 @@ def sylow_subgroup(G, p, seed=0):
     ]
     rng = random.Random(seed)
     rng.shuffle(candidates)
-    current = {G.identity}
+    # current is the closure of the accepted generators
+    accepted, current = [], {G.identity}
     while len(current) < target:
         progressed = False
         for g in candidates:
             if g in current:
                 continue
             try:
-                trial = _closure(G.degree, list(current) + [g], cap=target)
+                trial = _closure(G.degree, accepted + [g], cap=target)
             except GroupError:
                 continue
             if _is_p_power(len(trial), p):
+                accepted.append(g)
                 current = trial
                 progressed = True
                 if len(current) == target:
                     break
         if not progressed:
             raise GroupError("greedy Sylow growth stalled; should not happen")
-    return FiniteGroup(G.degree, sorted(current))
+    return FiniteGroup(G.degree, accepted)
 
 
 @dataclass(frozen=True)
@@ -336,10 +338,13 @@ def has_normal_p_complement(G, p):
     if not _is_prime(p):
         raise GroupError("p must be prime")
     m = G.order // _p_part(G.order, p)
-    gens = [g for g in G.elements if math.gcd(perm_order(g), p) == 1]
+    gens, members = [], {G.identity}
+    for g in G.elements:
+        if g not in members and math.gcd(perm_order(g), p) == 1:
+            gens.append(g)
+            members = _closure(G.degree, gens)
     n0 = FiniteGroup(G.degree, gens)
     # generated by a conjugation-closed set, so always normal; check anyway
-    members = set(n0.elements)
     for g in G.generators:
         for x in n0.elements:
             if G.conjugate(g, x) not in members:
@@ -442,7 +447,7 @@ def conjugation_nilpotent(G, p):
                 nilpotent=False,
                 chain_dims=tuple(dims),
                 stable_dim=len(red),
-                stable_basis=tuple(tuple(int(x) for x in row) for row in red),
+                stable_basis=tuple(map(tuple, red.tolist())),
             )
         dims.append(len(red))
         rows, pivots = red, piv

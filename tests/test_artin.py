@@ -269,7 +269,7 @@ def test_algebra_has_no_seed():
     # nor a unit parameter: the unit is e_0, as in the file format
     alg = truncated_polynomial_algebra(2, 3)
     fields = (alg.labels, alg.parities, alg.table, alg.aug)
-    held = fields + (alg.generators, alg.gen_products, alg.nilpotency)
+    held = fields + (alg.generators, alg.words, alg.gen_products, alg.nilpotency)
     for extra in ({"seed": 0}, {"unit": np.eye(3, dtype=np.int64)[0]}):
         with pytest.raises(TypeError):
             FinAlgebra(2, *held, **extra)
@@ -288,6 +288,27 @@ def test_truncated_polynomial_algebra_is_what_the_validator_derives(p):
             assert got.dtype == ref.dtype and np.array_equal(got, ref), (m, name)
         assert alg.nilpotency == want.nilpotency == m
         assert np.array_equal(radical_basis(alg), radical_basis(want))
+        assert alg.words == want.words
+        assert row_space(_word_rows(alg), p).shape[0] == m
+
+
+def _word_rows(alg):
+    """The words of alg as rows in the standard basis, each the product
+    of its generator and its parent's row through the dense table."""
+    rows = [np.eye(1, alg.dim, dtype=np.int64)[0]]
+    for parent, g in alg.words:
+        rows.append(_mul(alg, alg.generators[g], rows[parent]))
+    return np.array(rows, dtype=np.int64)
+
+
+def test_words_are_a_basis_of_the_algebra():
+    t = truncated_polynomial_algebra
+    files = [cli._parse_algebra_file(text, p) for p, _, text in _workload_algebra_files()]
+    for alg in _small_algebras() + files + [tensor_algebra(t(3, 3), t(3, 5))]:
+        assert len(alg.words) == alg.dim - 1
+        assert all(0 <= parent < j and 0 <= g < len(alg.generators)
+                   for j, (parent, g) in enumerate(alg.words, start=1))
+        assert row_space(_word_rows(alg), alg.p).shape[0] == alg.dim
 
 
 def _tensor_table_oracle(a, b):
@@ -508,9 +529,12 @@ def _spy_on_fallback(monkeypatch):
     lifts_or_basis = FinAlgebra._generators
 
     def spy(self, rad):
-        gens = lifts_or_basis(self, rad)
+        gens, words = lifts_or_basis(self, rad)
         fell_back.append(gens is rad)
-        return gens
+        if gens is rad:
+            # the words 1 and g 1 = g for the basis of J
+            assert words == tuple((0, i) for i in range(len(rad)))
+        return gens, words
 
     monkeypatch.setattr(FinAlgebra, "_generators", spy)
     return fell_back
@@ -647,6 +671,36 @@ def test_spanned_submodule_closure():
     assert not residual(y3_corner, red, piv, 2).any()
 
 
+def _span_closure(images_of, rows, p):
+    """Reference: the closure of the row span under an action given by
+    images_of, which maps a stack of rows to the stack of their images,
+    grown round by round.  Returns (reduced, pivots).
+
+    Only the rows added in the last round go through images_of: the
+    images of the earlier rows already lie in the current span (by
+    induction), so once the new rows' images add nothing, the span is
+    stable by linearity.
+
+    The basis grows without being row-reduced again.  A round's
+    residuals, and so their rref new, are zero at the pivots of cur;
+    let Q be the pivots of new.  cur - cur[:, Q] @ new is zero on Q and
+    unchanged on the pivots of cur, and keeps each row's pivot c_i:
+    cur_i[q] != 0 puts q after c_i, and new's row with pivot q is zero
+    left of q.  So both blocks, in pivot order, are the unique rref of
+    span(cur) + span(new).
+    """
+    cur, piv = rref(rows, p)
+    new = cur
+    while True:
+        resid = residual(images_of(new), cur, piv, p)
+        new, add_piv = rref(resid[resid.any(axis=1)], p)
+        if not add_piv:
+            return cur, piv
+        cur = (cur - cur[:, add_piv] @ new) % p
+        order = np.argsort(piv + add_piv)
+        cur, piv = np.vstack([cur, new])[order], sorted(piv + add_piv)
+
+
 def _whole_basis_closure(images_of, rows, p):
     """Reference: every round sends the whole current basis through
     images_of, not only the rows the last round added."""
@@ -691,18 +745,40 @@ def test_span_closure_matches_the_whole_basis_closure(p):
     for images_of, rows, min_rounds in cases:
         rounds = []
         counted = lambda r, f=images_of: rounds.append(1) or f(r)
-        got, got_piv = artin._span_closure(counted, rows, p)
+        got, got_piv = _span_closure(counted, rows, p)
         want, want_piv = _whole_basis_closure(images_of, rows, p)
         assert np.array_equal(got, want)
         assert list(got_piv) == list(want_piv)
         assert len(rounds) >= min_rounds
 
 
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_spanned_submodule_is_the_round_by_round_closure(p):
+    # free modules and submodules of them, on seeded vectors and on
+    # vectors with every entry p - 1, the largest residue int64 sees
+    rng = random.Random(800 + p)
+    t = truncated_polynomial_algebra
+    algs = [t(p, 3), t(p, 5), t(p, 16), tensor_algebra(t(p, 2), t(p, 3)),
+            tensor_algebra(_exterior(p), t(p, 3))]
+    for alg, rank in itertools.product(algs, (1, 2)):
+        free = free_module(alg, rank)
+        for module in (free, _random_spanned(free, rng)[0]):
+            n = module.dim
+            for vectors in ([[rng.randrange(p) for _ in range(n)]],
+                            [[rng.randrange(p) for _ in range(n)] for _ in range(3)],
+                            [np.full(n, p - 1)],
+                            [np.full(n, p - 1), np.eye(n, dtype=np.int64)[n // 2] * (p - 1)]):
+                sub, basis = spanned_submodule(module, vectors)
+                want, _ = _span_closure(artin._dense_images(module.gen_act, p), vectors, p)
+                assert np.array_equal(basis, want)
+                assert sub.dim == want.shape[0]
+
+
 def test_span_closure_row_reduces_each_row_once(monkeypatch):
-    """rref sees the rows given and the nonzero residuals, at most |G|
-    per basis row: for two seeded vectors of (F_2[y]/(y^16))^2 with a
-    31-dimensional closure that is 31 rows, where re-reducing the whole
-    basis every round handed rref 271."""
+    """spanned_submodule makes one rref, of the two seeded vectors of
+    (F_2[y]/(y^16))^2 times each of the 16 words: 32 rows for a
+    31-dimensional closure, where re-reducing the whole basis every
+    round handed rref 271."""
     free = free_module(truncated_polynomial_algebra(2, 16), 2)
     rng = random.Random(4)
     vectors = [[rng.randrange(2) for _ in range(free.dim)] for _ in range(2)]
@@ -712,9 +788,26 @@ def test_span_closure_row_reduces_each_row_once(monkeypatch):
         artin, "rref", lambda rows, p: seen.append(np.atleast_2d(rows).shape[0]) or real(rows, p)
     )
     sub, _ = spanned_submodule(free, vectors)
-    n_gens = free.gen_act.shape[0]
-    assert sub.dim == 31 and n_gens == 1
-    assert sum(seen) <= len(vectors) + n_gens * sub.dim
+    assert sub.dim == 31
+    assert seen == [len(vectors) * 16]
+
+
+def test_spanned_submodule_refuses_words_short_of_a_basis():
+    # without one word the stack spans less than A v for a cyclic
+    # generator v, and that span is not G-stable, so the check raises
+    t = truncated_polynomial_algebra
+    for alg in _small_algebras() + [t(2, 16), t(65521, 4)]:
+        words = alg.words
+        leaves = set(range(1, alg.dim)) - {parent for parent, _ in words}
+        assert leaves
+        for j in leaves:
+            alg.words = tuple((parent - (parent > j), g)
+                              for k, (parent, g) in enumerate(words, start=1) if k != j)
+            for rank in (1, 2):
+                free = free_module(alg, rank)
+                with pytest.raises(AlgebraError, match="not in the given span"):
+                    spanned_submodule(free, [np.eye(1, free.dim, dtype=np.int64)[0]])
+        alg.words = words
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -725,8 +818,10 @@ def test_span_closure_of_zero_rows_is_the_zero_subspace(rank):
         images_of = artin._free_images(alg.table, p)
         for rows in (np.zeros((0, dim), np.int64), np.zeros((3, dim), np.int64)):
             assert images_of(rows).shape == (alg.dim * rows.shape[0], dim)
-            basis, piv = artin._span_closure(images_of, rows, p)
+            basis, piv = _span_closure(images_of, rows, p)
             assert basis.shape == (0, dim) and list(piv) == []
+            sub, basis = spanned_submodule(free_module(alg, rank), rows)
+            assert sub.dim == 0 and basis.shape == (0, dim)
 
 
 def test_zero_module():
@@ -882,6 +977,15 @@ def test_resolution_certifies_exactness(step, monkeypatch):
             minimal_free_resolution(alg, step)
 
 
+def test_resolution_certifies_the_kernel_is_a_submodule(monkeypatch):
+    # span(y) in place of span(y^2), the kernel of x -> x y on
+    # F_2[y]/(y^3): the same dimension, inside the radical, but y y
+    # escapes it
+    monkeypatch.setattr(artin, "null_space", lambda mat, p: np.array([[0, 1, 0]]))
+    with pytest.raises(AlgebraError, match="kernel failed to be a submodule"):
+        minimal_free_resolution(truncated_polynomial_algebra(2, 3), 1)
+
+
 def test_resolution_certifies_minimality(monkeypatch):
     # if every element of K counts as a new generator, the generators of
     # A^b are not minimal and the kernel has a unit coordinate
@@ -972,7 +1076,7 @@ def _whole_basis_resolution(alg, s_max):
         big = all_images(gens).reshape(d, b, rank * d).transpose(2, 1, 0)
         kern = null_space(big.reshape(rank * d, b * d), p)
         rank = b
-        k_rows = artin._span_closure(all_images, kern, p)[0]
+        k_rows = _span_closure(all_images, kern, p)[0]
     return tuple(betti)
 
 
@@ -1015,7 +1119,7 @@ def test_generator_actions_match_whole_basis_oracles(p, monkeypatch):
         vectors = [np.array([rng.randrange(p) for _ in range(free.dim)], np.int64)
                    for _ in range(rng.randrange(1, 3))]
         sub, basis = spanned_submodule(free, vectors)
-        want, _ = artin._span_closure(artin._dense_images(dense, p), vectors, p)
+        want, _ = _span_closure(artin._dense_images(dense, p), vectors, p)
         assert np.array_equal(basis, want)
         rand, rand_basis = _random_spanned(free, rng)
         for module, act in ((regular_module(alg), _dense_free_action(alg, 1)),

@@ -1,11 +1,12 @@
 """Permutation groups, Sylow subgroups, p-complements, conjugation chains."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from ramify import artin
+from ramify import artin, groups
 from ramify.groups import (
     FiniteGroup,
     GroupError,
@@ -196,6 +197,48 @@ def test_cyclic_six_splits_at_both_primes():
     assert at3.exists and at3.candidate_order == 2
 
 
+def _sylow_by_elements(G, p, seed):
+    """Reference greedy Sylow growth: each trial closes over every
+    element of the current subgroup plus the candidate."""
+    target = groups._p_part(G.order, p)
+    candidates = [g for g in G.elements
+                  if g != G.identity and groups._is_p_power(perm_order(g), p)]
+    random.Random(seed).shuffle(candidates)
+    current = {G.identity}
+    while len(current) < target:
+        for g in candidates:
+            if g in current:
+                continue
+            try:
+                trial = groups._closure(G.degree, list(current) + [g], cap=target)
+            except GroupError:
+                continue
+            if groups._is_p_power(len(trial), p):
+                current = trial
+                if len(current) == target:
+                    break
+    return tuple(sorted(current))
+
+
+def test_subgroups_from_generating_sets_match_all_element_closures():
+    # each generator kept grows the subgroup, so there are at most
+    # log_2 of its order
+    c5_s3 = FiniteGroup(8, parse_cycles("(1,2,3,4,5);(6,7);(6,7,8)"))
+    for G in (symmetric_group(4), alternating_group(5), symmetric_group(5),
+              dihedral_group(5), quaternion_group(), c5_s3):
+        for p in (2, 3, 5):
+            if G.order % p:
+                continue
+            rep = has_normal_p_complement(G, p)
+            coprime = [g for g in G.elements if math.gcd(perm_order(g), p) == 1]
+            assert rep.subgroup.elements == FiniteGroup(G.degree, coprime).elements
+            assert 2 ** len(rep.subgroup.generators) <= max(2, rep.candidate_order)
+            for seed in range(3):
+                P = sylow_subgroup(G, p, seed=seed)
+                assert P.elements == _sylow_by_elements(G, p, seed)
+                assert 2 ** len(P.generators) <= max(2, P.order)
+
+
 # --------------------------------------------------------------- conjugation
 
 
@@ -330,6 +373,7 @@ def test_s5_generator_path_matches_small_group_path():
     for G, p in groups:
         rep = conjugation_nilpotent(G, p)
         assert (rep.chain_dims, rep.stable_basis) == _all_elements_chain(G, p)
+        assert all(type(x) is int for row in rep.stable_basis for x in row)
         assert rep.nilpotent == (rep.stable_dim == 0)
     with pytest.raises(GroupError):
         conjugation_nilpotent(symmetric_group(3), 6)
