@@ -61,58 +61,116 @@ def rref(rows, p):
     """Row-reduce over F_p.
 
     Returns (reduced, pivots) where reduced contains only the nonzero
-    rows, each with leading entry 1 and zeros above and below it.
+    rows, each with leading entry 1 and zeros above and below it: the
+    unique rref of the row span, as a (rank, ncols) int64 array.  At
+    p = 2 the rows are packed into Python ints (_rref_f2); at odd p a
+    column loop reduces the int64 array in place.
 
-    The pivot for column c is the first row at or below r (the rows
-    above r hold the pivots found so far) with a nonzero in column c.
-    One pivot touches only the cells (i, c:) of the rows i with
-    a[i, c] != 0: it swaps the pivot row up to row r, scales it when
-    the inverse of its lead is not 1, and subtracts a[i, c] times it
-    from every other such row.  Skipping the other cells is exact.  A
+    At odd p, the pivot for column c is the first row with a nonzero in
+    column c that holds no pivot yet.  One pivot touches only the cells
+    (i, c:) of the rows i with a[i, c] != 0: it scales the pivot row
+    when the inverse of its lead is not 1, and subtracts a[i, c] times
+    it from every other such row.  Skipping the other cells is exact.  A
     row with a[i, c] = 0 would lose 0 times the pivot row.  Left of c
-    the pivot row, and the row it swaps with, are zero: every row at or
-    below r is zero in each column c' < c, since c' either gave a pivot
-    (its column was cleared below the pivot, which then sat above r) or
-    had no nonzero at or below the r of its time; and each later step
-    only swaps rows at or below r or subtracts from a row a multiple of
-    a row at or below r, which keeps those zeros.  So the subtraction
-    leaves columns < c alone.  A column zero in every input row (all of
-    them when there are none) stays zero under every row operation, so
-    it never holds a pivot and is not visited.  The output is the unique
-    rref of the row span, whichever cells and columns are skipped.
+    the pivot row is zero: a row that holds no pivot is zero in each
+    column c' < c, since c' either gave a pivot (its column was cleared
+    in every other row) or had no nonzero in such a row at its time; and
+    each step subtracts only a multiple of such a row, which keeps those
+    zeros.  So the subtraction leaves columns < c alone, and each pivot
+    row ends with its leading 1 and zeros at every other pivot column.
+    A column zero in every input row (all of them when there are none)
+    stays zero under every row operation, so it never holds a pivot and
+    is not visited.  A row that holds no pivot ends zero, so the pivot
+    rows in column order are the unique rref of the row span, whichever
+    cells and columns are skipped.
+
+    At p = 2, bit c of a row's int is column c, so a row's lead is its
+    lowest set bit.  The forward pass inserts the rows one at a time: a
+    row XORs with the kept row that has its lead until it is zero or
+    has a lead no kept row has, and is then kept.  Both rows of an XOR
+    are zero below their common lead, which the XOR clears, so the lead
+    only moves right and the loop ends; each XOR is invertible within
+    the span, so the kept rows span the input, and their leads are
+    distinct, so they are independent and in echelon form.  Back
+    substitution runs from the rightmost pivot leftwards: the row with
+    lead c XORs with each already reduced row whose pivot c' > c is set
+    in it.  That row is zero at every pivot column but c' (below c' by
+    its lead, the others by induction), so the XOR clears bit c' and
+    changes no other pivot column nor anything left of c'.  Each row
+    ends with its lead and zeros at every other pivot column: the rref
+    of the span, which is unique, so the insertion order does not
+    matter.
     """
     a = np.atleast_2d(np.array(rows, dtype=np.int64) % p)
-    nrows = a.shape[0]
-    r = 0
-    pivots = []
+    if p == 2:
+        return _rref_f2(a)
+    used = [False] * a.shape[0]
+    prows, pivots = [], []
     for c in np.flatnonzero(a.any(axis=0)).tolist():
-        # the rows with a nonzero in column c; the pivot is the first at or below r
-        nz = np.flatnonzero(a[:, c])
-        k = int(nz.searchsorted(r))
-        if k == nz.size:
+        # the rows with a nonzero in column c; the pivot is the first that holds none yet
+        nz = a[:, c].nonzero()[0]
+        rows_c = nz.tolist()
+        k = 0
+        while k < len(rows_c) and used[rows_c[k]]:
+            k += 1
+        if k == len(rows_c):
             continue
-        pr = int(nz[k])
-        if pr != r:
-            row = a[pr, c:].copy()
-            a[pr, c:] = a[r, c:]
-            a[r, c:] = row
-        piv = a[r, c:]
+        i = rows_c[k]
+        used[i] = True
+        piv = a[i, c:]
         inv = pow(int(piv[0]), -1, p)
         if inv != 1:
             piv *= inv
             piv %= p
-        if nz.size > 1:
-            # the old row r, now at pr, is zero in column c
-            live = nz[nz != pr]
-            sub = a[live, c:]
-            sub -= np.multiply.outer(sub[:, 0], piv)
+        if len(rows_c) == 2:
+            row = a[rows_c[1 - k], c:]
+            row -= int(row[0]) * piv
+            row %= p
+        elif len(rows_c) > 2:
+            sub = a[nz, c:]
+            step = np.multiply.outer(sub[:, 0], piv)
+            step[k] = 0
+            sub -= step
             sub %= p
-            a[live, c:] = sub
+            a[nz, c:] = sub
+        prows.append(i)
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if len(prows) == a.shape[0]:
             break
-    return a[:r], pivots
+    return a[prows], pivots
+
+
+def _rref_f2(a):
+    """rref of a 0/1 int64 array over F_2, on rows packed into Python
+    ints with bit c as column c (see rref for why it is the rref)."""
+    nrows, ncols = a.shape
+    nbytes = (ncols + 7) // 8
+    packed = np.packbits(a, axis=1, bitorder="little").tobytes()
+    lead_row = {}
+    for i in range(nrows):
+        v = int.from_bytes(packed[i * nbytes:(i + 1) * nbytes], "little")
+        while v:
+            lead = (v & -v).bit_length() - 1
+            w = lead_row.get(lead)
+            if w is None:
+                lead_row[lead] = v
+                break
+            v ^= w
+    pivots = sorted(lead_row)
+    later = 0
+    for c in reversed(pivots):
+        v = lead_row[c]
+        hit = v & later
+        while hit:
+            low = hit & -hit
+            v ^= lead_row[low.bit_length() - 1]
+            hit ^= low
+        lead_row[c] = v
+        later |= 1 << c
+    out = b"".join(lead_row[c].to_bytes(nbytes, "little") for c in pivots)
+    bits = np.frombuffer(out, dtype=np.uint8).reshape(len(pivots), nbytes)
+    red = np.unpackbits(bits, axis=1, count=ncols, bitorder="little")
+    return red.astype(np.int64), pivots
 
 
 def row_space(rows, p):

@@ -67,7 +67,7 @@ def identity_perm(degree):
 
 def compose(a, b):
     """Apply a first, then b."""
-    return tuple(b[a[x]] for x in range(len(a)))
+    return tuple([b[x] for x in a])
 
 
 def inverse(a):
@@ -78,13 +78,19 @@ def inverse(a):
 
 
 def perm_order(a):
-    n = 1
-    cur = a
-    ident = identity_perm(len(a))
-    while cur != ident:
-        cur = compose(cur, a)
-        n += 1
-    return n
+    """The lcm of the lengths of the cycles of a."""
+    order = 1
+    seen = [False] * len(a)
+    for start in range(len(a)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = a[x]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
 
 
 def parse_cycles(text, degree=None):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ramify import artin, cli
+from ramify import artin, cli, groups
 from ramify.artin import (
     AlgebraError,
     FinAlgebra,
@@ -103,7 +103,9 @@ def _rref_oracle(rows, p):
 
 def _rref_oracle_inputs(p, rng):
     """Seeded matrices over F_p: tall stacks (R >= 20 C), zero columns,
-    all entries p - 1, rank-deficient, single-row and empty ones."""
+    all entries p - 1, rank-deficient, single-row and empty ones; widths
+    that straddle the bytes and words of rref's packed rows at p = 2,
+    sparse shift-and-permutation stacks, and a dense 300 x 300 one."""
     mats = []
     for rows, cols in [(20, 1), (60, 3), (200, 8), (400, 12)]:
         mats.append(rng.integers(0, p, (rows, cols)))
@@ -126,6 +128,22 @@ def _rref_oracle_inputs(p, rng):
         a = rng.integers(0, p, (rows, cols))
         a[:, :k] = 0
         mats += [a, np.hstack([a[:, k:], a[:, :k]])]
+    # widths either side of a byte and of a 64-bit word, with the last
+    # column set, dense and at about 1/8 density
+    for cols in [1, 7, 8, 9, 63, 64, 65, 129]:
+        sparse = rng.integers(1, p, (cols + 3, cols)) * (rng.random((cols + 3, cols)) < 0.125)
+        mats += [rng.integers(0, p, (cols + 3, cols)), sparse,
+                 np.eye(2, cols, cols - 1, dtype=np.int64) * (p - 1)]
+    # shift-and-permutation stacks: (P_g - 1) over the generators g, the
+    # (240, 120) first conjugation stack of S5 on F_p[S5], and cyclic shifts
+    S5 = groups.symmetric_group(5)
+    pos = {x: i for i, x in enumerate(S5.elements)}
+    eye = np.eye(S5.order, dtype=np.int64)
+    mats.append(np.vstack([eye[[pos[S5.conjugate(g, x)] for x in S5.elements]] - eye
+                           for g in S5.generators]))
+    shift = np.eye(40, k=1, dtype=np.int64) - np.eye(40, dtype=np.int64)
+    mats += [np.vstack([shift, np.roll(shift, 7, axis=1)]), -shift[::-1]]
+    mats.append(rng.integers(0, p, (300, 300)))
     return mats
 
 

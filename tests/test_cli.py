@@ -36,6 +36,7 @@ GOLDEN = {
     "converge_p2.txt": ["converge", "--p", "2"],
     "converge_p2_rational.txt": ["converge", "--p", "2", "--rational"],
     "socle_m5.txt": ["socle", "--m", "5"],
+    "socle_p3_m5.txt": ["socle", "--p", "3", "--m", "5"],
     "betti_tensor.txt": [
         "betti", "--algebra", "golden/tensor_2x2.alg", "--smax", "8",
     ],
@@ -49,6 +50,9 @@ GOLDEN = {
     ],
     "group_conjnil_s3.txt": [
         "group", "conjnil", "--gens", "(1,2);(1,2,3)", "--p", "2",
+    ],
+    "group_conjnil_p3_s3.txt": [
+        "group", "conjnil", "--p", "3", "--gens", "(1,2);(1,2,3)",
     ],
 }
 

@@ -38,10 +38,26 @@ def test_compose_convention():
     assert inverse((1, 2, 0)) == (2, 0, 1)
 
 
+def _order_by_powers(a):
+    """The least n >= 1 with a^n the identity, by repeated composition."""
+    n, cur = 1, a
+    while cur != identity_perm(len(a)):
+        cur = compose(cur, a)
+        n += 1
+    return n
+
+
 def test_perm_order():
     assert perm_order(identity_perm(4)) == 1
+    assert perm_order(()) == 1
     assert perm_order((1, 0, 2, 3)) == 2
     assert perm_order((1, 2, 0, 4, 3)) == 6
+    c5_s3 = FiniteGroup(8, parse_cycles("(1,2,3,4,5);(6,7);(6,7,8)"))
+    for G in (symmetric_group(5), alternating_group(5), quaternion_group(),
+              dihedral_group(5), c5_s3):
+        orders = [perm_order(g) for g in G.elements]
+        assert orders == [_order_by_powers(g) for g in G.elements]
+        assert max(orders) == {120: 6, 60: 5, 8: 4, 10: 5, 30: 15}[G.order]
 
 
 def test_parse_cycles():
