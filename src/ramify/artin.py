@@ -122,11 +122,7 @@ def rref(rows, p):
         if inv != 1:
             piv *= inv
             piv %= p
-        if len(rows_c) == 2:
-            row = a[rows_c[1 - k], c:]
-            row -= int(row[0]) * piv
-            row %= p
-        elif len(rows_c) > 2:
+        if len(rows_c) > 1:
             sub = a[nz, c:]
             step = np.multiply.outer(sub[:, 0], piv)
             step[k] = 0

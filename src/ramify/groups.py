@@ -78,19 +78,13 @@ def inverse(a):
 
 
 def perm_order(a):
-    """The lcm of the lengths of the cycles of a."""
-    order = 1
-    seen = [False] * len(a)
-    for start in range(len(a)):
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = a[x]
-            length += 1
-        if length:
-            order = math.lcm(order, length)
-    return order
+    n = 1
+    cur = a
+    ident = identity_perm(len(a))
+    while cur != ident:
+        cur = compose(cur, a)
+        n += 1
+    return n
 
 
 def parse_cycles(text, degree=None):

@@ -38,13 +38,17 @@ def test_compose_convention():
     assert inverse((1, 2, 0)) == (2, 0, 1)
 
 
-def _order_by_powers(a):
-    """The least n >= 1 with a^n the identity, by repeated composition."""
-    n, cur = 1, a
-    while cur != identity_perm(len(a)):
-        cur = compose(cur, a)
-        n += 1
-    return n
+def _order_by_cycles(a):
+    """The lcm of the lengths of the cycles of a."""
+    order, seen = 1, set()
+    for start in range(len(a)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = a[x]
+            length += 1
+        order = math.lcm(order, max(length, 1))
+    return order
 
 
 def test_perm_order():
@@ -56,7 +60,7 @@ def test_perm_order():
     for G in (symmetric_group(5), alternating_group(5), quaternion_group(),
               dihedral_group(5), c5_s3):
         orders = [perm_order(g) for g in G.elements]
-        assert orders == [_order_by_powers(g) for g in G.elements]
+        assert orders == [_order_by_cycles(g) for g in G.elements]
         assert max(orders) == {120: 6, 60: 5, 8: 4, 10: 5, 30: 15}[G.order]
 
 
