@@ -9,7 +9,11 @@ below y^M, the p-series [p^r](y) solves L(psi) = p^r L(y) and the
 formal sum a +_F b solves L(psi) = L(a) + L(b); one Newton solver
 modulo p^(N + imax) does both.  L(zeta y) = zeta L(y) whenever
 zeta^(p^n - 1) = 1, so [p^r](y) = y f(y^s) with s = p^n - 1, and the
-solver works on the M/s coefficients of f: O((M/s)^2 log M) in all.
+solver works on the M/s coefficients of f, held in one numpy array.  A
+Newton step makes one power chain f^(q_i - 1), q_i = p^(n i), that
+gives both L(f) and the unit of its linear term, and lifts a carried
+inverse of that unit: O(log M) convolutions at doubling lengths,
+O((M/s)^2 log M) in all.
 The p-series equation, checked on all M coefficients, then certifies
 [p^r](y) mod p^N (proofs at _solve_log).  The multiplicative p-series
 is the closed form (1 + y)^(p^r) - 1, and its formal sum is a + b + a b.
@@ -56,51 +60,67 @@ def _dtype(modulus, length):
     return object
 
 
-def _mul_raw(a, b, modulus, out_len):
-    """Truncated convolution of raw coefficient lists.
+def _mul(a, b, modulus, out_len):
+    """The first out_len coefficients of a b, mod modulus (None: exact),
+    for nonempty 1-d arrays of one dtype that _dtype allows for the
+    shorter one's length; the result has that dtype and length out_len."""
+    conv = np.convolve(a[:out_len], b[:out_len])[:out_len]
+    if modulus is not None:
+        conv %= modulus
+    if len(conv) < out_len:
+        conv = np.concatenate([conv, np.zeros(out_len - len(conv), conv.dtype)])
+    return conv
 
-    modulus None means exact arithmetic on the entries as given.  The result
-    always has length exactly out_len.
-    """
+
+def _mul_raw(a, b, modulus, out_len):
+    """_mul on coefficient lists, in the dtype _dtype picks for the call."""
     if out_len <= 0:
         return []
     la, lb = min(len(a), out_len), min(len(b), out_len)
     if la == 0 or lb == 0:
         return [0] * out_len
     dtype = _dtype(modulus, min(la, lb))
-    conv = np.convolve(np.asarray(a[:la], dtype), np.asarray(b[:lb], dtype))[:out_len]
-    vals = (conv if modulus is None else conv % modulus).tolist()
-    return vals + [0] * (out_len - len(vals))
+    return _mul(np.asarray(a[:la], dtype), np.asarray(b[:lb], dtype), modulus, out_len).tolist()
 
 
-def _pow_raw(base, e, modulus, out_len):
-    cur = list(base[:out_len]) + [0] * max(0, out_len - len(base))
-    if modulus is not None:
-        cur = [v % modulus for v in cur]
+def _vec(vals, length, modulus, dtype):
+    """vals mod modulus, cut or zero-padded to length, as an array."""
+    out = np.zeros(length, dtype)
+    head = [v % modulus for v in vals[:length]]
+    out[: len(head)] = head
+    return out
+
+
+def _pow(a, e, modulus, out_len):
+    """a^e mod (modulus, z^out_len), e >= 1, for a reduced array a of
+    length out_len."""
     result = None
-    while e:
+    while True:
         if e & 1:
-            result = cur if result is None else _mul_raw(result, cur, modulus, out_len)
+            result = a if result is None else _mul(result, a, modulus, out_len)
         e >>= 1
-        if e:
-            cur = _mul_raw(cur, cur, modulus, out_len)
-    return [1] + [0] * (out_len - 1) if result is None else result
+        if not e:
+            return result
+        a = _mul(a, a, modulus, out_len)
 
 
-def _inv_raw(c, modulus, length):
-    """Newton inverse of a unit series given as a raw mod-m list."""
-    try:
-        v = [pow(c[0], -1, modulus)]
-    except ValueError:
-        raise NonUnitError("constant term %d is not a unit mod %d" % (c[0], modulus))
-    cur = 1
+def _inv(c, modulus, length, v=None):
+    """c^-1 mod (modulus, z^length) for a unit array c of length at least
+    length, by Newton doublings v <- v (2 - c v) from v, the inverse
+    known below z^len(v) (the constant term's inverse when None)."""
+    if v is None:
+        try:
+            v = np.array([pow(int(c[0]), -1, modulus)], c.dtype)
+        except ValueError:
+            raise NonUnitError("constant term %d is not a unit mod %d" % (c[0], modulus))
+    v = v[:length]
+    cur = len(v)
     while cur < length:
         cur = min(length, 2 * cur)
-        t = _mul_raw(c[:cur], v, modulus, cur)
-        t = [(-x) % modulus for x in t]
+        t = -_mul(c[:cur], v, modulus, cur) % modulus
         t[0] = (t[0] + 2) % modulus
-        v = _mul_raw(v, t, modulus, cur)
-    return v + [0] * (length - len(v))
+        v = _mul(v, t, modulus, cur)
+    return v
 
 
 @dataclass(frozen=True)
@@ -235,18 +255,20 @@ def _add_log(acc, f, p, n, imax, modulus, s):
     """acc + L(y f(y^s)) mod modulus, in z-form: entry j of acc, f and
     the result is the coefficient of y^(1 + j s).  L = sum_(i <= imax)
     p^(imax - i) y^(p^(n i)) and s divides p^n - 1, so q = p^(n i) is
-    1 mod s and (y f)^q = y z^((q - 1)/s) f^q with z = y^s."""
+    1 mod s and (y f)^q = y z^((q - 1)/s) f^q with z = y^s.  The
+    result is an array; its p^n-th powers are its own, not the chain
+    of _solve_log, so the certificate evaluates L apart from the solver."""
     out_len = len(acc)
-    acc = list(acc)
-    cur = list(f[:out_len]) + [0] * max(0, out_len - len(f))
+    dtype = _dtype(modulus, out_len)
+    acc = _vec(acc, out_len, modulus, dtype)
+    cur = _vec(f, out_len, modulus, dtype)
     for i in range(imax + 1):
         shift = (p ** (n * i) - 1) // s
         if shift >= out_len:
             break
         if i > 0:
-            cur = _pow_raw(cur, p**n, modulus, out_len - shift)
-        c = p ** (imax - i)
-        acc[shift:] = [(a + c * v) % modulus for a, v in zip(acc[shift:], cur)]
+            cur = _pow(cur[: out_len - shift], p**n, modulus, out_len - shift)
+        acc[shift:] = (acc[shift:] + p ** (imax - i) * cur) % modulus
     return acc
 
 
@@ -307,40 +329,70 @@ def _solve_log(target, p, n, M, N):
     mod p^N there, which is 0 for 1 < k < 1 + s <= p^n; so J = 1 with
     f_0 = target_1 / p^imax.  J doubles each step: O(log M) evaluations
     of L at doubling lengths, O((M/s)^2 log M) in all.
+
+    Chain.  L(f) needs f^(q_i) below z^(2J - shift_i), shift_i =
+    (q_i - 1)/s, and U(f) needs f^(q_i - 1) below z^(J - shift_i).  Both
+    come from g_1 = f^(p^n - 1), g_(i+1) = g_i^(p^n) g_1: as p^n (q_i - 1)
+    + p^n - 1 = q_(i+1) - 1, g_i = f^(q_i - 1), and f^(q_i) = f g_i.
+
+    Carried inverse.  A step at J inverts U(f) below z^L, L = J2 - J <= J.
+    The coefficient of z^m in U(f) involves only f_0 .. f_m, and f below
+    z^J never changes again: later steps only append to it.  So U(f) mod
+    z^L is the same at every later step, and so is its inverse there;
+    the step lifts the previous step's inverse to the new L by Newton
+    doublings v <- v (2 - U v) (_inv): one when L doubles, none when the
+    last L is shorter.  The result equals inverting U(f) afresh.
+
+    Arrays.  f, the target, the residual and the chain are 1-d arrays of
+    the dtype _dtype gives for p^(N + imax) at the z-length K; every
+    product in the solve has operands of length at most K, so int64
+    holds its partial sums whenever _dtype picks it.
     """
     imax = _honda_imax(p, n, M)
     scale = p**imax
     modulus = p ** (N + imax)
-    s = _stride(target, p**n - 1, 1)
-    neg = [(-t) % modulus for t in target[1::s]]
-    f = [t // scale for t in target[1:2]]
+    pn = p**n
+    s = _stride(target, pn - 1, 1)
+    K = len(target[1::s])
+    dtype = _dtype(modulus, K)
+    neg = -_vec(target[1::s], K, modulus, dtype) % modulus
+    f = np.zeros(K, dtype)
+    f[0] = target[1] % modulus // scale
+    v = None
     J = 1
-    while J < len(neg):
-        J2 = min(len(neg), 2 * J)
-        res = _add_log(neg[:J2], f, p, n, imax, modulus, s)
-        for j in range(J):
-            if res[j]:
-                raise PrecisionError("settled prefix moved at degree %d" % (1 + j * s))
-        for j in range(J, J2):
-            if res[j] % scale:
-                raise PrecisionError(
-                    "functional equation correction not divisible by p^%d at degree %d"
-                    % (imax, 1 + j * s)
-                )
+    while J < K:
+        J2 = min(K, 2 * J)
         L = J2 - J
-        unit = [1] + [0] * (L - 1)
+        res = (neg[:J2] + scale * f[:J2]) % modulus
+        unit = np.zeros(L, dtype)
+        unit[0] = 1
         for i in range(1, imax + 1):
-            q = p ** (n * i)
-            shift = (q - 1) // s
+            shift = (p ** (n * i) - 1) // s
+            if shift >= J2:
+                break
+            w = J2 - shift
+            if i == 1:
+                g1 = g = _pow(f[:w], pn - 1, modulus, w)
+            else:
+                g = _mul(_pow(g[:w], pn, modulus, w), g1, modulus, w)
+            res[shift:] = (res[shift:] + p ** (imax - i) * _mul(f, g, modulus, w)) % modulus
             if shift < L:
-                term = _pow_raw(f, q - 1, modulus, L - shift)
-                c = p ** ((n - 1) * i)
-                unit[shift:] = [(u + c * t) % modulus for u, t in zip(unit[shift:], term)]
-        eps = _mul_raw([v // scale for v in res[J:]], _inv_raw(unit, modulus, L), modulus, L)
-        f += [(-v) % modulus for v in eps]
+                c = p ** ((n - 1) * i) % modulus
+                unit[shift:] = (unit[shift:] + c * g[: L - shift]) % modulus
+        moved = np.flatnonzero(res[:J])
+        if len(moved):
+            raise PrecisionError("settled prefix moved at degree %d" % (1 + moved[0] * s))
+        odd = np.flatnonzero(res[J:] % scale)
+        if len(odd):
+            raise PrecisionError(
+                "functional equation correction not divisible by p^%d at degree %d"
+                % (imax, 1 + (J + odd[0]) * s)
+            )
+        v = _inv(unit, modulus, L, v)
+        f[J:J2] = -_mul(res[J:] // scale, v, modulus, L) % modulus
         J = J2
     psi = [0] * M
-    psi[1::s] = [v % p**N for v in f]
+    psi[1::s] = (f % p**N).tolist()
     return psi
 
 
@@ -373,12 +425,11 @@ def certify_honda_pseries(psi, p, n, r, N):
                 "[p^%d](y) has a nonzero coefficient at degree %d, off the degrees 1 mod %d"
                 % (r, k, s)
             )
-    res = _add_log(neg[1::s], psi[1::s], p, n, imax, modulus, s)
-    for j, v in enumerate(res):
-        if v:
-            raise PrecisionError(
-                "[p^%d](y) fails its functional equation at degree %d" % (r, 1 + j * s)
-            )
+    bad = np.flatnonzero(_add_log(neg[1::s], psi[1::s], p, n, imax, modulus, s))
+    if len(bad):
+        raise PrecisionError(
+            "[p^%d](y) fails its functional equation at degree %d" % (r, 1 + bad[0] * s)
+        )
 
 
 class FormalGroupLaw:
@@ -490,7 +541,7 @@ def formal_sum(F: FormalGroupLaw, a: TruncatedSeries, b: TruncatedSeries):
     acc = [0] * (M - 1)
     for x in (a, b):
         acc = _add_log(acc, x.coeffs[1:], p, n, imax, p ** (N + imax), 1)
-    return TruncatedSeries(ctx, tuple(_solve_log([0] + acc, p, n, M, N)), False)
+    return TruncatedSeries(ctx, tuple(_solve_log([0] + acc.tolist(), p, n, M, N)), False)
 
 
 @dataclass(frozen=True)
@@ -508,12 +559,11 @@ def _weier_divide(h, g, d, modulus, work, N):
     in (p), so pass k + 1 repeats pass k once p^k = 0 mod p^N.
     """
     gamma = g[:d]
-    q = [0] * work
+    q = np.zeros(work, h.dtype)
     for _ in range(N + 1):
-        t = _mul_raw(gamma, q, modulus, work)
-        t = [(hv - tv) % modulus for hv, tv in zip(h, t)]
-        qn = t[d:] + [0] * d
-        if qn == q:
+        t = (h - _mul(gamma, q, modulus, work)) % modulus
+        qn = np.concatenate([t[d:], np.zeros(d, h.dtype)])
+        if np.array_equal(qn, q):
             return q, t[:d]
         q = qn
     raise WeierstrassError("division fixed point did not stabilize")
@@ -607,30 +657,28 @@ def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
     else:
         work = len(coeffs)
     t = _stride(coeffs, 0, 0)
-    c = (coeffs + [0] * (work - len(coeffs)))[::t]
-    W, dz = len(c), d // t
-    slope = [p ** min(N, (work - 1 - j * t) // d) for j in range(W)]
-    g = [0] * dz + [1]
-    u = c[dz:] + [0] * dz
+    W, dz = (work - 1) // t + 1, d // t
+    dtype = _dtype(modulus, W)
+    c = _vec(coeffs[::t], W, modulus, dtype)
+    slope = np.array([p ** min(N, (work - 1 - j * t) // d) for j in range(W)], dtype)
+    g = np.zeros(dz + 1, dtype)
+    g[dz] = 1
+    u = np.concatenate([c[dz:], np.zeros(dz, dtype)])
     rounds = (N - 1).bit_length() + 1
     for _ in range(rounds):
-        gu = _mul_raw(g, u, modulus, W)
-        e = [(cv - gv) % modulus for cv, gv in zip(c, gu)]
-        if not any(ev % sv for ev, sv in zip(e, slope)):
+        e = (c - _mul(g, u, modulus, W)) % modulus
+        if not np.any(e % slope):
             break
-        uinv = _inv_raw(u, modulus, W)
-        h = _mul_raw(e, uinv, modulus, W)
+        h = _mul(e, _inv(u, modulus, W), modulus, W)
         bprime, a = _weier_divide(h, g, dz, modulus, W, N)
-        for i in range(dz):
-            g[i] = (g[i] + a[i]) % modulus
-        ub = _mul_raw(u, bprime, modulus, W)
-        u = [(uv + bv) % modulus for uv, bv in zip(u, ub)]
+        g[:dz] = (g[:dz] + a) % modulus
+        u = (u + _mul(u, bprime, modulus, W)) % modulus
     else:
         raise WeierstrassError("Hensel lifting did not converge")
     unit_len = work - (N + 1) * d
     gy, uy = [0] * (d + 1), [0] * unit_len
-    gy[::t] = g
-    uy[::t] = u[: (unit_len - 1) // t + 1]
+    gy[::t] = g.tolist()
+    uy[::t] = u[: (unit_len - 1) // t + 1].tolist()
     distinguished = TruncatedSeries(ctx, tuple(gy), True)
     unit = TruncatedSeries(ctx, tuple(uy), False)
     return WeierstrassFactorization(distinguished, unit, d)

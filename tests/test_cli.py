@@ -25,6 +25,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = {
     "pseries_p2_r2.txt": ["pseries", "--p", "2", "--r", "2"],
     "pseries_p3.json": ["pseries", "--p", "3", "--format", "json"],
+    "pseries_p2_n2_r2.txt": ["pseries", "--p", "2", "--n", "2", "--r", "2"],
     "weierstrass_honda22.txt": ["weierstrass", "--p", "2", "--n", "2"],
     "ring_p2.txt": ["ring", "--p", "2"],
     "reduce_k_honda22.txt": ["reduce-k", "--p", "2", "--n", "2"],
@@ -32,6 +33,7 @@ GOLDEN = {
     "tor_p2_n2.json": ["tor", "--p", "2", "--n", "2", "--format", "json"],
     "kunneth_p2_r2.txt": ["kunneth", "--p", "2", "--r", "2"],
     "compare_p2_k2.txt": ["compare", "--p", "2", "--k", "2"],
+    "compare_p2_n2_k3.txt": ["compare", "--p", "2", "--n", "2", "--k", "3"],
     "rational_p3.txt": ["rational", "--p", "3"],
     "converge_p2.txt": ["converge", "--p", "2"],
     "converge_p2_rational.txt": ["converge", "--p", "2", "--rational"],

@@ -123,13 +123,13 @@ def test_every_grid_point_builds_a_ring_with_the_closed_form_tor(monkeypatch):
     points = _honda_grid()
     assert len(points) == 163
     steps = [0]
-    inv_raw = fgl._inv_raw
+    inv = fgl._inv
 
     def counting(*args):
         steps[0] += 1
-        return inv_raw(*args)
+        return inv(*args)
 
-    monkeypatch.setattr(fgl, "_inv_raw", counting)
+    monkeypatch.setattr(fgl, "_inv", counting)
     for p, n, r, N in points:
         F = _honda_law(p, n, r, N)
         F.p_series(r)  # its Newton solve inverts series too

@@ -16,7 +16,7 @@ from ramify.fgl import (
     TruncatedSeries,
     WeierstrassError,
     _honda_imax,
-    _pow_raw,
+    _log_y,
     certify_honda_pseries,
     exact_quotient_by_y,
     formal_sum,
@@ -151,13 +151,16 @@ def test_series_inverse_roundtrip_randomized():
     rng = random.Random(7)
     m = 3**5
     for _ in range(100):
-        c = [rng.randrange(m) for _ in range(rng.randrange(1, 9))]
+        c = np.array([rng.randrange(m) for _ in range(rng.randrange(1, 9))], np.int64)
         if c[0] % 3 == 0:
             with pytest.raises(NonUnitError):
-                fgl._inv_raw(c, m, len(c))
-        else:
-            v = fgl._inv_raw(c, m, len(c))
-            assert fgl._mul_raw(c, v, m, len(c)) == [1] + [0] * (len(c) - 1)
+                fgl._inv(c, m, len(c))
+            continue
+        v = fgl._inv(c, m, len(c))
+        assert fgl._mul(c, v, m, len(c)).tolist() == [1] + [0] * (len(c) - 1)
+        # lifting an inverse known on a prefix gives the same inverse
+        for k in range(1, len(c) + 1):
+            assert fgl._inv(c, m, len(c), fgl._inv(c, m, k)).tolist() == v.tolist()
 
 
 def _convolve_oracle(a, b, modulus, out_len):
@@ -304,6 +307,134 @@ def _rational_pseries(p, n, M):
     return psi
 
 
+# ------------------------------------------- reference: the list-based solver
+
+
+def _pow_raw(base, e, modulus, out_len):
+    cur = list(base[:out_len]) + [0] * max(0, out_len - len(base))
+    if modulus is not None:
+        cur = [v % modulus for v in cur]
+    result = None
+    while e:
+        if e & 1:
+            result = cur if result is None else fgl._mul_raw(result, cur, modulus, out_len)
+        e >>= 1
+        if e:
+            cur = fgl._mul_raw(cur, cur, modulus, out_len)
+    return [1] + [0] * (out_len - 1) if result is None else result
+
+
+def _inv_raw(c, modulus, length):
+    v = [pow(c[0], -1, modulus)]
+    cur = 1
+    while cur < length:
+        cur = min(length, 2 * cur)
+        t = fgl._mul_raw(c[:cur], v, modulus, cur)
+        t = [(-x) % modulus for x in t]
+        t[0] = (t[0] + 2) % modulus
+        v = fgl._mul_raw(v, t, modulus, cur)
+    return v + [0] * (length - len(v))
+
+
+def _add_log_oracle(acc, f, p, n, imax, modulus, s):
+    """acc + L(y f(y^s)) mod modulus in z-form, as lists."""
+    out_len = len(acc)
+    acc = list(acc)
+    cur = list(f[:out_len]) + [0] * max(0, out_len - len(f))
+    for i in range(imax + 1):
+        shift = (p ** (n * i) - 1) // s
+        if shift >= out_len:
+            break
+        if i > 0:
+            cur = _pow_raw(cur, p**n, modulus, out_len - shift)
+        c = p ** (imax - i)
+        acc[shift:] = [(a + c * v) % modulus for a, v in zip(acc[shift:], cur)]
+    return acc
+
+
+def _solve_log_oracle(target, p, n, M, N):
+    """fgl._solve_log before its step kept one power chain and a carried
+    inverse on arrays: each Newton step evaluates L(f) by repeated
+    p^n-th powers, raises f to every q_i - 1 afresh for the unit U and
+    inverts U from scratch, all on coefficient lists."""
+    imax = _honda_imax(p, n, M)
+    scale = p**imax
+    modulus = p ** (N + imax)
+    s = fgl._stride(target, p**n - 1, 1)
+    neg = [(-t) % modulus for t in target[1::s]]
+    f = [t // scale for t in target[1:2]]
+    J = 1
+    while J < len(neg):
+        J2 = min(len(neg), 2 * J)
+        res = _add_log_oracle(neg[:J2], f, p, n, imax, modulus, s)
+        assert not any(res[:J]) and not any(v % scale for v in res[J:])
+        L = J2 - J
+        unit = [1] + [0] * (L - 1)
+        for i in range(1, imax + 1):
+            q = p ** (n * i)
+            shift = (q - 1) // s
+            if shift < L:
+                term = _pow_raw(f, q - 1, modulus, L - shift)
+                c = p ** ((n - 1) * i)
+                unit[shift:] = [(u + c * t) % modulus for u, t in zip(unit[shift:], term)]
+        eps = fgl._mul_raw([v // scale for v in res[J:]], _inv_raw(unit, modulus, L), modulus, L)
+        f += [(-v) % modulus for v in eps]
+        J = J2
+    psi = [0] * M
+    psi[1::s] = [v % p**N for v in f]
+    return psi
+
+
+def _pseries_target(p, n, r, N):
+    """p^r L(y) mod p^(N + imax) below y^M, and M, for the M the ring
+    of (p, n, r, N) asks."""
+    M = minimum_series_precision(p, n, r, N, False)
+    imax = _honda_imax(p, n, M)
+    return _log_y(p**r, p, n, imax, p ** (N + imax), M), M
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_solver_matches_the_list_oracle_on_the_grid(p):
+    for _, n, r, N in [pt for pt in _accepted_grid(16) if pt[0] == p]:
+        target, M = _pseries_target(p, n, r, N)
+        want = _solve_log_oracle(target, p, n, M, N)
+        assert fgl._solve_log(target, p, n, M, N) == want, (p, n, r, N)
+
+
+def test_solver_matches_the_list_oracle_past_int64():
+    # p^(N + imax) is past the int64 bound: the solve runs on object arrays
+    for p, n, r, N in [(2, 2, 2, 40), (3, 2, 1, 30), (2, 1, 2, 62), (5, 1, 1, 28)]:
+        target, M = _pseries_target(p, n, r, N)
+        s = p**n - 1
+        assert fgl._dtype(p ** (N + _honda_imax(p, n, M)), (M - 2) // s + 1) is object
+        want = _solve_log_oracle(target, p, n, M, N)
+        assert fgl._solve_log(target, p, n, M, N) == want, (p, n, r, N)
+
+
+def test_solver_refuses_a_target_off_its_functional_equation():
+    # A target one unit off L(psi*) at degree 1 + j s.  At j = 0, f_0 =
+    # target_1 / p^imax leaves a remainder that the first step finds in
+    # its settled prefix; at j >= 1 the step that reaches degree 1 + j s
+    # finds a correction p^imax does not divide.
+    p, n, r, N = 2, 2, 2, 8
+    target, M = _pseries_target(p, n, r, N)
+    imax = _honda_imax(p, n, M)
+    modulus, s = p ** (N + imax), p**n - 1
+    assert imax == 3
+
+    def perturbed(j):
+        bad = list(target)
+        bad[1 + j * s] = (bad[1 + j * s] + 1) % modulus
+        return bad
+
+    with pytest.raises(PrecisionError, match="^settled prefix moved at degree 1$"):
+        fgl._solve_log(perturbed(0), p, n, M, N)
+    for j in (1, 5, 6, (M - 2) // s):
+        why = r"not divisible by p\^3 at degree %d$" % (1 + j * s)
+        with pytest.raises(PrecisionError, match=why):
+            fgl._solve_log(perturbed(j), p, n, M, N)
+
+
 def test_mod_solver_agrees_with_rational_solver():
     for (p, n, M) in [(2, 1, 12), (2, 2, 20), (3, 1, 12), (3, 2, 12)]:
         newton = make_honda_fgl(p, n, M=M, N=8).p_series(1).coeffs
@@ -434,23 +565,24 @@ def test_weierstrass_in_z_matches_the_stride_one_preparation(monkeypatch):
 
 
 def test_series_products_run_at_the_stride(monkeypatch):
-    # a refactor that drops the stride must fail here, not only in timing
-    longest = [0]
-    mul_raw = fgl._mul_raw
+    # a refactor that drops the stride must fail here, not only in timing;
+    # every series product goes through _mul, and each half makes some
+    lengths = []
+    mul = fgl._mul
 
     def recording(a, b, modulus, out_len):
-        longest[0] = max(longest[0], len(a), len(b))
-        return mul_raw(a, b, modulus, out_len)
+        lengths.append(max(len(a), len(b)))
+        return mul(a, b, modulus, out_len)
 
     p, n, r, N = 2, 3, 2, 14
     M = minimum_series_precision(p, n, r, N, False)
     F = make_honda_fgl(p, n, M, N)
-    monkeypatch.setattr(fgl, "_mul_raw", recording)
+    monkeypatch.setattr(fgl, "_mul", recording)
     q = exact_quotient_by_y(F.p_series(r))
-    assert longest[0] <= (M - 2) // 7 + 1
-    longest[0] = 0
+    assert lengths and max(lengths) <= (M - 2) // 7 + 1
+    lengths.clear()
     weierstrass_preparation(q)
-    assert longest[0] <= (len(q.coeffs) - 1) // 7 + 1
+    assert lengths and max(lengths) <= (len(q.coeffs) - 1) // 7 + 1
 
 
 def test_formal_sum_multiplicative():
@@ -590,17 +722,34 @@ TABLE_LAWS = [(2, 1, 16), (2, 2, 32), (2, 3, 64), (3, 1, 24), (3, 2, 64), (5, 1,
               (5, 2, 64)]
 
 
-@pytest.mark.parametrize("p, n, M", TABLE_LAWS)
-def test_formal_sum_matches_the_table_reference(p, n, M):
+def _table_operands(p, n, M):
+    """The law and the six operand pairs the table reference checks."""
     rng = random.Random(1000 * p + 100 * n + M)
     F = make_honda_fgl(p, n, M=M, N=6)
-    tab = _honda_table_mod(p, n, M, 6)
     for ctx in (F.context, padic_context(p, 3), padic_context(p, 1)):
         for L in (M, M - 3):
-            a, b = _random_series(rng, ctx, L), _random_series(rng, ctx, M)
-            got = formal_sum(F, a, b)
-            assert len(got.coeffs) == L and not got.exact
-            assert got.coeffs == _table_formal_sum(F, tab, a, b).coeffs
+            yield F, _random_series(rng, ctx, L), _random_series(rng, ctx, M)
+
+
+@pytest.mark.parametrize("p, n, M", TABLE_LAWS)
+def test_formal_sum_matches_the_table_reference(p, n, M):
+    tab = _honda_table_mod(p, n, M, 6)
+    for F, a, b in _table_operands(p, n, M):
+        got = formal_sum(F, a, b)
+        assert len(got.coeffs) == len(a.coeffs) and not got.exact
+        assert got.coeffs == _table_formal_sum(F, tab, a, b).coeffs
+
+
+@pytest.mark.parametrize("p, n, M", TABLE_LAWS)
+def test_formal_sum_targets_solve_as_the_list_oracle(p, n, M):
+    for F, a, b in _table_operands(p, n, M):
+        N, L = a.context.prec, len(a.coeffs)
+        imax = _honda_imax(p, n, L)
+        acc = [0] * (L - 1)
+        for x in (a, b):
+            acc = _add_log_oracle(acc, x.coeffs[1:], p, n, imax, p ** (N + imax), 1)
+        target = [0] + acc
+        assert fgl._solve_log(target, p, n, L, N) == _solve_log_oracle(target, p, n, L, N)
 
 
 def test_formal_sum_satisfies_the_group_law_axioms():
