@@ -90,8 +90,8 @@ def _build_law(args, exponent="r"):
     p, n, r, N = args.p, args.n, getattr(args, exponent), args.N
     if r < 0:
         raise ValueError("%s must be >= 0" % exponent)
-    if n >= 2 and N < 1:
-        raise ValueError("N must be >= 1 at height n >= 2")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     M = args.M
     if M is None:
         M = minimum_series_precision(p, n, r, N, polynomial_pseries=(n == 1))

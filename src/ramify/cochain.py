@@ -11,25 +11,30 @@ coefficient vectors of length rank = p^(rn).  A product is the exact
 convolution of two such vectors, whose part of degree >= rank folds
 back by one matrix product with the ring's fold table (row i is
 y^(rank+i) mod w, built from w by Euclidean steps); a long series is
-reduced by Euclidean division.  Both are exact, so every ring operation
-is exact mod p^N.  Arrays take the dtype fgl._dtype gives for p^N and
-rank: int64 when (p^N - 1)^2 rank < 2^63, which bounds every sum they
-form, and numpy arrays of Python ints otherwise.
+reduced by Euclidean division over the nonzero terms of w.  Both are
+exact, so every ring operation is exact mod p^N.  Arrays take the dtype
+fgl._dtype gives for p^N and rank: int64 when (p^N - 1)^2 rank < 2^63,
+which bounds every sum they form, and numpy arrays of Python ints
+otherwise.
 
-Truncated inputs are accepted only when their known prefix pins the
-image mod p^N.  Reducing an unknown tail coefficient y^m by w drops
-its degree by at most deg(w) - 1 per step while gaining a factor of p
-each step (every non-leading coefficient of w lies in (p) and the
-constant term is zero), so the tail contributes nothing mod p^N as
-soon as the known length reaches (N + 1)(rank - 1) + 1.  The ring
-constructor enforces a larger margin on the law's precision so that
-the Weierstrass step itself is reliable; see
-minimum_series_precision.
+Tail bound.  Reducing a coefficient y^m by w drops its degree by at
+most deg(w) - 1 per step while gaining a factor of p each step (every
+non-leading coefficient of w lies in (p) and the constant term is zero,
+as the ring constructor checks), so every coefficient of degree
+(N + 1)(rank - 1) + 1 or more reduces to 0 mod p^N.  Euclidean division
+therefore cuts its input there, and a truncated input is accepted only
+when its known prefix reaches that length, which pins its image.
+
+Each A_r reads q_r from the p-series of length
+minimum_series_precision(p, n, r, N), the margin the Weierstrass step
+needs to be reliable, even when the law's M is larger because the law
+was sized for a higher ring of the tower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -134,6 +139,10 @@ class CyclicCochainRing:
         self.distinguished = distinguished
         self._check_relation()
         self.dtype = _dtype(self.modulus, self.rank)
+        # the nonzero (j, w_j) below y^rank, and the input length past
+        # which every coefficient vanishes mod p^N (module docstring)
+        self._w_terms = [(j, c) for j, c in enumerate(self.w_coeffs[:-1]) if c]
+        self._tail = (context.prec + 1) * (self.rank - 1) + 1
         self._fold = np.zeros((self.rank - 1, self.rank), self.dtype)
         self._fold_len = 0  # rows of _fold filled so far
         self.q_elt = None  # installed by make_cochain_ring
@@ -191,31 +200,31 @@ class CyclicCochainRing:
     def _reduce_poly(self, coeffs):
         """Euclidean reduction of an integer coefficient list by the
         monic relation; exact, returns a canonical tuple.  Used for the
-        long series a ring reduces once (q_r, from_series)."""
-        m = self.modulus
-        rank = self.rank
-        c = [int(x) for x in coeffs]
-        if len(c) < rank:
-            c = c + [0] * (rank - len(c))
+        long series a ring reduces once (q_r, from_series).  The input
+        is cut at (N + 1)(rank - 1) + 1, past which every coefficient
+        reduces to 0 mod p^N, and a step subtracts only w's nonzero
+        terms below y^rank."""
+        m, rank = self.modulus, self.rank
+        c = [int(x) for x in coeffs[: self._tail]]
+        c += [0] * (rank - len(c))
         for deg in range(len(c) - 1, rank - 1, -1):
             t = c[deg] % m
             if t:
                 base = deg - rank
-                for j in range(rank + 1):
-                    c[base + j] = c[base + j] - t * self.w_coeffs[j]
-            c[deg] = 0
+                for j, wj in self._w_terms:
+                    c[base + j] -= t * wj
         return tuple(x % m for x in c[:rank])
 
     # -- element constructors
 
     def element(self, coeffs):
-        return RingElement(self, self._reduce_poly(list(coeffs)))
+        return RingElement(self, self._reduce_poly(coeffs))
 
-    @property
+    @cached_property
     def one(self):
         return self.element([1])
 
-    @property
+    @cached_property
     def y_elt(self):
         return self.element([0, 1])
 
@@ -231,17 +240,16 @@ class CyclicCochainRing:
             raise TypeError("expected a TruncatedSeries")
         if series.exact:
             if series.context.kind == "int" or series.context == self.context:
-                return self.element([int(c) for c in series.coeffs])
+                return self.element(series.coeffs)
             raise ContextMismatch("cannot reduce an exact series over %s" % series.context.describe())
         if series.context != self.context:
             raise ContextMismatch("series context does not match the ring")
-        need = (self.context.prec + 1) * (self.rank - 1) + 1
-        if len(series.coeffs) < need:
+        if len(series.coeffs) < self._tail:
             raise PrecisionError(
                 "series has %d known coefficients, need %d to pin the image"
-                % (len(series.coeffs), need)
+                % (len(series.coeffs), self._tail)
             )
-        return self.element(list(series.coeffs))
+        return self.element(series.coeffs)
 
     def random_element(self, rng):
         return RingElement(
@@ -269,7 +277,12 @@ def make_cochain_ring(F, r, N=8):
     """Build A_r from the law F at p-adic precision N.
 
     Validates the precision budget, factors q_r, installs the monic
-    relation w = y * g_r, and certifies y * q_r = 0 in A_r.
+    relation w = y * g_r, and certifies y * q_r = 0 in A_r.  q_r comes
+    from the p-series of length M = minimum_series_precision(p, n, r,
+    N), which F solves and certifies at that length even when its own
+    M, sized for a higher ring, is larger.  Both lengths give [p^r](y)
+    mod p^N, so the shorter series is a prefix of the longer, and the
+    uniqueness below gives both the same g_r.
 
     The augmentation of q_r, p^r, is not checked again here.  w has zero
     constant term, so _reduce_poly never changes coefficient 0, and
@@ -283,19 +296,20 @@ def make_cochain_ring(F, r, N=8):
     fold table: -w below y^rank, read off w alone (later rows follow
     from it by Euclidean steps).  Neither shares code with the Hensel
     lifting of fgl.weierstrass_preparation.  Let d = rank - 1 and c be
-    q_r as known, below y^(M - 1).  What it uses:
+    q_r below y^T, T = (N + 1) d + 1, where _reduce_poly cuts the M - 1
+    known coefficients.  What it uses:
       - g = g_r is monic of degree d with lower terms in (p), which the
         ring constructor checks on w;
       - q_r has its first unit coefficient at degree d: preparation
         reads d off that coefficient, and deg g = d;
-      - M - 1 >= N d, as M >= minimum_series_precision.
+      - T >= N d, and M - 1 >= T for a truncated q_r.
     If rho = c mod w has y rho = 0 in A_r, then y rho = rho_d w, so
     rho = rho_d g and c = g (y tau + rho_d) mod p^N for the quotient
     tau.  In Lambda = Z_p[y]/(g), g lifted to Z_p, y^d = y^d - g lies
-    in p Lambda, so y^(M - 1) lies in p^N Lambda, and q_r = c +
-    O(y^(M - 1)) is g v + p^N rho' with deg rho' < d.  With q_r = G U
-    its Weierstrass factorization, G monic of degree d, G = g v U^-1 +
-    p^N rho' U^-1 and deg(G - g) < d, so uniqueness of division by g
+    in p Lambda, so y^T lies in p^N Lambda, and q_r = c + O(y^T) is
+    g v + p^N rho' with deg rho' < d.  With q_r = G U its Weierstrass
+    factorization, G monic of degree d, G = g v U^-1 + p^N rho' U^-1
+    and deg(G - g) < d, so uniqueness of division by g
     (Washington, Introduction to Cyclotomic Fields, 7.1) gives G = g
     mod p^N: g is the distinguished factor.  A polynomial q_r is its own
     distinguished factor, with unit 1.
@@ -324,7 +338,7 @@ def make_cochain_ring(F, r, N=8):
             % (F.context.describe(), N)
         )
 
-    q_series = exact_quotient_by_y(F.p_series(r))
+    q_series = exact_quotient_by_y(F.p_series(r, need))
 
     if polynomial:
         # q_r = ((1+y)^(p^r) - 1)/y is already monic and distinguished
@@ -335,7 +349,7 @@ def make_cochain_ring(F, r, N=8):
         dist, unit = wf.distinguished, wf.unit
 
     ring = CyclicCochainRing(F, r, context, (0,) + dist.coeffs, unit, dist)
-    q_elt = ring.element([int(c) for c in q_series.coeffs])
+    q_elt = ring.element(q_series.coeffs)
     ring.q_elt = q_elt
 
     if not (ring.y_elt * q_elt).is_zero:

@@ -243,12 +243,7 @@ def _honda_imax(p: int, n: int, M: int) -> int:
 def _stride(coeffs, s, offset):
     """gcd(s, {k - offset : coeffs_k != 0}): coeffs is supported in the
     degrees offset + (multiples of the result)."""
-    for k, v in enumerate(coeffs):
-        if v:
-            s = math.gcd(s, k - offset)
-            if s == 1:
-                break
-    return s
+    return math.gcd(s, *(np.flatnonzero(np.asarray(coeffs)) - offset).tolist())
 
 
 def _add_log(acc, f, p, n, imax, modulus, s):
@@ -447,7 +442,7 @@ class FormalGroupLaw:
         self.n = n
         self.M = M
         self.context = context
-        self._pseries = {}
+        self._pseries = {}  # (r, M) -> [p^r](y) below y^M
         self._ring_cache = {}  # (r, N) -> A_r, filled by make_cochain_ring
 
     def describe(self) -> str:
@@ -458,24 +453,29 @@ class FormalGroupLaw:
     def __repr__(self):
         return "FormalGroupLaw(%s, M=%d)" % (self.describe(), self.M)
 
-    def p_series(self, r: int) -> TruncatedSeries:
-        """[p^r](y) in the law's own context.
+    def p_series(self, r: int, M=None) -> TruncatedSeries:
+        """[p^r](y) in the law's own context, below y^M (the law's M
+        when None).
 
         Multiplicative laws give the exact polynomial (1 + y)^(p^r) - 1;
         Honda laws give a length-M series correct mod p^N, solved by
-        Newton's method and certified by its functional equation.
+        Newton's method and certified by its functional equation.  The
+        series mod p^N is canonical, so a shorter one is a prefix of a
+        longer one.
         """
+        if M is None:
+            M = self.M
         if r < 0:
             raise ValueError("r must be >= 0")
-        if r >= 1 and self.p ** (r * self.n) > self.M - 1:
+        if r >= 1 and self.p ** (r * self.n) > M - 1:
             # The leading term y^(p^(rn)) must fit inside the working
             # precision; a silently truncated p-series is useless.
             raise PrecisionError(
                 "p-series [p^%d]y has leading degree %d beyond precision M=%d"
-                % (r, self.p ** (r * self.n), self.M)
+                % (r, self.p ** (r * self.n), M)
             )
-        if r in self._pseries:
-            return self._pseries[r]
+        if (r, M) in self._pseries:
+            return self._pseries[(r, M)]
         if self.kind == "multiplicative":
             q = self.p**r
             vals = (0,) + tuple(math.comb(q, k) for k in range(1, q + 1))
@@ -483,12 +483,12 @@ class FormalGroupLaw:
         elif r == 0:
             out = TruncatedSeries(self.context, (0, 1), True)
         else:
-            p, n, M, N = self.p, self.n, self.M, self.context.prec
+            p, n, N = self.p, self.n, self.context.prec
             imax = _honda_imax(p, n, M)
             vals = _solve_log(_log_y(p**r, p, n, imax, p ** (N + imax), M), p, n, M, N)
             certify_honda_pseries(vals, p, n, r, N)
             out = TruncatedSeries(self.context, tuple(vals), False)
-        self._pseries[r] = out
+        self._pseries[(r, M)] = out
         return out
 
 

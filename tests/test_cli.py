@@ -208,6 +208,30 @@ def test_each_command_builds_and_certifies_once(capsys, monkeypatch):
     assert validated == []
 
 
+def test_each_ring_solves_its_p_series_once_at_its_own_length(capsys, monkeypatch):
+    # compare at k = 3 sizes the law for A_3; A_1 reads q_1 from a
+    # p-series of its own length, and no (r, length) is solved twice
+    solved, certified = [], []
+    solve, certify = fgl._solve_log, fgl.certify_honda_pseries
+
+    def solve_spy(target, p, n, M, N):
+        solved.append(M)
+        return solve(target, p, n, M, N)
+
+    def certify_spy(psi, p, n, r, N):
+        certified.append((r, len(psi)))
+        return certify(psi, p, n, r, N)
+
+    monkeypatch.setattr(fgl, "_solve_log", solve_spy)
+    monkeypatch.setattr(fgl, "certify_honda_pseries", certify_spy)
+    assert run_cli(["compare", "--p", "2", "--n", "2", "--k", "3"], capsys)[0] == 0
+    need = [cochain.minimum_series_precision(2, 2, r, 8, False) for r in (1, 3)]
+    assert need == [34, 634]
+    # A_1 and A_3 at their own length, q_2 for the tower map at the law's
+    assert sorted(certified) == [(1, 34), (2, 634), (3, 634)]
+    assert solved == [length for _, length in certified]
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_field_algebra_at_m_1_has_the_closed_forms(p, capsys):
     # F_p[y]/(y) = F_p: J = 0, so G is empty and every rho(G) stack has
@@ -337,8 +361,10 @@ def test_bad_option_value_is_2(capsys):
     (["tor", "--r", "-1"], "r must be >= 0"),
     (["compare", "--k", "-1"], "k must be >= 0"),
     (["rational", "--r", "-1"], "r must be >= 0"),
-    (["pseries", "--n", "2", "--N", "-3"], "N must be >= 1 at height n >= 2"),
-    (["tor", "--n", "2", "--N", "0"], "N must be >= 1 at height n >= 2"),
+    (["pseries", "--n", "2", "--N", "-3"], "N must be >= 1"),
+    (["tor", "--n", "2", "--N", "0"], "N must be >= 1"),
+    (["pseries", "--N", "0"], "N must be >= 1"),
+    (["ring", "--N", "0"], "N must be >= 1"),
 ])
 def test_bad_tower_flags_are_named_before_m_is_derived(argv, message, capsys):
     rc, out, err = run_cli(argv, capsys)
@@ -347,7 +373,6 @@ def test_bad_tower_flags_are_named_before_m_is_derived(argv, message, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["pseries", "--r", "0"],
-    ["pseries", "--N", "0"],
 ])
 def test_edge_tower_flags_still_answer(argv, capsys):
     rc, out, _ = run_cli(argv, capsys)

@@ -248,30 +248,62 @@ def test_relation_reduction():
     assert ring.element([5]).coeffs == (5, 0)
 
 
-@pytest.mark.parametrize("p,n,r", [(2, 1, 1), (2, 2, 1), (3, 1, 2), (3, 2, 1)])
-def test_reduce_poly_matches_sympy_remainder(p, n, r):
-    # independent oracle: the remainder by the monic relation over ZZ,
-    # then reduced mod p^N
-    sympy = pytest.importorskip("sympy")
-    y = sympy.Symbol("y")
-    ring = ring_for(p, n, r)
-    m, rank = ring.modulus, ring.rank
-    w = sympy.Poly(list(reversed(ring.w_coeffs)), y, domain=sympy.ZZ)
-    assert w.is_monic and w.degree() == rank
+def _reduce_poly_oracle(ring, coeffs):
+    """Euclidean division by the monic relation over every input
+    coefficient and every coefficient of w, with no tail bound."""
+    m, rank, w = ring.modulus, ring.rank, ring.w_coeffs
+    c = [int(x) for x in coeffs] + [0] * max(0, rank - len(coeffs))
+    for deg in range(len(c) - 1, rank - 1, -1):
+        t = c[deg] % m
+        if t:
+            for j in range(rank + 1):
+                c[deg - rank + j] -= t * w[j]
+        c[deg] = 0
+    return tuple(x % m for x in c[:rank])
 
-    def oracle(coeffs):
-        if not coeffs:
-            return (0,) * rank
-        rem = sympy.rem(sympy.Poly(list(reversed(coeffs)), y, domain=sympy.ZZ), w)
+
+@pytest.mark.parametrize("p,n,r", [(2, 1, 1), (2, 2, 1), (3, 1, 2), (3, 2, 1), (7, 2, 1)])
+def test_reduce_poly_matches_sympy_remainder(p, n, r):
+    # two oracles: the dense Euclidean loop, and the remainder by the
+    # monic relation over ZZ, reduced mod p^N; inputs run past the tail
+    # bound (N + 1)(rank - 1) + 1 at which _reduce_poly cuts them.  At
+    # p = 7, N = 12 the ring is object-dtype: (7^12 - 1)^2 * 49 > 2^63
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    N = 12 if p == 7 else 8
+    ring = ring_for(p, n, r, N=N)
+    m, rank = ring.modulus, ring.rank
+    assert (ring.dtype is object) == (p == 7)
+    if sympy is not None:
+        y = sympy.Symbol("y")
+        w = sympy.Poly(list(reversed(ring.w_coeffs)), y, domain=sympy.ZZ)
+        assert w.is_monic and w.degree() == rank
+        shift = sympy.Poly(y**rank, y, domain=sympy.ZZ)
+
+    def remainder(coeffs):
+        # Horner over blocks of rank coefficients, cut mod m between
+        # remainders so that the integers stay small
+        rem = sympy.Poly(0, y, domain=sympy.ZZ)
+        for k in reversed(range(0, len(coeffs), rank)):
+            block = sympy.Poly(list(reversed(coeffs[k : k + rank])), y, domain=sympy.ZZ)
+            rem = (rem * shift + block).rem(w, auto=False).trunc(m)
         low = [int(c) % m for c in reversed(rem.all_coeffs())]
         return tuple(low + [0] * (rank - len(low)))
 
     rng = random.Random(31 * p + 7 * n + r)
-    inputs = [[rng.randrange(m) for _ in range(rng.randint(0, 3 * rank))] for _ in range(20)]
-    inputs += [[m - 1] * length for length in (rank, rank + 1, 2 * rank, 3 * rank)]
+    tail = (N + 1) * (rank - 1) + 1
+    inputs = [[rng.randrange(m) for _ in range(rng.randint(0, (N + 3) * rank))]
+              for _ in range(20)]
+    lengths = (rank, rank + 1, 2 * rank, 3 * rank, tail - 1, tail, tail + 1, 3 * (N + 1) * rank)
+    inputs += [[m - 1] * length for length in lengths]
     inputs += [[rng.randrange(m) for _ in range(length)] for length in range(rank)]
     for coeffs in inputs:
-        assert ring._reduce_poly(coeffs) == oracle(coeffs), coeffs
+        want = _reduce_poly_oracle(ring, coeffs)
+        assert ring._reduce_poly(coeffs) == want, len(coeffs)
+        if sympy is not None:
+            assert remainder(coeffs) == want, len(coeffs)
 
 
 def test_cross_ring_operations_rejected():
@@ -320,7 +352,7 @@ def _reference_product(a, b):
     for i, x in enumerate(a.coeffs):
         for j, z in enumerate(b.coeffs):
             conv[i + j] += x * z
-    return a.ring._reduce_poly(conv)
+    return _reduce_poly_oracle(a.ring, conv)
 
 
 @pytest.mark.parametrize("p,n,r,N", PRODUCT_RINGS)

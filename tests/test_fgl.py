@@ -539,6 +539,21 @@ def test_p_series_in_z_matches_the_stride_one_solver(p, monkeypatch):
     assert objects > 0 or p == 2
 
 
+def test_p_series_at_a_ring_length_is_a_prefix_of_the_law_length():
+    # A_r reads [p^r](y) at its own minimum_series_precision on a law
+    # sized for A_(r + 1); both are [p^r](y) mod p^N, so the shorter is
+    # a prefix of the longer
+    points = [(p, n, r, N) for p in (2, 3, 5) for n in (2, 3) for r in (1, 2)
+              for N in (2, 5, 8) if r < N and p ** ((r + 1) * n) <= 729]
+    assert len(points) == 21
+    for p, n, r, N in points:
+        need = minimum_series_precision(p, n, r, N, False)
+        F = make_honda_fgl(p, n, minimum_series_precision(p, n, r + 1, N, False), N)
+        short = F.p_series(r, need).coeffs
+        assert len(short) == need < F.M
+        assert short == F.p_series(r).coeffs[:need], (p, n, r, N)
+
+
 def _tower_tor_points():
     """The tor points of the benchmark's tower workload: N <= 8, one
     rank-64 point at N = 14, and the probes at N = 9 and N = 16.  At
