@@ -175,12 +175,74 @@ def row_space(rows, p):
     return red
 
 
+# multiply-adds from which a product runs on float64 BLAS (_matmul_mod)
+_FLOAT_MADDS = 1 << 15
+_FLOAT_EXACT = 1 << 53
+
+
+def _matmul_mod(a, b, p, axes=None):
+    """a @ b mod p, or np.tensordot(a, b, axes) mod p for axes = (axis
+    of a, axis of b), as int64; the entries of a and b lie in [0, p).
+    Every F_p product of this module and of groups goes through here.
+
+    Each entry of the product is a sum of k products of two residues, k
+    the contracted length, so an integer x with 0 <= x <= (p - 1)^2 k.
+    Below _FLOAT_MADDS multiply-adds, counted as a.size b.size / k, and
+    whenever (p - 1)^2 k >= 2^53, it is the int64 product, exact while
+    (p - 1)^2 k < 2^63 (see FinAlgebra).  Otherwise a and b are cast to
+    float64 once, in the layout the contraction reads, and multiplied on
+    BLAS; for p < P_LIMIT that is every k < 2^21.  Every partial sum is
+    an integer in [0, x], below 2^53, so exact in any order of
+    summation.  With x = q p + r, 0 <= r < p, x is reduced as
+    x - p floor(x / p), which needs no fix-up.  At r = 0 the quotient q
+    is exact.  Otherwise x / p lies in (q, q + 1 - 1 / p], and below
+    2^53 / p, so its ulp is below 2 / p and the correctly rounded
+    quotient is within less than 1 / p of it: at least q, as q is a
+    float, and below q + 1, so its floor is q.  Then p q <= x, and
+    x - p q = r, are exact.  Float % or fmod is exact too, but about
+    ten times slower than this.
+
+    The two paths per call, the float64 one with its casts and this
+    reduction, best of 5, mod 3, in microseconds on a 2-CPU x86-64 host
+    with OpenBLAS's default threads (on a loaded host both columns
+    rose up to 2x):
+
+        (m, k, n)        multiply-adds    int64   float64
+        (16, 16, 16)             4,096      5.8       6.7
+        (25, 25, 25)            15,625     14.3       9.2
+        (32, 32, 32)            32,768     25.9      10.5
+        (64, 64, 64)           262,144    171.0      29.7
+        (25, 25, 625)          390,625    305.3      64.4
+        (120, 113, 120)      1,627,200  1,029.2     122.2
+
+    Float64 wins from about 10^4 multiply-adds on; the crossover sits
+    at 2^15, where it wins by 2x, so the many small products of the
+    socle and resolution loops keep their int64 calls.
+    """
+    k = a.shape[-1 if axes is None else axes[0]]
+    if not k or a.size * b.size < k * _FLOAT_MADDS or (p - 1) ** 2 * k >= _FLOAT_EXACT:
+        return (a @ b if axes is None else np.tensordot(a, b, axes)) % p
+    if axes is None:
+        x = a.astype(np.float64) @ b.astype(np.float64)
+    else:
+        free_a = [i for i in range(a.ndim) if i != axes[0]]
+        free_b = [i for i in range(b.ndim) if i != axes[1]]
+        fa = a.transpose(free_a + [axes[0]]).astype(np.float64, order="C").reshape(-1, k)
+        fb = b.transpose([axes[1]] + free_b).astype(np.float64, order="C").reshape(k, -1)
+        x = (fa @ fb).reshape([a.shape[i] for i in free_a] + [b.shape[i] for i in free_b])
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x.astype(np.int64)
+
+
 def residual(vecs, reduced, pivots, p):
-    """What is left of each vector along the last axis of vecs after
-    reduction by an rref basis: zero exactly for the vectors in its
-    span."""
-    v = np.asarray(vecs, dtype=np.int64) % p
-    return (v - v[..., pivots] @ reduced) % p
+    """What is left of each vector along the last axis of vecs, entries
+    in [0, p), after reduction by an rref basis: zero exactly for the
+    vectors in its span."""
+    v = np.asarray(vecs, dtype=np.int64)
+    return (v - _matmul_mod(v[..., pivots], reduced, p)) % p
 
 
 def coords_in_rref(vecs, reduced, pivots, p):
@@ -262,12 +324,15 @@ class FinAlgebra:
     N = J^k in A, J^(k+1) = sum_g g J^k), and a span stable under G is
     a submodule, the words acting as products of the rho(g).
 
-    p must be below P_LIMIT = 2^16.  Every product here is taken over
-    int64 residues in [0, p) and reduced mod p afterwards: a sum of k
-    products of two residues, exact while (p - 1)^2 k < 2^63, so for
-    every k < 2^31, and k is at most the dimension of an algebra or
-    module the computation builds.  check_exact refuses a larger p,
-    whose wrapped int64 sums would give wrong answers or a hang.
+    p must be below P_LIMIT = 2^16.  Every product here is taken by
+    _matmul_mod over residues in [0, p) and reduced mod p afterwards.
+    Each entry is a sum of k products of two residues, and k is at most
+    the dimension of an algebra or module the computation builds.  A
+    large product runs on float64 BLAS, exact while (p - 1)^2 k < 2^53,
+    so for every k < 2^21; a small one, or one past that bound, runs in
+    int64, exact while (p - 1)^2 k < 2^63, so for every k < 2^31.
+    check_exact refuses a larger p, whose wrapped int64 sums would give
+    wrong answers or a hang.
     """
 
     def __init__(self, p, labels, parities, table, aug, generators, words, gen_products,
@@ -310,12 +375,12 @@ class FinAlgebra:
         # free_module and the resolution
         rad = radical_basis(self)
         self.generators, self.words = self._generators(rad)
-        self.gen_products = np.tensordot(self.generators, tbl, axes=(1, 0)) % p
+        self.gen_products = _matmul_mod(self.generators, tbl, p, axes=(1, 0))
         self._check_associative(self.gen_products)
         # augmentation is an algebra map
         if self.aug[0] != 1:
             raise AlgebraError("augmentation of the unit is not 1")
-        if not np.array_equal(tbl @ self.aug % p, np.outer(self.aug, self.aug) % p):
+        if not np.array_equal(_matmul_mod(tbl, self.aug, p), np.outer(self.aug, self.aug) % p):
             raise AlgebraError("augmentation is not multiplicative")
         # odd elements must be in the kernel of the augmentation
         if ((par == 1) & (self.aug != 0)).any():
@@ -332,19 +397,22 @@ class FinAlgebra:
         words and of the products before them.  So g w lies in the span
         of the words for every kept w: the words span a G-stable space."""
         p, d = self.p, self.dim
-        # J^2, spanned by the products v w of basis elements of J
-        right = np.tensordot(rad, self.table, axes=(1, 1)) % p  # e_i w
-        products = np.tensordot(rad, right, axes=(1, 1)).reshape(-1, d)
-        j2, j2_piv = rref(products % p, p)
+        # J^2, spanned by the products v w of basis elements of J, and by
+        # those with v <= w alone: _validate has certified graded
+        # commutativity, and the rows of rad are homogeneous (see
+        # validated_algebra), so w v = +-v w
+        right = _matmul_mod(rad, self.table, p, axes=(1, 1))  # e_i w
+        products = _matmul_mod(rad, right, p, axes=(1, 1))  # [v, w] = v w
+        j2, j2_piv = rref(products[np.triu_indices(len(rad))], p)
         # the radical rows whose images in J/J^2 are independent
-        images = rad @ quotient_map(j2, j2_piv, d, p).T % p
+        images = _matmul_mod(rad, quotient_map(j2, j2_piv, d, p).T, p)
         _, lifts = rref(images.T, p)
         gens = rad[lifts]
-        left = np.tensordot(gens, self.table, axes=(1, 0)) % p
+        left = _matmul_mod(gens, self.table, p, axes=(1, 0))
         rows, words, last = np.eye(1, d, dtype=np.int64), [], [0]
         while last:
             # candidate k is G[k % |G|] times the word last[k // |G|]
-            cand = np.tensordot(rows[last], left, axes=(1, 1)).reshape(-1, d) % p
+            cand = _matmul_mod(rows[last], left, p, axes=(1, 1)).reshape(-1, d)
             n = rows.shape[0]
             _, piv = rref(np.vstack([rows, cand]).T, p)
             keep = [c - n for c in piv if c >= n]
@@ -360,8 +428,8 @@ class FinAlgebra:
         k, as one stacked product from ge[g, j] = g e_j;
         validated_algebra proves that this is associativity."""
         p, tbl = self.p, self.table
-        lhs = np.tensordot(ge, tbl, axes=(2, 0)) % p
-        rhs = np.tensordot(tbl, ge, axes=(2, 1)).transpose(2, 0, 1, 3) % p
+        lhs = _matmul_mod(ge, tbl, p, axes=(2, 0))
+        rhs = _matmul_mod(tbl, ge, p, axes=(2, 1)).transpose(2, 0, 1, 3)
         bad = np.argwhere((lhs != rhs).any(axis=3))
         if bad.size:
             raise AlgebraError(
@@ -379,7 +447,7 @@ class FinAlgebra:
         e = 1
         while cur.shape[0] > 0:
             # row (v, g) is g v
-            nxt, _ = rref(np.tensordot(cur, ge, axes=(1, 1)).reshape(-1, d) % p, p)
+            nxt, _ = rref(_matmul_mod(cur, ge, p, axes=(1, 1)).reshape(-1, d), p)
             if nxt.shape[0] >= cur.shape[0]:
                 raise AlgebraError("augmentation kernel is not nilpotent")
             cur = nxt
@@ -527,8 +595,8 @@ def _dense_images(acts, p):
     columns), stacked action by action."""
 
     def images_of(rows):
-        images = np.tensordot(acts, rows, axes=(2, 1)).transpose(0, 2, 1)
-        return images.reshape(-1, rows.shape[1]) % p
+        images = _matmul_mod(acts, rows, p, axes=(2, 1)).transpose(0, 2, 1)
+        return images.reshape(-1, rows.shape[1])
 
     return images_of
 
@@ -543,8 +611,8 @@ def _free_images(mult, p):
 
     def images_of(rows):
         blocks = rows.reshape(rows.shape[0], rows.shape[1] // d, d)
-        images = np.tensordot(blocks, mult, axes=(2, 1)).transpose(2, 0, 1, 3)
-        return images.reshape(-1, rows.shape[1]) % p
+        images = _matmul_mod(blocks, mult, p, axes=(2, 1)).transpose(2, 0, 1, 3)
+        return images.reshape(-1, rows.shape[1])
 
     return images_of
 
@@ -577,7 +645,7 @@ def spanned_submodule(module, vectors):
     p, rho_g = module.algebra.p, module.gen_act
     blocks = [np.array(vectors, dtype=np.int64).reshape(-1, module.dim) % p]
     for parent, g in module.algebra.words:
-        blocks.append(blocks[parent] @ rho_g[g].T % p)
+        blocks.append(_matmul_mod(blocks[parent], rho_g[g].T, p))
     red, pivots = rref(np.vstack(blocks), p)
     # column j of the restricted rho(g) holds the coordinates of g red[j]
     images = _dense_images(rho_g, p)(red).reshape(rho_g.shape[0], red.shape[0], module.dim)
@@ -641,14 +709,14 @@ def socle_series_bases(module):
         if len(stages) == e:
             raise AlgebraError("socle series fails to terminate by J-nilpotency")
         q = quotient_map(prev_red, prev_piv, module.dim, p)
-        stacked = (q @ rho_g % p).reshape(-1, module.dim)
+        stacked = _matmul_mod(q, rho_g, p).reshape(-1, module.dim)
         kern = null_space(stacked, p)
         red, piv = rref(kern, p)
         if red.shape[0] <= prev_red.shape[0]:
             raise AlgebraError("socle series is not strictly increasing")
         # J soc^k must land in soc^(k-1): every image g v must reduce to
         # zero against the rref basis of soc^(k-1), independently of q
-        images = np.tensordot(red, rho_g, axes=(1, 2)).reshape(-1, module.dim)
+        images = _matmul_mod(red, rho_g, p, axes=(1, 2)).reshape(-1, module.dim)
         if residual(images, prev_red, prev_piv, p).any():
             raise AlgebraError("J soc^k escapes soc^(k-1)")
         stages.append(red)
@@ -735,7 +803,7 @@ def minimal_free_resolution(alg, s_max):
             raise AlgebraError("resolution is not exact")
         # minimality: the kernel must sit inside J . A^b, so every
         # generator coordinate augments to zero
-        if (new_rows.reshape(-1, b, d) @ alg.aug % p).any():
+        if _matmul_mod(new_rows.reshape(-1, b, d), alg.aug, p).any():
             raise AlgebraError("resolution is not minimal")
         rank = b
         # the kernel of a module map is a submodule; a cheap self-check

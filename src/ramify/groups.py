@@ -410,7 +410,6 @@ def conjugation_nilpotent(G, p):
         )
 
     rows = np.eye(n, dtype=np.int64)
-    pivots = list(range(n))
     dims = [n]
     while True:
         new_rows = []
@@ -419,8 +418,9 @@ def conjugation_nilpotent(G, p):
             permuted[:, conj_perm[g]] = rows
             new_rows.append((permuted - rows) % p)
         red, piv = artin.rref(np.vstack(new_rows), p)
-        # descent: g.v stays in the current module, so the new one sits inside it
-        if artin.residual(red, rows, pivots, p).any():
+        # descent: g.v stays in the current module, so the new one sits
+        # inside it; M_0 = F_p[G] holds every vector, so it starts at M_1
+        if len(dims) > 1 and artin.residual(red, rows, pivots, p).any():
             raise GroupError("conjugation chain failed to descend")
         if len(red) == 0:
             dims.append(0)

@@ -1,5 +1,6 @@
 """F_p linear algebra, finite local algebras, socles, Betti numbers."""
 
+import ast
 import importlib.util
 import itertools
 import os
@@ -211,6 +212,110 @@ def test_quotient_map_kills_exactly_the_span():
         assert qred.shape[0] == n - len(piv)
 
 
+# each product form the F_p code takes: n -> (a shape, b shape), and the
+# axes; n moves it across the float64 crossover
+_PRODUCT_FORMS = (
+    (lambda n: ((n, n), (n, n)), None),
+    (lambda n: ((n,), (n, n * n)), None),  # one vector, as in residual
+    (lambda n: ((3, n, n), (n, n)), None),  # stacked rows, as in coords_in_rref
+    (lambda n: ((n, n), (3, n, n)), None),  # q @ rho(G)
+    (lambda n: ((n, n, n), (n,)), None),  # the augmentation products
+    (lambda n: ((3, n), (n, n, n)), (1, 0)),
+    (lambda n: ((n, n), (n, n, n)), (1, 1)),
+    (lambda n: ((n, n), (3, n, n)), (1, 2)),
+    (lambda n: ((3, n, n), (n, n, n)), (2, 0)),
+    (lambda n: ((n, n, n), (3, n, n)), (2, 1)),
+    (lambda n: ((3, n, n), (n, n, n)), (2, 1)),
+)
+
+
+def _product_oracle(a, b, p, axes):
+    return (a @ b if axes is None else np.tensordot(a, b, axes)) % p
+
+
+def _madds(sa, sb, axes):
+    return np.prod(sa) * np.prod(sb) // sa[-1 if axes is None else axes[0]]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_matmul_mod_matches_the_int64_product(p):
+    rng = np.random.default_rng(p)
+    for shapes, axes in _PRODUCT_FORMS:
+        for n, side in ((rng.integers(2, 8), False), (rng.integers(32, 48), True)):
+            sa, sb = shapes(int(n))
+            assert (_madds(sa, sb, axes) >= artin._FLOAT_MADDS) == side
+            for a, b in (
+                (rng.integers(0, p, sa), rng.integers(0, p, sb)),
+                (np.full(sa, p - 1), np.full(sb, p - 1)),
+            ):
+                got = artin._matmul_mod(a, b, p, axes)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, _product_oracle(a, b, p, axes))
+    # a transposed operand, as in spanned_submodule's word blocks
+    a, b = rng.integers(0, p, (40, 50)), rng.integers(0, p, (40, 50))
+    assert np.array_equal(artin._matmul_mod(a, b.T, p), a @ b.T % p)
+
+
+@pytest.mark.parametrize("past", [False, True])
+def test_matmul_mod_is_exact_at_the_float64_bound(past, monkeypatch):
+    # the largest k with (p - 1)^2 k < 2^53, or the first past it, where
+    # the int64 product must answer: there the sum below is odd and
+    # above 2^53, so no float64 holds it
+    p = 65521
+    k = (2**53 - 1) // (p - 1) ** 2 + past
+    a = np.full((1, k), p - 1, dtype=np.int64)
+    b = np.full((k, 1), p - 1, dtype=np.int64)
+    a[0, -1] = b[-1, 0] = p - 2
+    total = (p - 1) ** 2 * (k - 1) + (p - 2) ** 2
+    assert (total >= 2**53) == past and total % 2 == 1
+    # the float64 path is the one that reduces by floor
+    floors = []
+    floor = np.floor
+    monkeypatch.setattr(np, "floor", lambda *args, **kw: floors.append(1) or floor(*args, **kw))
+    assert artin._matmul_mod(a, b, p)[0, 0] == total % p == (a @ b % p)[0, 0]
+    assert bool(floors) != past
+
+
+# every name of a numpy product, as a call or as an operator
+_PRODUCTS = ("dot", "matmul", "tensordot", "einsum")
+# F_p products outside _matmul_mod, each with the reason it may stay
+_PRODUCTS_ALLOWED = {
+    ("artin.py", "tensor_algebra", "einsum"):
+        "the signed table of a tensor product, reduced by validated_algebra",
+}
+
+
+def _products_outside_matmul_mod(name):
+    """{(file, qualified def, product)} of the products in a source file."""
+    with open(os.path.join(os.path.dirname(artin.__file__), name)) as f:
+        tree = ast.parse(f.read())
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            what = None
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult):
+                what = "@"
+            elif isinstance(child, ast.Attribute) and child.attr in _PRODUCTS:
+                what = child.attr
+            elif isinstance(child, ast.Name) and child.id in _PRODUCTS:
+                what = child.id
+            if what and scope[:1] != ("_matmul_mod",):
+                found.add((name, ".".join(scope), what))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_every_fp_product_goes_through_matmul_mod():
+    found = _products_outside_matmul_mod("artin.py") | _products_outside_matmul_mod("groups.py")
+    assert found == set(_PRODUCTS_ALLOWED)
+
+
 # ------------------------------------------------------------------ algebras
 
 
@@ -329,6 +434,27 @@ def test_words_are_a_basis_of_the_algebra():
         assert row_space(_word_rows(alg), alg.p).shape[0] == alg.dim
 
 
+def test_j2_from_the_pairs_v_le_w_is_the_span_of_every_product(monkeypatch):
+    # _generators stacks J^2 from the products v w with v <= w alone; the
+    # rref of the stack, and so G and the words, are those of all
+    # (dim J)^2 products
+    files = [cli._parse_algebra_file(text, p) for p, _, text in _workload_algebra_files()]
+    rref_ = artin.rref
+    for alg in _small_algebras() + files:
+        p, rad = alg.p, radical_basis(alg)
+        stacks = []
+        monkeypatch.setattr(artin, "rref", lambda rows, p: stacks.append(rows) or rref_(rows, p))
+        gens, words = alg._generators(rad)
+        monkeypatch.undo()
+        assert len(stacks[0]) == len(rad) * (len(rad) + 1) // 2
+        right = np.tensordot(rad, alg.table, axes=(1, 1)) % p
+        every = np.tensordot(rad, right, axes=(1, 1)).reshape(-1, alg.dim)
+        want, want_piv = rref(every, p)
+        got, got_piv = rref(stacks[0], p)
+        assert got_piv == want_piv and np.array_equal(got, want)
+        assert np.array_equal(gens, alg.generators) and words == alg.words
+
+
 def _tensor_table_oracle(a, b):
     """The structure tensor of a (x) b, one Koszul-signed block per
     pair of basis products."""
@@ -401,7 +527,7 @@ def _dense_restriction(act, basis, p):
     """A dense action restricted to the span of the rref rows basis:
     column j of matrix i holds the coordinates of e_i basis[j]."""
     red, piv = rref(basis, p)
-    images = np.tensordot(act, red, axes=(2, 1)).transpose(0, 2, 1)
+    images = np.tensordot(act, red, axes=(2, 1)).transpose(0, 2, 1) % p
     return coords_in_rref(images, red, piv, p).transpose(0, 2, 1)
 
 
