@@ -267,19 +267,6 @@ def null_space(mat, p):
     return basis
 
 
-def quotient_map(reduced, pivots, n, p):
-    """Matrix of the projection F_p^n -> F_p^n / span(reduced).
-
-    Coordinates on the quotient are the non-pivot positions of the
-    reduction of a vector by the rref rows.
-    """
-    # t maps v (column) to its reduction v - sum_i v[c_i] * reduced[i];
-    # after reduction every pivot coordinate vanishes
-    t = np.eye(n, dtype=np.int64)
-    t[:, pivots] -= reduced.T
-    return np.delete(t, pivots, axis=0) % p
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -404,9 +391,9 @@ class FinAlgebra:
         right = _matmul_mod(rad, self.table, p, axes=(1, 1))  # e_i w
         products = _matmul_mod(rad, right, p, axes=(1, 1))  # [v, w] = v w
         j2, j2_piv = rref(products[np.triu_indices(len(rad))], p)
-        # the radical rows whose images in J/J^2 are independent
-        images = _matmul_mod(rad, quotient_map(j2, j2_piv, d, p).T, p)
-        _, lifts = rref(images.T, p)
+        # the radical rows whose images in J/J^2, their residuals
+        # against J^2, are independent
+        _, lifts = rref(residual(rad, j2, j2_piv, p).T, p)
         gens = rad[lifts]
         left = _matmul_mod(gens, self.table, p, axes=(1, 0))
         rows, words, last = np.eye(1, d, dtype=np.int64), [], [0]
@@ -665,63 +652,76 @@ def random_spanned_module(free, rng):
 # socle series and Nakayama
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SocleSeries:
     """dims[k-1] = dim soc^k M for k = 1..k0; k0 is the first index
-    with soc^k M = M and e bounds it from above."""
+    with soc^k M = M and e bounds it from above.  basis is a basis of M
+    adapted to the series: its first dims[k-1] rows span soc^k M."""
 
     dims: tuple
     k0: int
     e: int
+    basis: np.ndarray
 
 
 def socle_series(module):
-    """Socle filtration soc^k M = {x : J^k x = 0}, as the dimensions of
-    the stages socle_series_bases computes and certifies."""
-    stages = socle_series_bases(module)
-    return SocleSeries(
-        dims=tuple(red.shape[0] for red in stages),
-        k0=len(stages),
-        e=nilpotency_exponent(module.algebra),
-    )
+    """Socle filtration soc^k M = {x : J^k x = 0} and a basis adapted to
+    it, on the shrinking quotient Q = M / soc^(k-1), whose socle is
+    soc^k / soc^(k-1) (Lux-Mueller-Ringe, J. Symbolic Comput. 1994).
 
+    soc^k = {x : Gx in soc^(k-1)}: for a submodule S and homogeneous g,
+    a (FinAlgebra shows G homogeneous), graded commutativity gives
+    g(ax) = +-a(gx), so Gx in S gives Jx = sum_g g(Ax) in S.  So soc(Q)
+    is the common kernel of the d x d actions A_g induced on Q, held at
+    the coordinates F of M that Q keeps.  With (red, piv) the rref of
+    soc(Q) and f its free columns, x -> x[f] - red[:, f]^T x[piv] maps Q
+    onto Q / soc(Q), with the section y at f, 0 at piv; so the next
+    action is A_g[f][:, f] - red[:, f]^T A_g[piv][:, f], O(d^2 s) for
+    the s new rows, and the next F is F[f].  The sections compose to
+    placing at F, so red placed at F is block k of the adapted basis B.
 
-def socle_series_bases(module):
-    """The rref basis of soc^k M for k = 1..k0.
-
-    Verifies strict growth up to k0, the containment J soc^(k+1) in
-    soc^k, and termination at k0 <= e.  Violations raise AlgebraError
-    since they can only come from a broken action.
-
-    Stage k is {x : gx in soc^(k-1) for g in G}, and the containment is
-    checked on G.  For a submodule S and homogeneous g, a (FinAlgebra
-    shows G homogeneous), graded commutativity gives g(ax) = +-a(gx),
-    so Gx in S gives Jx = sum_g g(Ax) in S.
+    Certified once against rho(G) itself by the rref of [B^T | rho(g) B^T
+    for g in G]: its pivots must be its first n columns, so B is
+    invertible, and the rest are the B-coordinates of each g b.  With S_k
+    the span of blocks 1..k, each stage-k row must map into S_(k-1), so
+    S_k lies in soc^k by induction; and the stage-(k-1) coordinates of
+    the images of the stage-k rows, stacked over G, must have full row
+    rank.  Then S_k = soc^k: a vector outside S_k has a top stage j > k,
+    so some g x lies outside S_(j-2), which holds soc^(k-1) = S_(k-1).
+    Growth and k0 <= e are checked on the way; a violation raises
+    AlgebraError, as only a broken action gives one.
     """
-    alg = module.algebra
-    p = alg.p
-    rho_g = module.gen_act
-    e = nilpotency_exponent(alg)
-    stages = []
-    prev_red = np.zeros((0, module.dim), dtype=np.int64)
-    prev_piv = []
-    while prev_red.shape[0] < module.dim:
-        if len(stages) == e:
+    p, n, rho_g = module.algebra.p, module.dim, module.gen_act
+    e = nilpotency_exponent(module.algebra)
+    act, cols, sizes = rho_g, np.arange(n), []
+    basis = np.zeros((n, n), dtype=np.int64)
+    while cols.size:
+        if len(sizes) == e:
             raise AlgebraError("socle series fails to terminate by J-nilpotency")
-        q = quotient_map(prev_red, prev_piv, module.dim, p)
-        stacked = _matmul_mod(q, rho_g, p).reshape(-1, module.dim)
-        kern = null_space(stacked, p)
-        red, piv = rref(kern, p)
-        if red.shape[0] <= prev_red.shape[0]:
+        red, piv = rref(null_space(act.reshape(-1, cols.size), p), p)
+        if not len(red):
             raise AlgebraError("socle series is not strictly increasing")
-        # J soc^k must land in soc^(k-1): every image g v must reduce to
-        # zero against the rref basis of soc^(k-1), independently of q
-        images = _matmul_mod(red, rho_g, p, axes=(1, 2)).reshape(-1, module.dim)
-        if residual(images, prev_red, prev_piv, p).any():
-            raise AlgebraError("J soc^k escapes soc^(k-1)")
-        stages.append(red)
-        prev_red, prev_piv = red, piv
-    return stages
+        basis[n - cols.size:][: len(red), cols] = red
+        sizes.append(len(red))
+        f = np.delete(np.arange(cols.size), piv)
+        # the correction changes only the rows where red[:, f] is nonzero
+        hit = np.flatnonzero(red[:, f].any(axis=0))
+        nxt = act[:, f[:, None], f]
+        top = act[:, np.array(piv)[:, None], f]
+        nxt[:, hit] = (nxt[:, hit] - _matmul_mod(red[:, f[hit]].T, top, p)) % p
+        act, cols = nxt, cols[f]
+    stage = np.repeat(np.arange(len(sizes)), sizes)
+    red, piv = rref(np.hstack([basis.T, *_matmul_mod(rho_g, basis.T, p)]), p)
+    if piv != list(range(n)):
+        raise AlgebraError("adapted socle basis is singular")
+    coords = red[:, n:].reshape(n, len(rho_g), n)  # coordinate i of g B[r] at [i, g, r]
+    if (coords * (stage[:, None] >= stage)[:, None, :]).any():
+        raise AlgebraError("J soc^k escapes soc^(k-1)")
+    down = (coords * (stage[:, None] == stage - 1)[:, None, :]).transpose(2, 1, 0)
+    if rref(down.reshape(n, n * len(rho_g)), p)[0].shape[0] != np.count_nonzero(stage):
+        raise AlgebraError("socle series misses part of soc^k")
+    dims = tuple(np.cumsum(sizes).tolist())
+    return SocleSeries(dims=dims, k0=len(dims), e=e, basis=basis)
 
 
 def nakayama_check(module):

@@ -289,9 +289,9 @@ def _cmd_weierstrass(args):
         x //= args.p
         val += 1
     # distinguished * unit must reproduce q_r mod p^N through y^(rank+1)
-    q = exact_quotient_by_y(F.p_series(args.r))
-    q = validated_series(ring.context, q.coeffs, q.exact)
     width = ring.rank + 2
+    q = exact_quotient_by_y(F.p_series(args.r, width + 1))  # a prefix of the ring's
+    q = validated_series(ring.context, q.coeffs, q.exact)
     if _series_prefix(dist * ring.unit_series, width) != _series_prefix(q, width):
         raise WeierstrassError("re-multiplication failed to match the cofactor")
     return "ramify weierstrass", _params(args, "p", "n", "r", "N", M=F.M), "OK", [

@@ -409,19 +409,18 @@ def substitution_map(F, k, N=8):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    a1 = make_cochain_ring(F, 1, N)
     ak = make_cochain_ring(F, k, N)
     if k == 1:
         cof = ak.one
         y_img = ak.y_elt
     else:
-        q_km1 = exact_quotient_by_y(F.p_series(k - 1))
-        cof = ak.from_series(q_km1)
+        series = F.p_series(k - 1)  # before A_1, whose shorter request reads its prefix
+        cof = ak.from_series(exact_quotient_by_y(series))
         y_img = ak.y_elt * cof
         # same element, computed from the p-series directly
-        direct = ak.from_series(F.p_series(k - 1))
-        if y_img != direct:
+        if y_img != ak.from_series(series):
             raise MorphismError("y * q_(k-1) disagrees with [p^(k-1)]y in A_k")
+    a1 = make_cochain_ring(F, 1, N)
 
     if ak.augmentation(y_img) != 0:
         raise MorphismError("image of y has nonzero augmentation")

@@ -33,7 +33,7 @@ cochain.make_cochain_ring builds from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -442,7 +442,7 @@ class FormalGroupLaw:
         self.n = n
         self.M = M
         self.context = context
-        self._pseries = {}  # (r, M) -> [p^r](y) below y^M
+        self._pseries = {}  # r -> the longest [p^r](y) found so far
         self._ring_cache = {}  # (r, N) -> A_r, filled by make_cochain_ring
 
     def describe(self) -> str:
@@ -461,7 +461,7 @@ class FormalGroupLaw:
         Honda laws give a length-M series correct mod p^N, solved by
         Newton's method and certified by its functional equation.  The
         series mod p^N is canonical, so a shorter one is a prefix of a
-        longer one.
+        longer one, and a request reads a prefix of the longest solve yet.
         """
         if M is None:
             M = self.M
@@ -474,22 +474,22 @@ class FormalGroupLaw:
                 "p-series [p^%d]y has leading degree %d beyond precision M=%d"
                 % (r, self.p ** (r * self.n), M)
             )
-        if (r, M) in self._pseries:
-            return self._pseries[(r, M)]
-        if self.kind == "multiplicative":
-            q = self.p**r
-            vals = (0,) + tuple(math.comb(q, k) for k in range(1, q + 1))
-            out = TruncatedSeries(self.context, vals, True)
-        elif r == 0:
-            out = TruncatedSeries(self.context, (0, 1), True)
-        else:
-            p, n, N = self.p, self.n, self.context.prec
-            imax = _honda_imax(p, n, M)
-            vals = _solve_log(_log_y(p**r, p, n, imax, p ** (N + imax), M), p, n, M, N)
-            certify_honda_pseries(vals, p, n, r, N)
-            out = TruncatedSeries(self.context, tuple(vals), False)
-        self._pseries[(r, M)] = out
-        return out
+        out = self._pseries.get(r)
+        if out is None or not out.exact and len(out.coeffs) < M:
+            if self.kind == "multiplicative":
+                q = self.p**r
+                vals = (0,) + tuple(math.comb(q, k) for k in range(1, q + 1))
+                out = TruncatedSeries(self.context, vals, True)
+            elif r == 0:
+                out = TruncatedSeries(self.context, (0, 1), True)
+            else:
+                p, n, N = self.p, self.n, self.context.prec
+                imax = _honda_imax(p, n, M)
+                vals = _solve_log(_log_y(p**r, p, n, imax, p ** (N + imax), M), p, n, M, N)
+                certify_honda_pseries(vals, p, n, r, N)
+                out = TruncatedSeries(self.context, tuple(vals), False)
+            self._pseries[r] = out
+        return replace(out, coeffs=out.coeffs[:M])  # an exact series fits whole
 
 
 def make_multiplicative_fgl(p: int, M: int = 16) -> FormalGroupLaw:

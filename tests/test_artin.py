@@ -20,7 +20,6 @@ from ramify.artin import (
     nakayama_check,
     nilpotency_exponent,
     null_space,
-    quotient_map,
     radical_basis,
     random_spanned_module,
     regular_module,
@@ -28,7 +27,6 @@ from ramify.artin import (
     row_space,
     rref,
     socle_series,
-    socle_series_bases,
     spanned_submodule,
     tensor_algebra,
     truncated_polynomial_algebra,
@@ -194,6 +192,17 @@ def test_coords_in_rref_roundtrip():
     with pytest.raises(AlgebraError):
         red, piv = rref([[1, 0, 0]], 2)
         coords_in_rref([0, 1, 0], red, piv, 2)
+
+
+def quotient_map(reduced, pivots, n, p):
+    """Matrix of the projection F_p^n -> F_p^n / span(reduced), the
+    oracles' quotient: its coordinates are the non-pivot positions of
+    the reduction of a vector by the rref rows."""
+    # t maps v (column) to its reduction v - sum_i v[c_i] * reduced[i];
+    # after reduction every pivot coordinate vanishes
+    t = np.eye(n, dtype=np.int64)
+    t[:, pivots] -= reduced.T
+    return np.delete(t, pivots, axis=0) % p
 
 
 def test_quotient_map_kills_exactly_the_span():
@@ -974,7 +983,8 @@ def test_zero_module():
     sub, _ = spanned_submodule(free, [np.zeros(3, dtype=np.int64)])
     assert sub.dim == 0
     assert nakayama_check(sub) == (0, 0)
-    assert socle_series(sub).dims == ()
+    series = socle_series(sub)
+    assert series.dims == () and series.k0 == 0 and series.basis.shape == (0, 0)
 
 
 # ----------------------------------------------------------------- socles
@@ -996,13 +1006,19 @@ def _socle_by_powers(alg, act, k):
     return row_space(null_space(mats, p), p)
 
 
+def _socle_stages(series, p):
+    """The rref basis of soc^k M for k = 1..k0, read off the adapted
+    basis: its first dims[k-1] rows span soc^k M."""
+    return [row_space(series.basis[:dim], p) for dim in series.dims]
+
+
 def _check_socle_stages(module, act):
-    """socle_series_bases agrees with socle_series and, stage by stage,
-    with the kernels of the powers of J acting by the dense action act."""
+    """socle_series agrees, stage by stage, with the kernels of the
+    powers of J acting by the dense action act."""
     series = socle_series(module)
-    stages = socle_series_bases(module)
+    stages = _socle_stages(series, module.algebra.p)
     assert len(stages) == series.k0
-    assert tuple(red.shape[0] for red in stages) == series.dims
+    assert series.basis.shape == (module.dim, module.dim)
     for k, red in enumerate(stages, start=1):
         assert red.tolist() == _socle_by_powers(module.algebra, act, k).tolist()
     return series
@@ -1020,7 +1036,7 @@ def test_socle_series_truncated_polynomial(m):
 def test_socle_stage_bases_are_top_power_spans():
     m = 5
     alg = truncated_polynomial_algebra(3, m)
-    stages = socle_series_bases(regular_module(alg))
+    stages = _socle_stages(socle_series(regular_module(alg)), 3)
     assert len(stages) == m
     for k, red in enumerate(stages, start=1):
         # soc^k = span(y^(m-k), ..., y^(m-1))
@@ -1038,17 +1054,78 @@ def test_socle_series_tensor_square():
     assert series.k0 == 3 and series.e == 3
 
 
-def test_socle_series_bases_certifies_each_stage(monkeypatch):
+def _conjugated(module, rng):
+    """module with its action in a random basis, so that its socle rows
+    are nonzero off their pivots."""
+    p, n = module.algebra.p, module.dim
+    while True:
+        basis = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], np.int64)
+        if len(rref(basis, p)[1]) == n:
+            break
+    inverse = rref(np.hstack([basis, np.eye(n, dtype=np.int64)]), p)[0][:, n:]
+    act = [basis @ a @ inverse % p for a in module.gen_act]
+    return artin.FinModule(module.algebra, np.array(act, dtype=np.int64))
+
+
+def test_socle_series_certifies_each_stage(monkeypatch):
     mod = regular_module(truncated_polynomial_algebra(2, 3))
     with monkeypatch.context() as m:
         m.setattr(artin, "nilpotency_exponent", lambda alg: 2)
         with pytest.raises(AlgebraError, match="terminate"):
-            socle_series_bases(mod)
+            socle_series(mod)
+    # the carried action without its correction red[:, f]^T A_g[piv][:, f],
+    # the only product of a matrix by a stack of matrices in socle_series
+    conj = _conjugated(regular_module(truncated_polynomial_algebra(2, 4)), random.Random(10))
+    assert socle_series(conj).dims == (1, 2, 3, 4)
+    matmul = artin._matmul_mod
+
+    def uncorrected(a, b, p, axes=None):
+        if axes is None and a.ndim == 2 and b.ndim == 3:
+            return np.zeros((b.shape[0], a.shape[0], b.shape[2]), dtype=np.int64)
+        return matmul(a, b, p, axes)
+
     with monkeypatch.context() as m:
-        # a quotient map that forgets soc^(k-1) makes stage 1 all of M
-        m.setattr(artin, "quotient_map", lambda red, piv, n, p: np.zeros((0, n), np.int64))
+        m.setattr(artin, "_matmul_mod", uncorrected)
         with pytest.raises(AlgebraError, match="escapes"):
-            socle_series_bases(mod)
+            socle_series(conj)
+    # a first stage cut to one row leaves a flag with J S_k in S_(k-1)
+    # that ends at M, but is not the socle series
+    kernels = []
+
+    def first_cut(mat, p):
+        kern = null_space(mat, p)
+        kernels.append(kern)
+        return kern[:1] if len(kernels) == 1 else kern
+
+    with monkeypatch.context() as m:
+        m.setattr(artin, "null_space", first_cut)
+        m.setattr(artin, "nilpotency_exponent", lambda alg: 10)
+        with pytest.raises(AlgebraError, match="misses"):
+            socle_series(free_module(truncated_polynomial_algebra(2, 3), 2))
+    assert len(kernels[0]) == 2
+
+
+def test_socle_series_carries_the_quotient(monkeypatch):
+    # a return to a fresh quotient map of M per stage, the m^4 path, must
+    # fail here, not only in timing: stage k works at the width 41 - k of
+    # the quotient, and only the certificate, once, sees M whole
+    m = 40
+    events = []
+    widths = {"null_space": lambda a, p: np.shape(a)[1], "rref": lambda a, p: np.shape(a)[1],
+              "_matmul_mod": lambda a, b, p, axes=None: max(np.shape(a) + np.shape(b))}
+    for name, width in widths.items():
+        def spy(*args, _real=getattr(artin, name), _name=name, _width=width, **kw):
+            events.append((_name, _width(*args, **kw)))
+            return _real(*args, **kw)
+        monkeypatch.setattr(artin, name, spy)
+    series = socle_series(regular_module(truncated_polynomial_algebra(2, m)))
+    assert series.dims == tuple(range(1, m + 1))
+    starts = [i for i, (name, _) in enumerate(events) if name == "null_space"]
+    assert [events[i][1] for i in starts] == list(range(m, 0, -1))
+    cert = len(events) - 3
+    assert events[cert:] == [("_matmul_mod", m), ("rref", 2 * m), ("rref", m)]
+    for i, j in zip(starts, starts[1:] + [cert]):
+        assert all(width <= events[i][1] for _, width in events[i:j])
 
 
 def test_nakayama_randomized():
@@ -1269,11 +1346,26 @@ def test_generator_actions_match_whole_basis_oracles(p, monkeypatch):
         for module, act in ((regular_module(alg), _dense_free_action(alg, 1)),
                             (sub, _dense_restriction(dense, basis, p)),
                             (rand, _dense_restriction(dense, rand_basis, p))):
-            got = socle_series_bases(module)
+            got = _socle_stages(socle_series(module), p)
             want = _socle_bases_oracle(alg, act)
             assert [red.tolist() for red in got] == [red.tolist() for red in want]
             assert nakayama_check(module)[0] == _nakayama_top_oracle(alg, act)
     assert checked
+
+
+def test_socle_basis_matches_the_oracle_on_workload_algebras():
+    # the 9 algebra file shapes of the benchmark, at p = 2, 3 and 5
+    files = _workload_algebra_files()
+    assert sorted({p for p, _, _ in files}) == [2, 3, 5]
+    for p, _, text in files:
+        alg = cli._parse_algebra_file(text, p)
+        dense = _dense_free_action(alg, 1)
+        sub, basis = _random_spanned(regular_module(alg), random.Random(p))
+        for module, act in ((regular_module(alg), dense),
+                            (sub, _dense_restriction(dense, basis, p))):
+            got = _socle_stages(socle_series(module), p)
+            want = _socle_bases_oracle(alg, act)
+            assert [red.tolist() for red in got] == [red.tolist() for red in want]
 
 
 def test_generator_actions_stack_at_most_dim_times_g_rows(monkeypatch):
@@ -1297,7 +1389,7 @@ def test_generator_actions_stack_at_most_dim_times_g_rows(monkeypatch):
     monkeypatch.setattr(artin, "rref", recording)
     monkeypatch.setattr(artin, "_lift_generators", recording_jk)
     alg._check_radical_nilpotent(radical_basis(alg), alg.gen_products)
-    socle_series_bases(module)
+    socle_series(module)
     # every syzygy of F_p over F_2[y]/(y^40) lies in A^1, of dimension 40
     assert minimal_free_resolution(alg, 6) == (1,) * 7
     assert rows and max(rows) <= bound

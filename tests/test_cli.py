@@ -39,6 +39,7 @@ GOLDEN = {
     "converge_p2_rational.txt": ["converge", "--p", "2", "--rational"],
     "socle_m5.txt": ["socle", "--m", "5"],
     "socle_p3_m5.txt": ["socle", "--p", "3", "--m", "5"],
+    "socle_tensor.txt": ["socle", "--algebra", "golden/tensor_2x2.alg"],
     "betti_tensor.txt": [
         "betti", "--algebra", "golden/tensor_2x2.alg", "--smax", "8",
     ],
@@ -230,6 +231,26 @@ def test_each_ring_solves_its_p_series_once_at_its_own_length(capsys, monkeypatc
     # A_1 and A_3 at their own length, q_2 for the tower map at the law's
     assert sorted(certified) == [(1, 34), (2, 634), (3, 634)]
     assert solved == [length for _, length in certified]
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["compare", "--p", "3", "--n", "2", "--k", "2"], [(2, 804), (1, 804)]),
+    (["compare", "--p", "2", "--n", "2", "--k", "2"], [(2, 154), (1, 154)]),
+    (["weierstrass", "--p", "2", "--n", "2", "--M", "400"], [(1, 34)]),
+])
+def test_each_r_is_solved_once(argv, solves, capsys, monkeypatch):
+    # a shorter request of the same r reads a prefix of the longer solve:
+    # A_1 of q_1 for the tower map, and the weierstrass check of its ring
+    certified = []
+    certify = fgl.certify_honda_pseries
+
+    def certify_spy(psi, p, n, r, N):
+        certified.append((r, len(psi)))
+        return certify(psi, p, n, r, N)
+
+    monkeypatch.setattr(fgl, "certify_honda_pseries", certify_spy)
+    assert run_cli(argv, capsys)[0] == 0
+    assert certified == solves
 
 
 @pytest.mark.parametrize("p", [2, 3])

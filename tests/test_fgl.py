@@ -265,6 +265,32 @@ def test_p_series_precision_guard():
         H.p_series(2)
 
 
+def test_p_series_serves_prefixes_of_a_longer_solve(monkeypatch):
+    # [p^r](y) mod p^N is canonical, so a shorter request reads the
+    # prefix of a longer certified solve; a longer one solves again
+    solves = []
+    solve = fgl._solve_log
+
+    def spy(target, p, n, M, N):
+        solves.append(M)
+        return solve(target, p, n, M, N)
+
+    monkeypatch.setattr(fgl, "_solve_log", spy)
+    for p, n, r in [(2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 1, 2)]:
+        long_M = minimum_series_precision(p, n, r, 6, False)
+        short_M = p ** (r * n) + 5
+        H = make_honda_fgl(p, n, M=long_M, N=6)
+        short = H.p_series(r, short_M)
+        fresh = make_honda_fgl(p, n, M=long_M, N=6).p_series(r, short_M)
+        solves.clear()
+        longer = H.p_series(r)
+        assert solves == [long_M] and longer.coeffs[:short_M] == short.coeffs
+        for M in (short_M, short_M + 1, long_M):
+            assert H.p_series(r, M) == TruncatedSeries(H.context, longer.coeffs[:M], False)
+        assert H.p_series(r, short_M) == fresh
+        assert solves == [long_M]
+
+
 def test_honda_p_series_reduces_to_frobenius_power():
     # height n means [p]y = y^(p^n) on the nose after reduction mod p
     for (p, n, M) in [(2, 1, 12), (2, 2, 20), (3, 1, 12), (3, 2, 12)]:
