@@ -101,9 +101,10 @@ def rref(rows, p):
     of the span, which is unique, so the insertion order does not
     matter.
     """
-    a = np.atleast_2d(np.array(rows, dtype=np.int64) % p)
+    a = np.atleast_2d(np.array(rows, dtype=np.int64))
     if p == 2:
-        return _rref_f2(a)
+        return _rref_f2((a & 1).astype(bool))
+    a %= p
     used = [False] * a.shape[0]
     prows, pivots = [], []
     for c in np.flatnonzero(a.any(axis=0)).tolist():
@@ -137,8 +138,8 @@ def rref(rows, p):
 
 
 def _rref_f2(a):
-    """rref of a 0/1 int64 array over F_2, on rows packed into Python
-    ints with bit c as column c (see rref for why it is the rref)."""
+    """rref of a bool array over F_2, on rows packed into Python ints
+    with bit c as column c (see rref for why it is the rref)."""
     nrows, ncols = a.shape
     nbytes = (ncols + 7) // 8
     packed = np.packbits(a, axis=1, bitorder="little").tobytes()

@@ -108,12 +108,10 @@ def _tower(args):
 def _descriptor_json(desc, p):
     exps = []
     for t in desc.torsion:
-        e, x = 0, t
-        while x % p == 0:
-            x //= p
+        e = 0
+        while t % p == 0:
+            t //= p
             e += 1
-        if x != 1:
-            raise homalg.HomologyError("torsion order %d is not a p-power" % t)
         exps.append(e)
     return {"free": desc.free, "torsion": exps}
 

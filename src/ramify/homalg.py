@@ -2,11 +2,12 @@
 bookkeeping built on top of them.
 
 The ring A_r resolves its residue object by the two-periodic complex
-with multipliers alternating between y and q_r.  Tensoring down along
-the augmentation turns it into a complex of 1x1 integer matrices
-[0, p^r, 0, p^r, ...] whose homology is computed by a general Smith
-normal form routine and then compared against the closed form: free
-of rank one in degree zero, Z/p^r in each odd degree, zero otherwise.
+with multipliers alternating between y and q_r, a matrix factorization
+of y q_r (Eisenbud, Trans. AMS 260, 1980).  Only its period (y, q_r) is
+built.  Tensored down along the augmentation it gives two 1x1 integer
+matrices, [[0]] and [[p^r]]; one Smith normal form of each gives Tor in
+every degree, which is compared against the closed form: free of rank
+one in degree zero, Z/p^r in each odd degree, zero otherwise.
 
 Lifting the mod-p^N entries to canonical integers is legitimate here
 because the only values that occur are 0 and p^r with r < N, so the
@@ -33,11 +34,8 @@ __all__ = [
     "ChainMapError",
     "ModuleDescriptor",
     "PeriodicFreeComplex",
-    "IntMatrixComplex",
     "build_resolution",
-    "tensor_down",
     "smith_normal_form",
-    "snf_homology",
     "TorTable",
     "tor_table",
     "KunnethPage",
@@ -112,68 +110,11 @@ class PeriodicFreeComplex:
                 raise HomologyError("d o d is nonzero in the ring")
 
 
-def build_resolution(ring, length):
-    """Multipliers [y, q_r, y, q_r, ...]; position s (1-based) is y for
-    odd s and q_r for even s."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    mults = []
-    for s in range(1, length + 1):
-        mults.append(ring.y_elt if s % 2 == 1 else ring.q_elt)
-    return PeriodicFreeComplex(ring, mults)
-
-
-class IntMatrixComplex:
-    """Chain complex of finitely generated free abelian groups given by
-    integer matrices d_1..d_L, with d_i of shape (n_(i-1), n_i)."""
-
-    def __init__(self, matrices):
-        self.matrices = [
-            [[int(x) for x in row] for row in m] for m in matrices
-        ]
-        if not self.matrices:
-            raise ValueError("complex needs at least one matrix")
-        self.ranks = [len(self.matrices[0])]
-        for m in self.matrices:
-            rows = len(m)
-            cols = len(m[0]) if rows else 0
-            if rows != self.ranks[-1]:
-                raise ValueError("matrix shapes are not composable")
-            self.ranks.append(cols)
-        for a, b in zip(self.matrices, self.matrices[1:]):
-            prod = _mat_mul(a, b)
-            if any(x for row in prod for x in row):
-                raise HomologyError("consecutive matrices do not compose to zero")
-
-    @property
-    def length(self):
-        return len(self.matrices)
-
-
-def _mat_mul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(mid):
-            if a[i][k]:
-                aik = a[i][k]
-                for j in range(cols):
-                    out[i][j] += aik * b[k][j]
-    return out
-
-
-def tensor_down(complex_):
-    """Apply the augmentation to a periodic free complex: each rank-one
-    differential becomes the 1x1 integer matrix of its augmentation's
-    canonical lift."""
-    ring = complex_.ring
-    mats = []
-    for m in complex_.multipliers:
-        v = ring.augmentation(m)
-        if not (0 <= v < ring.modulus):
-            raise HomologyError("augmentation value is not a canonical lift")
-        mats.append([[v]])
-    return IntMatrixComplex(mats)
+def build_resolution(ring):
+    """The period (y, q_r) of the resolution of the residue object:
+    multiplier s (1-based) of the full resolution is y for odd s and
+    q_r for even s."""
+    return PeriodicFreeComplex(ring, (ring.y_elt, ring.q_elt))
 
 
 # ---------------------------------------------------------------------------
@@ -263,29 +204,6 @@ def smith_normal_form(mat):
     return diag
 
 
-def _matrix_rank_z(mat):
-    return sum(1 for d in smith_normal_form(mat) if d)
-
-
-def snf_homology(complex_, s):
-    """H_s of an integer matrix complex as a ModuleDescriptor.
-
-    Needs both boundary maps around degree s, so s must satisfy
-    0 <= s < length.
-    """
-    if not (0 <= s < complex_.length):
-        raise ValueError("homology degree out of range for this complex")
-    n_s = complex_.ranks[s]
-    rank_out = _matrix_rank_z(complex_.matrices[s - 1]) if s >= 1 else 0
-    inv_in = smith_normal_form(complex_.matrices[s])
-    rank_in = sum(1 for d in inv_in if d)
-    free = n_s - rank_out - rank_in
-    if free < 0:
-        raise HomologyError("negative free rank; complex data is inconsistent")
-    torsion = tuple(d for d in inv_in if d not in (0, 1))
-    return ModuleDescriptor(free=free, torsion=torsion)
-
-
 # ---------------------------------------------------------------------------
 # Tor tables and the associated page
 
@@ -313,21 +231,38 @@ class TorTable:
 
 def tor_table(ring, s_max):
     """Tor of the residue object against itself over A_r, degrees
-    0..s_max, computed by Smith normal form and certified against the
-    closed form."""
+    0..s_max, read off the period of the resolution and certified
+    against the closed form.
+
+    Tensored down, the differential d_s of the resolution is the 1x1
+    matrix of the augmentation e of its multiplier: [[e(y)]] for odd s
+    and [[e(q_r)]] for even s >= 2, and d_0 = 0.  H_s depends on d_s
+    and d_(s+1) alone: its free rank is 1 - rank d_s - rank d_(s+1) and
+    its torsion the invariant factors of d_(s+1) other than 1.  So one
+    Smith normal form of each matrix of the period gives every degree.
+    """
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
-    complex_ = build_resolution(ring, s_max + 1)
-    down = tensor_down(complex_)
+    # invariants[s % 2] is the Smith normal form of d_(s+1)
+    invariants = [
+        smith_normal_form([[ring.augmentation(m)]])
+        for m in build_resolution(ring).multipliers
+    ]
     entries = []
+    rank_out = 0
     for s in range(s_max + 1):
-        got = snf_homology(down, s)
+        inv_in = invariants[s % 2]
+        got = ModuleDescriptor(
+            free=1 - rank_out - len(inv_in),
+            torsion=tuple(d for d in inv_in if d != 1),
+        )
         want = _expected_tor(ring.p, ring.r, s)
         if got != want:
             raise HomologyError(
                 "Tor_%d is %s but the closed form gives %s" % (s, got, want)
             )
         entries.append(got)
+        rank_out = len(inv_in)
     return TorTable(
         p=ring.p,
         n=ring.n,
@@ -423,7 +358,8 @@ def _component(phi, s):
 class ChainMap:
     """Verified chain map over the tower morphism phi: components are
     phi itself in even degrees and (image of q_(k-1)) * phi in odd
-    degrees."""
+    degrees.  source and target are the periods of the two resolutions
+    (build_resolution); length is the L whose squares are certified."""
 
     morphism: object
     source: PeriodicFreeComplex
@@ -457,8 +393,8 @@ def comparison_chain_map(F, k, L, N=8, seed=0):
         raise ValueError("L must be >= 1")
     phi = substitution_map(F, k, N)
     a1, ak = phi.source, phi.target
-    c1 = build_resolution(a1, L)
-    ck = build_resolution(ak, L)
+    c1 = build_resolution(a1)
+    ck = build_resolution(ak)
 
     rng = random.Random(seed)
     probes = [
@@ -527,24 +463,19 @@ def induced_tor_morphism(phi, s_max):
     entries = []
     odd_ok = True
     for s in range(s_max + 1):
-        sdesc, tdesc = src.entry(s), tgt.entry(s)
         if s == 0:
             # identity on the free rank-one part
-            if sdesc.free != 1 or tdesc.free != 1:
-                raise HomologyError("degree-zero Tor is not free of rank one")
             entries.append(("identity", 1, True))
         elif s % 2 == 1:
             # Z/p -> Z/p^k, multiplication by p^(k-1)
-            source_order = sdesc.torsion[0]
-            target_order = tdesc.torsion[0]
+            source_order = src.entry(s).torsion[0]
+            target_order = tgt.entry(s).torsion[0]
             image_order = target_order // math.gcd(mult, target_order)
             injective = image_order == source_order
             if not injective:
                 odd_ok = False
             entries.append(("times-p^(k-1)", mult, injective))
         else:
-            if not (sdesc.is_zero and tdesc.is_zero):
-                raise HomologyError("even positive Tor should vanish")
             entries.append(("zero", 0, True))
     if not odd_ok:
         raise ChainMapError("induced map fails to be injective in odd degrees")

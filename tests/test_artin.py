@@ -104,7 +104,9 @@ def _rref_oracle_inputs(p, rng):
     """Seeded matrices over F_p: tall stacks (R >= 20 C), zero columns,
     all entries p - 1, rank-deficient, single-row and empty ones; widths
     that straddle the bytes and words of rref's packed rows at p = 2,
-    sparse shift-and-permutation stacks, and a dense 300 x 300 one."""
+    sparse shift-and-permutation stacks, a dense 300 x 300 one, and
+    unreduced ones with entries below -1 and above p, near the int64
+    limits too."""
     mats = []
     for rows, cols in [(20, 1), (60, 3), (200, 8), (400, 12)]:
         mats.append(rng.integers(0, p, (rows, cols)))
@@ -143,6 +145,10 @@ def _rref_oracle_inputs(p, rng):
     shift = np.eye(40, k=1, dtype=np.int64) - np.eye(40, dtype=np.int64)
     mats += [np.vstack([shift, np.roll(shift, 7, axis=1)]), -shift[::-1]]
     mats.append(rng.integers(0, p, (300, 300)))
+    # unreduced entries either side of zero: rref reduces its input mod p
+    big = 2**62
+    mats += [rng.integers(-3 * p, 3 * p + 1, (40, 70)), np.arange(-9, 9).reshape(3, 6),
+             [[big, big + 1, -big, -big - 1, 2, -2, 3, -3]]]
     return mats
 
 

@@ -11,7 +11,6 @@ from ramify.cochain import RingElement, substitution_map
 from ramify.homalg import (
     ChainMapError,
     HomologyError,
-    IntMatrixComplex,
     ModuleDescriptor,
     PeriodicFreeComplex,
     build_resolution,
@@ -21,8 +20,6 @@ from ramify.homalg import (
     kunneth_page,
     rational_tor,
     smith_normal_form,
-    snf_homology,
-    tensor_down,
     tor_table,
 )
 
@@ -116,6 +113,64 @@ def test_snf_of_diagonal_gives_elementary_divisors():
 
 
 # ------------------------------------------------------------ integer complex
+#
+# The oracle: a general chain complex of free abelian groups and its
+# homology by Smith normal form.  tor_table reads Tor off the period of
+# the resolution; on the full resolution, tensored down, this must give
+# the same groups.
+
+
+class IntMatrixComplex:
+    """Chain complex of finitely generated free abelian groups given by
+    integer matrices d_1..d_L, with d_i of shape (n_(i-1), n_i)."""
+
+    def __init__(self, matrices):
+        self.matrices = [[[int(x) for x in row] for row in m] for m in matrices]
+        if not self.matrices:
+            raise ValueError("complex needs at least one matrix")
+        self.ranks = [len(self.matrices[0])]
+        for m in self.matrices:
+            if len(m) != self.ranks[-1]:
+                raise ValueError("matrix shapes are not composable")
+            self.ranks.append(len(m[0]) if m else 0)
+        for a, b in zip(self.matrices, self.matrices[1:]):
+            if any(x for row in _mat_mul(a, b) for x in row):
+                raise HomologyError("consecutive matrices do not compose to zero")
+
+    @property
+    def length(self):
+        return len(self.matrices)
+
+
+def _full_resolution(ring, length):
+    """The resolution of the residue object through degree length:
+    multiplier s (1-based) is y for odd s and q_r for even s."""
+    return PeriodicFreeComplex(
+        ring, [ring.y_elt if s % 2 else ring.q_elt for s in range(1, length + 1)]
+    )
+
+
+def tensor_down(complex_):
+    """Each rank-one differential becomes the 1x1 integer matrix of its
+    augmentation's canonical lift."""
+    ring = complex_.ring
+    mats = []
+    for m in complex_.multipliers:
+        v = ring.augmentation(m)
+        assert 0 <= v < ring.modulus
+        mats.append([[v]])
+    return IntMatrixComplex(mats)
+
+
+def snf_homology(complex_, s):
+    """H_s of an integer matrix complex, 0 <= s < length."""
+    if not (0 <= s < complex_.length):
+        raise ValueError("homology degree out of range for this complex")
+    rank_out = len(smith_normal_form(complex_.matrices[s - 1])) if s >= 1 else 0
+    inv_in = smith_normal_form(complex_.matrices[s])
+    free = complex_.ranks[s] - rank_out - len(inv_in)
+    assert free >= 0
+    return ModuleDescriptor(free=free, torsion=tuple(d for d in inv_in if d != 1))
 
 
 def test_module_descriptor_str():
@@ -162,19 +217,16 @@ def test_free_homology_of_zero_maps():
 
 def test_build_resolution_multipliers_alternate():
     ring = ring_for(2, 1, 1)
-    C = build_resolution(ring, 5)
-    assert len(C.multipliers) == 5
+    C = build_resolution(ring)
+    assert len(C.multipliers) == 2
     assert C.multipliers[0].coeffs == ring.y_elt.coeffs
     assert C.multipliers[1].coeffs == ring.q_elt.coeffs
-    assert C.multipliers[2].coeffs == ring.y_elt.coeffs
-    down = tensor_down(C)
+    down = tensor_down(_full_resolution(ring, 5))
     assert down.matrices == [[[0]], [[2]], [[0]], [[2]], [[0]]]
 
 
 def test_periodic_complex_validation():
     ring = ring_for(2, 1, 1)
-    with pytest.raises(ValueError):
-        build_resolution(ring, 0)
     with pytest.raises(HomologyError):
         PeriodicFreeComplex(ring, [ring.one])  # unit augmentation
     with pytest.raises(HomologyError):
@@ -189,6 +241,7 @@ def test_periodic_complex_validation():
 
 def test_periodic_complex_checks_each_distinct_square_once(monkeypatch):
     ring = ring_for(2, 2, 1)
+    mults = [ring.y_elt if s % 2 else ring.q_elt for s in range(1, 8)]
     products = [0]
     mul = RingElement.__mul__
 
@@ -197,7 +250,7 @@ def test_periodic_complex_checks_each_distinct_square_once(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(RingElement, "__mul__", counting)
-    build_resolution(ring, 7)  # y q and q y, each three times: one product
+    PeriodicFreeComplex(ring, mults)  # y q and q y, each three times: one product
     assert products[0] == 1
 
 
@@ -214,6 +267,43 @@ def test_tor_table_closed_form(p, n, r):
         assert table.entry(s) == ModuleDescriptor(0, (p**r,))
     for s in (2, 4, 6):
         assert table.entry(s).is_zero
+
+
+@pytest.mark.parametrize("p,n,r", GRID)
+def test_tor_table_matches_the_full_complex(p, n, r):
+    ring = ring_for(p, n, r)
+    for s_max in range(9):
+        down = tensor_down(_full_resolution(ring, s_max + 1))
+        want = tuple(snf_homology(down, s) for s in range(s_max + 1))
+        assert tor_table(ring, s_max).entries == want
+
+
+def test_tor_table_takes_one_snf_per_differential_of_the_period(monkeypatch):
+    calls = []
+    snf = homalg.smith_normal_form
+
+    def spy(mat):
+        calls.append(mat)
+        return snf(mat)
+
+    monkeypatch.setattr(homalg, "smith_normal_form", spy)
+    ring = ring_for(3, 1, 2)
+    for s_max in (0, 6, 20):
+        calls.clear()
+        assert len(tor_table(ring, s_max).entries) == s_max + 1
+        assert calls == [[[0]], [[9]]]
+
+
+def test_tor_table_certifies_the_periodic_reading(monkeypatch):
+    p, r = 2, 2
+    snf = homalg.smith_normal_form
+
+    def wrong(mat):
+        return [p ** (r + 1)] if mat == [[p**r]] else snf(mat)
+
+    monkeypatch.setattr(homalg, "smith_normal_form", wrong)
+    with pytest.raises(HomologyError, match="Tor_1 is Z/8 but the closed form gives Z/4"):
+        tor_table(ring_for(p, 1, r), 3)
 
 
 def test_tor_table_degree_zero_window():
@@ -300,7 +390,7 @@ def test_comparison_chain_map_p2_k2():
 def test_comparison_chain_map_multiplicative_grid(p, k):
     cm = comparison_chain_map(law_for(p, 1, max_r=max(k, 2)), k, 6)
     assert cm.squares_checked == 6 * (p + 6)
-    assert len(cm.source.multipliers) == len(cm.target.multipliers) == 6
+    assert len(cm.source.multipliers) == len(cm.target.multipliers) == 2
 
 
 def test_comparison_chain_map_honda():

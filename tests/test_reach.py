@@ -12,6 +12,7 @@ Dataclass-generated methods have no source lines and are not counted.
 import ast
 import contextlib
 import glob
+import importlib
 import io
 import os
 import sys
@@ -156,4 +157,14 @@ def test_allowlist_is_not_stale(reach):
                 stale.append((fname, qual, "not defined"))
             elif (fname, qual) in reached:
                 stale.append((fname, qual, "reached"))
+    assert stale == []
+
+
+def test_every_export_is_defined():
+    # a stale __all__ entry makes `from ramify.<module> import *` raise
+    stale = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        module = importlib.import_module("ramify" if name == "__init__" else "ramify." + name)
+        stale += [(name, export) for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert stale == []
