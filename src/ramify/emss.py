@@ -5,16 +5,23 @@ The starting page is Gamma(sigma z) tensor Lambda(sigma y).  A divided
 power gamma_m(sigma z) is encoded by the base-p digits of m, one slot
 per gamma_{p^j} and a cutoff at gamma_{p^S}; sigma z itself is the
 slot-zero generator and survives to the end as zeta.  A page holds its
-monomials as a sorted int64 array of indices
+monomials as a sorted int32 array of indices
 
     idx = a_0 + a_1 p + ... + a_(S-1) p^(S-1) + eps p^S,
 
 a_j the digit in slot j and eps the sigma y exponent; PAGE_LIMIT bounds
-their number.  Products carry the binomial C(a+b, a), digitwise by
-Lucas's theorem and zero mod p when a slot carries (Kummer).  So the
-product with a monomial g is one array map: scalar prod_j C[a_j, g_j]
-from a p x p table C that is 0 on a carry, target idx + g, and zero on
-a carry or a second sigma y factor.
+their number.  Products carry the binomial C(a+b, a) in every slot.  For
+x and y with at most one sigma y factor, Kummer's theorem says no slot
+carries exactly when the base-p digit sums satisfy D(x + y) = D(x) +
+D(y); a carry makes the binomial, so the product, zero mod p.  Without
+one the scalar is prod_j C(a_j + b_j, a_j) = F(x + y) / (F(x) F(y)), F
+the product of the digits' factorials, a unit mod p as digits are below
+p.  So any array of products is a few lookups in tables of D, F and
+1/F over the indices below 2 p^S: target x + y, zero on a carry or a
+second sigma y factor (x + y >= 2 p^S, where F is 0).  The arithmetic is
+int32: table products stay below p^3 and the Leibniz check's term keys
+target * p + scalar below PAGE_LIMIT * p < 2^31, as a page of S >= 2
+slots has 2 p^2 <= PAGE_LIMIT.
 
 Round s applies the one differential the pattern allows, determined
 by its value on gamma_{p^s} and extended as a derivation.  In digit
@@ -32,8 +39,8 @@ d(gamma_{2p}) = gamma_p sigma y gives d(gamma_p^2) = 2 gamma_p sigma y
 Every round is certified from one table of d: scalars and target
 indices (-1 where d vanishes) over the page.  A bidegree holds at most
 one page monomial, so the table is a monomial complex (see _run_round).
-Monomials whose lower slots are off-pattern die automatically: the
-binomial against w_s overflows.
+Monomials whose lower slots are off-pattern die automatically: their
+product with w_s carries.
 
 The cutoff makes assertions trustworthy only in the window of
 filtration degree at most p^(S-1); classes touching slot S-1's top
@@ -67,7 +74,7 @@ __all__ = [
 
 # Most monomials 2 p^S a first page may hold.  A round is a few array
 # passes per generator over the page; the largest page, p = 3 at S = 11,
-# takes about 2 s and 140 MB in a fresh process on one x86 core.
+# takes about 0.9 s and 68 MB in a fresh process on one x86 core.
 PAGE_LIMIT = 2 * 3 ** 11
 
 
@@ -158,40 +165,37 @@ def round_differential(x, p, S, s):
 # monomials as integer indices
 
 
-def _lucas_table(p):
-    """C[a, b] = C(a + b, a) mod p for digits a, b: 0 on a carry, since
-    then p <= a + b < 2p divides (a + b)! but not a! b! (Kummer)."""
-    table = np.ones((p, p), dtype=np.int64)
-    for a in range(1, p):  # C(a + b, a) is the sum over k <= b of C(a - 1 + k, a - 1)
-        table[a] = np.cumsum(table[a - 1]) % p
-    return table
+def _index_tables(p, S):
+    """Product tables over the indices t < 4 p^S: (p, D, F, 1/F), D the
+    base-p digit sum of t and F the product of its digits' factorials mod
+    p for t < 2 p^S; past that F = 1/F = 0, which also covers index -1."""
+    units = [math.factorial(a) % p for a in range(p)]
+    digit = np.array([range(p), units, [pow(u, -1, p) for u in units]], dtype=np.int32)
+    tables = np.array([[0], [1], [1]], dtype=np.int32)
+    for top in [p] * S + [2]:  # a new leading digit; slot S is the sigma y exponent
+        d, t = digit[:, :top, None], tables[:, None, :]
+        tables = np.concatenate([d[:1] + t[:1], d[1:] * t[1:] % p]).reshape(3, -1)
+    return (p,) + tuple(np.hstack([tables, 0 * tables]))
 
 
-def _split(idx, p, S):
-    """Monomial indices as (indices, slots, sigma y exponent); the slots
-    are int16 digits along a last axis of length S."""
-    idx = rest = np.asarray(idx, dtype=np.int64)
-    digits = np.empty(idx.shape + (S,), dtype=np.int16)
-    for j in range(S):
-        rest, digits[..., j] = np.divmod(rest, p)
-    return idx, digits, rest
-
-
-def _multiply(x, ys, lucas):
-    """The monomial x times each of the split monomials ys (-1 is the
-    zero monomial), as (scalar, target) with target -1 where the product
-    is zero.  C[0, b] = 1, so only the slots where x is nonzero count;
-    the scalar is below p^S before reduction, so exact in int64."""
-    (y, dy, ey), (x, dx, ex) = ys, _split(x, len(lucas), ys[1].shape[-1])
-    slots = np.flatnonzero(dx)
-    scalar = lucas[dx[slots], dy[:, slots]].prod(axis=1) % len(lucas)
-    scalar[(x < 0) | (y < 0) | (ex + ey > 1)] = 0
-    return scalar, np.where(scalar > 0, x + y, -1)
+def _multiply(x, y, tables):
+    """The products of monomial indices x and y, broadcast against each
+    other (-1 is the zero monomial), as (scalar, target) with target -1
+    where the product is zero; see the module docstring."""
+    p, digit_sum, fact, inv_fact = tables
+    xy = x + y
+    scalar = fact[xy] * (digit_sum[xy] == digit_sum[x] + digit_sum[y]) * (
+        inv_fact[x] * inv_fact[y]) % p
+    return scalar, np.where(scalar > 0, xy, -1)
 
 
 def _decode(idx, p, S):
-    _, digits, eps = _split(idx, p, S)
-    return tuple(DPBasisElement(tuple(d), e) for d, e in zip(digits.tolist(), eps.tolist()))
+    rest, digits = np.asarray(idx, dtype=np.int64), []
+    for _ in range(S):
+        rest, d = np.divmod(rest, p)
+        digits.append(d)
+    return tuple(DPBasisElement(tuple(d), e)
+                 for d, e in zip(np.stack(digits, axis=-1).tolist(), rest.tolist()))
 
 
 def _nominal_index(p, s):
@@ -269,36 +273,34 @@ def initial_page(p, S):
         if size > PAGE_LIMIT:
             raise ValueError("page of 2*%d^%d monomials exceeds PAGE_LIMIT = %d"
                              % (p, S, PAGE_LIMIT))
-    return BigradedPage(p=p, S=S, index=2, next_round=1, indices=np.arange(size, dtype=np.int64))
+    return BigradedPage(p=p, S=S, index=2, next_round=1, indices=np.arange(size, dtype=np.int32))
 
 
-def _pinned(mons, p, lo, hi):
+def _pinned(idx, p, S, lo, hi):
     """Slots lo..hi-1 at 0 (no sigma y) or p-1 (with sigma y)."""
-    _, digits, eps = mons
-    return (digits[:, lo:hi] == (eps * (p - 1))[:, None]).all(axis=1)
+    block = p ** (hi - lo)
+    return idx // p ** lo % block == idx // p ** S * (block - 1)
 
 
 def _positions(page):
     """Page position of each index, -1 off the page and for index -1."""
-    pos = np.full(2 * page.p ** page.S + 1, -1, dtype=np.int64)
-    pos[page.indices] = np.arange(len(page.indices))
+    pos = np.full(2 * page.p ** page.S + 1, -1, dtype=np.int32)
+    pos[page.indices] = np.arange(len(page.indices), dtype=np.int32)
     return pos
 
 
 def _fail_at(bad, message):
-    """Raise message(i) at the first position i where the mask bad holds."""
+    """Raise message(*i) at the first index tuple i where the mask bad holds."""
     if bad.any():
-        raise AssertionError(message(int(np.argmax(bad))))
+        raise AssertionError(message(*np.unravel_index(np.argmax(bad), bad.shape)))
 
 
-def _differential_table(page):
+def _differential_table(page, tables):
     """The round differential as (scalar, target) arrays over the page,
     target -1 where d vanishes: slot s lowered by one, times w_s."""
-    p, S, s = page.p, page.S, page.next_round
-    _, digits, eps = _split(page.indices, p, S)
-    lowered = np.where((eps == 0) & (digits[:, s] > 0), page.indices - p ** s, -1)
-    w_s = p ** s - p + p ** S  # slots 1..s-1 at p-1, sigma y
-    return _multiply(w_s, _split(lowered, p, S), _lucas_table(p))
+    p, S, s, idx = page.p, page.S, page.next_round, page.indices
+    lowered = np.where((idx < p ** S) & (idx // p ** s % p > 0), idx - p ** s, -1)
+    return _multiply(p ** s - p + p ** S, lowered, tables)  # w_s: slots 1..s-1 at p-1, sigma y
 
 
 def _key(scalar, target, p):
@@ -307,12 +309,17 @@ def _key(scalar, target, p):
     return np.where(scalar > 0, target * p + scalar, 0)
 
 
-def _check_leibniz(page, table):
+# Most (generator, monomial) pairs in one _check_leibniz block, or one row.
+_BLOCK_PAIRS = 2 ** 14
+
+
+def _check_leibniz(page, table, tables, pos):
     """Certify that the round differential d, read from its table, is a
     derivation of the whole page; returns the number of (generator,
     monomial) pairs checked.  d and the product send a monomial to at
-    most one monomial, so for a generator g the rule is one array
-    identity over the page: d(g m) is at most one term, d(g) m and
+    most one monomial, so the rule is one array identity over the grid
+    of generators g (rows, in blocks of at most _BLOCK_PAIRS pairs or
+    one row) against the page m: d(g m) is at most one term, d(g) m and
     g d(m) are at most two, merged when their targets agree.
 
     Generation.  Before round s the page monomials are the digit vectors
@@ -328,7 +335,7 @@ def _check_leibniz(page, table):
     Closure.  A product of two page monomials is zero or a scalar times
     a page monomial: two sigma y factors give zero, otherwise the pinned
     slots add to 0 + 0 or 0 + (p-1), and any other slot carries (the
-    table C gives zero) or stays below p.  The check that g * m is zero
+    product is zero) or stays below p.  The check that g * m is zero
     or on the page for every pair it visits is all the induction uses.
 
     Induction.  Suppose the rule holds for (g, m) for every generator g
@@ -351,32 +358,31 @@ def _check_leibniz(page, table):
     product.
     """
     p, S, s = page.p, page.S, page.next_round
-    idx, (scalar, target) = page.indices, table
-    lucas, pos = _lucas_table(p), _positions(page)
-    gens = [1] + [p ** j for j in range(s, S)] + [p ** s - p + p ** S]  # zeta, g_j, w_s
+    idx, (scalar, target), q = page.indices, table, p ** S
+    gens = np.array([1] + [p ** j for j in range(s, S)] + [p ** s - p + q], dtype=np.int32)
     _fail_at(pos[gens] < 0, lambda k: "generator %s is not on the page at round %d"
              % (_decode([gens[k]], p, S)[0], s))
-    mons, d_mons = _split(idx, p, S), _split(target, p, S)
-    _fail_at(~_pinned(mons, p, 1, s),
+    _fail_at(~_pinned(idx, p, S, 1, s),
              lambda i: "%s is not generated at round %d" % (page.monomials[i], s))
-    for g in gens:
-        c, gm = _multiply(g, mons, lucas)
+    block = max(1, _BLOCK_PAIRS // len(idx))
+    for g in (gens[k:k + block, None] for k in range(0, len(gens), block)):
+        c, gm = _multiply(g, idx, tables)  # one row per generator, one column per monomial
         at = pos[gm]
-        _fail_at((gm >= 0) & (at < 0), lambda i: "%s * %s leaves the page at round %d"
-                 % (_decode([g], p, S)[0], page.monomials[i], s))
+        _fail_at((gm >= 0) & (at < 0), lambda k, i: "%s * %s leaves the page at round %d"
+                 % (_decode(g[k], p, S)[0], page.monomials[i], s))
         lhs = _key(c * scalar[at], target[at], p)  # d(g m); all gm are on the page now
-        c1, t1 = _multiply(target[pos[g]], mons, lucas)  # d(g) m
-        c2, t2 = _multiply(g, d_mons, lucas)  # g d(m)
-        c1, c2 = scalar[pos[g]] * c1, (-1 if g >= p ** S else 1) * scalar * c2
+        c1, t1 = _multiply(target[pos[g]], idx, tables)  # d(g) m
+        c2, t2 = _multiply(g, target, tables)  # g d(m)
+        c1, c2 = scalar[pos[g]] * c1, np.where(g >= q, -scalar, scalar) * c2
         same = t1 == t2
         k1, k2 = _key(np.where(same, c1 + c2, c1), t1, p), np.where(same, 0, _key(c2, t2, p))
         _fail_at((np.minimum(k1, k2) != 0) | (np.maximum(k1, k2) != lhs),
-                 lambda i: "Leibniz fails on %s, %s at round %d"
-                 % (_decode([g], p, S)[0], page.monomials[i], s))
+                 lambda k, i: "Leibniz fails on %s, %s at round %d"
+                 % (_decode(g[k], p, S)[0], page.monomials[i], s))
     return len(gens) * len(idx)
 
 
-def _run_round(page):
+def _run_round(page, tables):
     """Execute the differential on this page and return the next page.
 
     d is read from its table.  The certificate checks that every target
@@ -399,8 +405,9 @@ def _run_round(page):
     and they span the homology, which the next page adopts as its basis.
     """
     p, S, s, idx = page.p, page.S, page.next_round, page.indices
-    scalar, target = table = _differential_table(page)
-    source, at = target >= 0, _positions(page)[target]
+    scalar, target = table = _differential_table(page, tables)
+    pos = _positions(page)
+    source, at = target >= 0, pos[target]
     shift = (-(p - 1), p - 2)  # bidegree move of the realized differential
     _fail_at(source & (at < 0), lambda i: "differential leaves the page basis")
     _fail_at(source & (target[at] >= 0), lambda i: "d o d is nonzero at round %d" % s)
@@ -408,11 +415,11 @@ def _run_round(page):
              lambda i: "d moves %s to %s, not by %s"
              % (page.monomials[i], _decode([target[i]], p, S)[0], shift))
 
-    leibniz_checked = _check_leibniz(page, table)
+    leibniz_checked = _check_leibniz(page, table, tables, pos)
 
     survives = ~source
     survives[at[source]] = False
-    if not np.array_equal(survives, _pinned(_split(idx, p, S), p, 1, s + 1)):
+    if not np.array_equal(survives, _pinned(idx, p, S, 1, s + 1)):
         raise AssertionError("round %d: homology is not the predicted survivors" % s)
     new_page = BigradedPage(p=p, S=S, index=_nominal_index(p, s) + 1, next_round=s + 1,
                             indices=idx[survives])
@@ -427,9 +434,10 @@ def _run_round(page):
     return replace(new_page, record=record)
 
 
-def turn_pages(page, rounds):
+def turn_pages(page, rounds, tables=None):
     """Run the next `rounds` rounds; returns the page history starting
-    with the input page."""
+    with the input page.  `tables` are _index_tables(p, S) for the
+    page's p and S, built here when None."""
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
     if page.next_round + rounds - 1 > page.S - 1:
@@ -437,9 +445,9 @@ def turn_pages(page, rounds):
             "cutoff S = %d supports %d rounds, requested through round %d"
             % (page.S, page.S - 1, page.next_round + rounds - 1)
         )
-    history = [page]
+    history, tables = [page], tables or _index_tables(page.p, page.S)
     for _ in range(rounds):
-        history.append(_run_round(history[-1]))
+        history.append(_run_round(history[-1], tables))
     return history
 
 
@@ -477,7 +485,9 @@ def final_page_report(p, S):
             pages=(),
             notes="cutoff too small to run any round",
         )
-    history = turn_pages(initial_page(p, S), S - 1)
+    page = initial_page(p, S)  # refuses a page past PAGE_LIMIT before any table is built
+    tables = _index_tables(p, S)
+    history = turn_pages(page, S - 1, tables)
     window = p ** (S - 1)
     last = history[-1].indices
     # filtration degree s = eps + m of the index eps p^S + m
@@ -486,7 +496,7 @@ def final_page_report(p, S):
         raise AssertionError("in-window survivors are not the zeta powers")
     # zeta truncation height p: zeta^a * zeta is nonzero exactly below
     # a = p - 1, where slot zero overflows
-    scalar, _ = _multiply(1, _split(in_window, p, S), _lucas_table(p))
+    scalar, _ = _multiply(1, in_window, tables)
     if scalar[-1] or not scalar[:-1].all():
         raise AssertionError("zeta powers should be nonzero exactly below p")
     return EmssReport(

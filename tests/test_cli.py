@@ -45,6 +45,8 @@ GOLDEN = {
     ],
     "nakayama_m4.txt": ["nakayama", "--m", "4", "--count", "10"],
     "emss_p3_S3.txt": ["emss", "--p", "3", "--S", "3"],
+    "emss_p5_S4.txt": ["emss", "--p", "5", "--S", "4"],
+    "emss_p7_S3.txt": ["emss", "--p", "7", "--S", "3"],
     "group_sylow_s4.txt": [
         "group", "sylow", "--gens", "(1,2);(1,2,3,4)", "--p", "2",
     ],
@@ -499,6 +501,24 @@ def test_failed_allocation_is_refused_with_exit_2():
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: out of memory: Unable to allocate")
+
+
+def test_largest_emss_page_runs_in_192_mib():
+    # p = 3, S = 11 is the largest page PAGE_LIMIT admits; its index path
+    # must fit a 192 MiB address space, interpreter and numpy included
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (192 << 20, 192 << 20))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramify.cli", "emss", "--p", "3", "--S", "11"],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "verdict: MATCH"
 
 
 def test_memory_error_without_a_message_is_named(capsys, monkeypatch):

@@ -297,38 +297,38 @@ def _add_combo(a, b, p):
     return {m: v for m, v in out.items() if v}
 
 
-def _all_pairs_leibniz(page):
-    """Test oracle: d(xy) = d(x)y + (-1)^|x| x d(y) for every pair of basis
-    monomials inside the safe window, with d evaluated afresh on every
+def _leibniz_holds(x, y, page):
+    """d(xy) = d(x)y + (-1)^|x| x d(y), with d evaluated afresh on every
     monomial rather than read from the round's table."""
+    p, rhs = page.p, {}
+    for m, c in _apply_d_combo({x: 1}, page).items():
+        rhs = _add_combo(rhs, _scale_combo(_mul_combo(m, y, page), c, p), p)
+    sign = -1 if x.eps else 1
+    for m, c in _apply_d_combo({y: 1}, page).items():
+        rhs = _add_combo(rhs, _scale_combo(_mul_combo(x, m, page), c * sign, p), p)
+    return _apply_d_combo(_mul_combo(x, y, page), page) == rhs
+
+
+def _all_pairs_leibniz(page):
+    """Test oracle: the Leibniz rule for every pair of basis monomials
+    inside the safe window."""
     p = page.p
     window = p ** (page.S - 1)
     in_window = [m for m in page.monomials if m.bidegree(p)[0] <= window]
-    checked = 0
-    for x in in_window:
-        dx = _apply_d_combo({x: 1}, page)
-        for y in in_window:
-            dy = _apply_d_combo({y: 1}, page)
-            lhs = _apply_d_combo(_mul_combo(x, y, page), page)
-            rhs = {}
-            for m, c in dx.items():
-                rhs = _add_combo(rhs, _scale_combo(_mul_combo(m, y, page), c, p), p)
-            sign = -1 if x.eps else 1
-            for m, c in dy.items():
-                rhs = _add_combo(rhs, _scale_combo(_mul_combo(x, m, page), c * sign, p), p)
-            if lhs != rhs:
-                raise AssertionError(
-                    "Leibniz fails on %s, %s at round %d"
-                    % (x, y, page.next_round)
-                )
-            checked += 1
-    return checked
+    for x, y in itertools.product(in_window, repeat=2):
+        if not _leibniz_holds(x, y, page):
+            raise AssertionError(
+                "Leibniz fails on %s, %s at round %d" % (x, y, page.next_round)
+            )
+    return len(in_window) ** 2
 
 
 def _generator_leibniz(page):
     """The library certificate on a table built now, so that a mutant
     installed on round_differential reaches it."""
-    return emss._check_leibniz(page, emss._differential_table(page))
+    tables = emss._index_tables(page.p, page.S)
+    table = emss._differential_table(page, tables)
+    return emss._check_leibniz(page, table, tables, emss._positions(page))
 
 
 def _pages_before_each_round(p, S):
@@ -360,8 +360,8 @@ def _install_mutant(mp, target, value):
         lambda x, *rest: value if x == target else real(x, *rest),
     )
 
-    def table(page):
-        scalar, tgt = (a.copy() for a in real_table(page))
+    def table(page, tables):
+        scalar, tgt = (a.copy() for a in real_table(page, tables))
         i = int(np.searchsorted(page.indices, index(target, page.p)))
         assert page.indices[i] == index(target, page.p)
         c, y = value
@@ -370,6 +370,31 @@ def _install_mutant(mp, target, value):
         return scalar, tgt
 
     mp.setattr(emss, "_differential_table", table)
+
+
+def _first_leibniz_failure(page):
+    """Test oracle: the message of the first (generator, monomial) pair,
+    generators outermost in the library's order, that breaks the
+    Leibniz rule."""
+    p, S, s = page.p, page.S, page.next_round
+    gens = [mono([int(i == j) for i in range(S)]) for j in [0] + list(range(s, S))]
+    for g in gens + [emss._round_cycle(p, S, s)]:
+        for m in page.monomials:
+            if not _leibniz_holds(g, m, page):
+                return "Leibniz fails on %s, %s at round %d" % (g, m, s)
+    return None
+
+
+def _rejects_in_blocks(page, mp):
+    """The generator certificate fails with the oracle's message with its
+    own block size, with two generators and with one per block."""
+    want = _first_leibniz_failure(page)
+    assert want is not None
+    for budget in (emss._BLOCK_PAIRS, 2 * len(page.indices), 1):
+        mp.setattr(emss, "_BLOCK_PAIRS", budget)
+        with pytest.raises(AssertionError) as err:
+            _generator_leibniz(page)
+        assert str(err.value) == want
 
 
 LEIBNIZ_GRID = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]
@@ -390,9 +415,9 @@ def test_leibniz_certificates_reject_mutants(p, S, monkeypatch):
             assert real(target, p, S, page.next_round) != value
             with monkeypatch.context() as mp:
                 _install_mutant(mp, target, value)
-                for certificate in (_generator_leibniz, _all_pairs_leibniz):
-                    with pytest.raises(AssertionError, match="Leibniz fails"):
-                        certificate(page)
+                _rejects_in_blocks(page, mp)
+                with pytest.raises(AssertionError, match="Leibniz fails"):
+                    _all_pairs_leibniz(page)
 
 
 @pytest.mark.parametrize("p,S", [(3, 2), (3, 3), (5, 2)])
@@ -414,8 +439,7 @@ def test_leibniz_certificate_rejects_every_single_monomial_mutant(p, S, monkeypa
                     continue
                 with monkeypatch.context() as mp:
                     _install_mutant(mp, x, value)
-                    with pytest.raises(AssertionError, match="Leibniz fails"):
-                        _generator_leibniz(page)
+                    _rejects_in_blocks(page, mp)
 
 
 @pytest.mark.parametrize("p,S", [(3, 3), (5, 3)])
@@ -429,8 +453,8 @@ def test_certificates_accept_a_rescaled_differential(p, S, monkeypatch):
         scal, tgt = real(*args)
         return 2 * scal % p, tgt
 
-    def rescaled_table(page):
-        scal, tgt = real_table(page)
+    def rescaled_table(page, tables):
+        scal, tgt = real_table(page, tables)
         return 2 * scal % p, tgt
 
     monkeypatch.setattr(emss, "round_differential", rescaled)
@@ -462,8 +486,9 @@ def test_leibniz_certificate_signs_an_odd_derivation(p, S):
     # on two sigma y factors d(g) m and g d(m) cancel only with the sign
     for page in _pages_before_each_round(p, S):
         odd = page.indices >= p ** S
-        table = (odd.astype(np.int64), np.where(odd, page.indices - p ** S, -1))
-        assert emss._check_leibniz(page, table) > 0
+        table = (odd.astype(np.int32), np.where(odd, page.indices - p ** S, -1))
+        tables = emss._index_tables(p, S)
+        assert emss._check_leibniz(page, table, tables, emss._positions(page)) > 0
 
 
 EMSS_PAGES_GRID = [(3, S) for S in range(2, 7)] + [(5, S) for S in range(2, 5)] + [
@@ -521,10 +546,10 @@ def test_round_certificate_rejects_each_mutant(S, monkeypatch):
         assert target in page.monomials
         assert round_differential(target, 3, S, page.next_round) != value
         with monkeypatch.context() as mp:
-            mp.setattr(emss, "_check_leibniz", lambda page, table: 0)
+            mp.setattr(emss, "_check_leibniz", lambda page, table, tables, pos: 0)
             _install_mutant(mp, target, value)
             with pytest.raises(AssertionError, match=reason):
-                emss._run_round(page)
+                emss._run_round(page, emss._index_tables(3, S))
 
 
 def test_round_certificate_checks_the_sigma_y_step(monkeypatch):
@@ -534,30 +559,36 @@ def test_round_certificate_checks_the_sigma_y_step(monkeypatch):
     assert far == zeta + 3 ** 3 - 3
     real_table = emss._differential_table
 
-    def table(pg):
-        scalar, target = (a.copy() for a in real_table(pg))
+    def table(pg, tables):
+        scalar, target = (a.copy() for a in real_table(pg, tables))
         scalar[zeta], target[zeta] = 1, far  # positions are indices on the first page
         scalar[far], target[far] = 0, -1
         return scalar, target
 
-    monkeypatch.setattr(emss, "_check_leibniz", lambda page, table: 0)
+    monkeypatch.setattr(emss, "_check_leibniz", lambda page, table, tables, pos: 0)
     monkeypatch.setattr(emss, "_differential_table", table)
     with pytest.raises(AssertionError, match="d moves z to z\\*g\\[p\\^1\\]\\^2"):
-        emss._run_round(page)
+        emss._run_round(page, emss._index_tables(3, 3))
 
 
 @pytest.mark.parametrize("p,S", [(3, 4), (5, 4)])
 def test_one_table_build_per_round(p, S, monkeypatch):
-    calls = []
-    real = emss._differential_table
+    calls, builds = [], []
+    real, real_tables = emss._differential_table, emss._index_tables
 
-    def counted(page):
+    def counted(page, tables):
         calls.append(page.next_round)
-        return real(page)
+        return real(page, tables)
+
+    def built(*args):
+        builds.append(args)
+        return real_tables(*args)
 
     monkeypatch.setattr(emss, "_differential_table", counted)
+    monkeypatch.setattr(emss, "_index_tables", built)
     rep = final_page_report(p, S)
     assert calls == list(range(1, S))
+    assert builds == [(p, S)]  # one set of index tables for the turn and the report
     assert len(rep.pages) == S
 
 
@@ -637,26 +668,95 @@ def test_index_pages_match_the_object_path(p, S):
         assert page.record == record
 
 
+def _digits(t, p, count):
+    return [t // p ** j % p for j in range(count)]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 101])
-def test_lucas_table_is_the_digit_binomial_and_zero_on_a_carry(p):
-    table = emss._lucas_table(p)
-    for a in range(p):
-        for b in range(p):
-            assert table[a, b] == math.comb(a + b, a) % p
-            assert (table[a, b] == 0) == (a + b >= p)
+def test_index_tables_are_digit_sums_and_factorials(p):
+    S = 1 if p > 7 else 2
+    q = p ** S
+    tp, digit_sum, fact, inv_fact = emss._index_tables(p, S)
+    assert tp == p and len(digit_sum) == len(fact) == len(inv_fact) == 4 * q
+    for t in range(2 * q):  # the sigma y exponent is digit S
+        digits = _digits(t, p, S + 1)
+        assert digit_sum[t] == sum(digits)
+        assert fact[t] == math.prod(math.factorial(a) for a in digits) % p
+        assert fact[t] * inv_fact[t] % p == 1
+    assert not fact[2 * q:].any() and not inv_fact[2 * q:].any()  # also index -1
+    # Kummer and the factorial units give the digitwise binomial
+    for x, y in itertools.product(range(q), repeat=2):
+        xs, ys = _digits(x, p, S), _digits(y, p, S)
+        carries = any(a + b >= p for a, b in zip(xs, ys))
+        assert (digit_sum[x + y] == digit_sum[x] + digit_sum[y]) == (not carries)
+        if not carries:
+            want = math.prod(math.comb(a + b, a) for a, b in zip(xs, ys)) % p
+            assert fact[x + y] * inv_fact[x] * inv_fact[y] % p == want
 
 
 @pytest.mark.parametrize("p,S", [(3, 2), (3, 3), (5, 2), (7, 2)])
 def test_index_product_matches_dp_multiply(p, S):
-    page = initial_page(p, S)
-    lucas, ys = emss._lucas_table(p), emss._split(page.indices, p, S)
-    for x in page.monomials:
-        scalar, target = emss._multiply(index(x, p), ys, lucas)
-        for y, c, t in zip(page.monomials, scalar.tolist(), target.tolist()):
+    # every pair at once, as _check_leibniz broadcasts: a column of
+    # monomials against a row, -1 (the zero monomial) last in both
+    page, tables = initial_page(p, S), emss._index_tables(p, S)
+    xs = np.append(page.indices, -1).astype(np.int32)
+    scalar, target = emss._multiply(xs[:, None], xs[None, :], tables)
+    assert scalar.shape == target.shape == (len(xs), len(xs))
+    assert scalar.dtype == target.dtype == np.int32
+    for i, x in enumerate(page.monomials):
+        for j, y in enumerate(page.monomials):
             c0, xy = dp_multiply(x, y, p)
-            assert (c, t) == ((0, -1) if xy is None else (c0, index(xy, p)))
-    scalar, target = emss._multiply(-1, ys, lucas)
-    assert not scalar.any() and (target == -1).all()
+            want = (0, -1) if xy is None else (c0, index(xy, p))
+            assert (scalar[i, j], target[i, j]) == want
+    assert not scalar[-1].any() and not scalar[:, -1].any()
+    assert (target[-1] == -1).all() and (target[:, -1] == -1).all()
+    sy = p ** S
+    assert [a.tolist() for a in emss._multiply(sy, np.array([sy, 1]), tables)] == [
+        [0, 1], [-1, sy + 1]]  # sigma y * sigma y = 0, sigma y * zeta = zeta sigma y
+
+
+def test_int32_keys_hold_for_every_admitted_prime():
+    # a page of S >= 2 slots holds 2 p^2 <= PAGE_LIMIT monomials, and the
+    # Leibniz keys target * p + scalar stay below PAGE_LIMIT * p
+    p_max = math.isqrt(emss.PAGE_LIMIT // 2)
+    assert 2 * p_max ** 2 <= emss.PAGE_LIMIT < 2 * (p_max + 1) ** 2
+    assert emss.PAGE_LIMIT * p_max < 2 ** 31
+    assert p_max ** 3 < 2 ** 31  # the product of three table entries
+
+
+def test_leibniz_blocks_stay_within_the_pair_budget(monkeypatch):
+    # p = 3, S = 9: the first page (39,366 monomials) is past the budget,
+    # so it goes one generator at a time; the later pages fit it
+    widths, page_dims, real_multiply, real_check = [], [], emss._multiply, emss._check_leibniz
+
+    def multiply(x, y, tables):
+        if page_dims:  # inside _check_leibniz
+            widths.append((np.broadcast(x, y).size, page_dims[-1]))
+        return real_multiply(x, y, tables)
+
+    def check(page, *rest):
+        page_dims.append(len(page.indices))
+        try:
+            return real_check(page, *rest)
+        finally:
+            dims.append(page_dims.pop())
+
+    dims = []
+    monkeypatch.setattr(emss, "_multiply", multiply)
+    monkeypatch.setattr(emss, "_check_leibniz", check)
+    assert final_page_report(3, 9).verdict == "MATCH"
+    assert dims == [2 * 3 ** k for k in range(9, 1, -1)]
+    assert max(w for w, n in widths if n > emss._BLOCK_PAIRS) == 2 * 3 ** 9
+    assert all(w <= max(emss._BLOCK_PAIRS, n) for w, n in widths)
+
+
+@pytest.mark.parametrize("p,S", [(3, 6), (5, 4), (7, 3)])
+def test_small_pages_certify_a_round_in_one_block(p, S, monkeypatch):
+    calls, real = [], emss._multiply
+    monkeypatch.setattr(emss, "_multiply", lambda *args: calls.append(1) or real(*args))
+    final_page_report(p, S)
+    # per round: the table and three products; then the zeta check
+    assert len(calls) == 4 * (S - 1) + 1
 
 
 def test_final_page_report_p3_s9_within_its_budget():
