@@ -480,6 +480,20 @@ def test_leibniz_certificate_rejects_a_page_it_does_not_cover():
         _generator_leibniz(stray)
 
 
+@pytest.mark.parametrize("per_block", [1, 2, 3, 4])
+def test_leibniz_certificate_reports_in_generator_order(per_block, monkeypatch):
+    # zeta breaks the rule and g[p^2] * g[p^2] leaves a page without
+    # g[p^2]^2; the generators are zeta, g[p^1], g[p^2], w_1, so zeta's
+    # failure comes first whether or not the two share a block
+    page, zeta2 = initial_page(3, 3), mono((2, 0, 0))
+    cut = dataclasses.replace(page, indices=page.indices[page.indices != index(mono((0, 0, 2)), 3)])
+    _install_mutant(monkeypatch, zeta2, dp_multiply(zeta2, emss._round_cycle(3, 3, 1), 3))
+    monkeypatch.setattr(emss, "_BLOCK_PAIRS", per_block * len(cut.indices))
+    with pytest.raises(AssertionError) as err:
+        _generator_leibniz(cut)
+    assert str(err.value) == "Leibniz fails on z, z at round 1"
+
+
 @pytest.mark.parametrize("p,S", [(3, 3), (5, 3), (3, 4)])
 def test_leibniz_certificate_signs_an_odd_derivation(p, S):
     # contracting sigma y, x * sy -> x, is a derivation of odd degree:
@@ -588,7 +602,7 @@ def test_one_table_build_per_round(p, S, monkeypatch):
     monkeypatch.setattr(emss, "_index_tables", built)
     rep = final_page_report(p, S)
     assert calls == list(range(1, S))
-    assert builds == [(p, S)]  # one set of index tables for the turn and the report
+    assert builds == [(p, S), (p, 1)]  # the turn's tables, then slot zero for the zeta check
     assert len(rep.pages) == S
 
 
