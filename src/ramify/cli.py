@@ -346,7 +346,7 @@ def _cmd_kunneth(args):
 
 def _cmd_compare(args):
     F = _build_law(args, "k")
-    cmap = homalg.comparison_chain_map(F, args.k, args.L, N=args.N, seed=args.seed)
+    cmap = homalg.comparison_chain_map(F, args.k, args.L, N=args.N)
     tmor = homalg.induced_tor_morphism(cmap.morphism, args.smax)
     entries = list(enumerate(tmor.entries))
     params = _params(args, "p", "n", "k", "L", "N", "smax", "seed")
@@ -523,7 +523,8 @@ def build_parser():
     sp.set_defaults(func=_cmd_kunneth)
 
     sp = sub.add_parser("compare", help="chain map between the r=1 and r=k towers")
-    _add_common(sp, "p", "n", "N", "M", "smax", "seed")
+    _add_common(sp, "p", "n", "N", "M", "smax")
+    sp.add_argument("--seed", type=int, default=0, help="echoed in params; changes no work")
     sp.add_argument("--k", type=int, default=2, help="target tower exponent")
     sp.add_argument("--L", type=int, default=6, help="resolution length")
     sp.set_defaults(func=_cmd_compare)

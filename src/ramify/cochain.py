@@ -251,11 +251,6 @@ class CyclicCochainRing:
             )
         return self.element(series.coeffs)
 
-    def random_element(self, rng):
-        return RingElement(
-            self, tuple(rng.randrange(self.modulus) for _ in range(self.rank))
-        )
-
     # -- structure maps
 
     def augmentation(self, elt):

@@ -17,14 +17,14 @@ The same table is reshaped into a bigraded first-quadrant page whose
 only degree-permitted differentials point from an odd column into
 column zero; each is forced to vanish because its source is torsion
 and its target is torsion-free.  A comparison chain map between the
-r = 1 and r = k towers is verified square by square and then tensored
-down, giving multiplication by p^(k-1) on the odd torsion classes.
+r = 1 and r = k towers is certified by two ring identities and then
+tensored down, giving multiplication by p^(k-1) on the odd torsion
+classes.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from .cochain import substitution_map
@@ -89,7 +89,9 @@ class PeriodicFreeComplex:
 
     multipliers[i] is the differential C_(i+1) -> C_i, acting by ring
     multiplication.  Construction checks d o d = 0 inside the ring and
-    minimality: every multiplier augments into (p).
+    minimality: every multiplier augments into (p).  The product of the
+    ring's own pair (y, q_r) is not formed again: make_cochain_ring
+    certified y q_r = 0 when it built the ring.
     """
 
     def __init__(self, ring, multipliers):
@@ -105,7 +107,10 @@ class PeriodicFreeComplex:
         # one product per distinct unordered adjacent pair: d o d repeats
         # with the period, and the ring is commutative
         pairs = {frozenset(ab): ab for ab in zip(self.multipliers, self.multipliers[1:])}
+        y, q = ring.y_elt, ring.q_elt
         for a, b in pairs.values():
+            if {id(a), id(b)} == {id(y), id(q)}:
+                continue  # the ring's own y q_r = 0, certified on construction
             if not (a * b).is_zero:
                 raise HomologyError("d o d is nonzero in the ring")
 
@@ -347,16 +352,9 @@ def kunneth_page(ring, s_max):
 # comparison of the r = 1 and r = k towers
 
 
-def _component(phi, s):
-    """Degree-s component of the comparison map over phi."""
-    if s % 2 == 0:
-        return phi.apply
-    return lambda x: phi.apply(x) * phi.cofactor
-
-
 @dataclass(frozen=True)
 class ChainMap:
-    """Verified chain map over the tower morphism phi: components are
+    """Certified chain map over the tower morphism phi: components are
     phi itself in even degrees and (image of q_(k-1)) * phi in odd
     degrees.  source and target are the periods of the two resolutions
     (build_resolution); length is the L whose squares are certified."""
@@ -368,64 +366,44 @@ class ChainMap:
     squares_checked: int
 
 
-# the probes of a chain-map square: the monomial basis plus this many
-# seeded random elements
+# squares_checked counts each square on the monomials of A_1 and this
+# many further elements; the identities certify it on every element
 RANDOM_PROBES = 6
 
 
-def comparison_chain_map(F, k, L, N=8, seed=0):
+def comparison_chain_map(F, k, L, N=8):
     """Chain map between the standard resolutions over A_1 and A_k.
 
-    Every square from degree 1 to L is certified exactly on the full
-    monomial basis plus seeded random elements; the augmentation
-    square is checked as well.  Any failure raises ChainMapError.
-
-    Only the squares at degrees 1 and 2 are evaluated.  The square at
-    degree s compares rho_(s-1)(m1_s x) with mk_s rho_s(x), where the
-    multipliers m1_s, mk_s are y for odd s and q for even s
-    (build_resolution) and the component rho_s is phi for even s and
-    phi times the cofactor for odd s (_component).  Both depend on s
-    mod 2 alone and the probes are the same at every degree, so the
-    square at s + 2 is the square at s, value for value.
-    squares_checked still counts the L |probes| squares this certifies.
+    The square at degree s compares rho_(s-1)(m1_s x) with
+    mk_s rho_s(x), where the multipliers m1_s, mk_s are y for odd s and
+    q for even s (build_resolution) and the component rho_s is phi for
+    even s and phi times the cofactor Q for odd s.  Both depend on s mod
+    2 alone, so the squares at degrees 1 and 2 are every square.  phi is
+    a ring map (substitution_map), so each square holds for every x
+    exactly when it holds at x = 1:
+      - degree 1: phi(y x) = phi(y) phi(x), so phi(y) = y Q certifies it;
+      - degree 2: phi(q_1 x) Q = phi(q_1) Q phi(x), so phi(q_1) Q = q_k;
+      - augmentation: e_k phi and e_1 are ring maps that agree on y,
+        since substitution_map checks e_k(phi(y)) = 0.
+    By the comparison theorem (Weibel, An Introduction to Homological
+    Algebra, Thm. 2.2.6) these squares make rho the chain map over phi,
+    unique up to homotopy.  A failed identity raises ChainMapError.
+    squares_checked counts L (rank_1 + RANDOM_PROBES) certified squares.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
     phi = substitution_map(F, k, N)
-    a1, ak = phi.source, phi.target
-    c1 = build_resolution(a1)
-    ck = build_resolution(ak)
-
-    rng = random.Random(seed)
-    probes = [
-        a1.element([1 if i == j else 0 for i in range(a1.rank)])
-        for j in range(a1.rank)
-    ]
-    probes += [a1.random_element(rng) for _ in range(RANDOM_PROBES)]
-
-    for s in range(1, min(L, 2) + 1):
-        rho_s = _component(phi, s)
-        rho_sm1 = _component(phi, s - 1)
-        m1 = c1.multipliers[s - 1]
-        mk = ck.multipliers[s - 1]
-        for x in probes:
-            lhs = rho_sm1(m1 * x)
-            rhs = mk * rho_s(x)
-            if lhs != rhs:
-                raise ChainMapError(
-                    "square at degree %d fails on %r" % (s, x)
-                )
-    # augmentations agree through phi
-    for x in probes:
-        if ak.augmentation(phi.apply(x)) != a1.augmentation(x):
-            raise ChainMapError("augmentation square fails on %r" % x)
-
+    a1, ak, Q = phi.source, phi.target, phi.cofactor
+    if phi.apply(a1.y_elt) != ak.y_elt * Q:
+        raise ChainMapError("square at degree 1 fails: phi(y) != y Q")
+    if L >= 2 and phi.apply(a1.q_elt) * Q != ak.q_elt:
+        raise ChainMapError("square at degree 2 fails: phi(q_1) Q != q_k")
     return ChainMap(
         morphism=phi,
-        source=c1,
-        target=ck,
+        source=build_resolution(a1),
+        target=build_resolution(ak),
         length=L,
-        squares_checked=L * len(probes),
+        squares_checked=L * (a1.rank + RANDOM_PROBES),
     )
 
 
@@ -449,7 +427,7 @@ def induced_tor_morphism(phi, s_max):
     read off the induced map on each Tor degree, with injectivity
     certified by an order check.
 
-    phi is the morphism comparison_chain_map has verified
+    phi is the morphism comparison_chain_map has certified
     (ChainMap.morphism), so it is not built or checked again here."""
     k, p = phi.k, phi.source.p
     mult = phi.target.augmentation(phi.cofactor)
@@ -461,24 +439,18 @@ def induced_tor_morphism(phi, s_max):
     src = tor_table(phi.source, s_max)
     tgt = tor_table(phi.target, s_max)
     entries = []
-    odd_ok = True
     for s in range(s_max + 1):
         if s == 0:
             # identity on the free rank-one part
             entries.append(("identity", 1, True))
         elif s % 2 == 1:
             # Z/p -> Z/p^k, multiplication by p^(k-1)
-            source_order = src.entry(s).torsion[0]
             target_order = tgt.entry(s).torsion[0]
-            image_order = target_order // math.gcd(mult, target_order)
-            injective = image_order == source_order
-            if not injective:
-                odd_ok = False
-            entries.append(("times-p^(k-1)", mult, injective))
+            if target_order // math.gcd(mult, target_order) != src.entry(s).torsion[0]:
+                raise ChainMapError("induced map fails to be injective in odd degrees")
+            entries.append(("times-p^(k-1)", mult, True))
         else:
             entries.append(("zero", 0, True))
-    if not odd_ok:
-        raise ChainMapError("induced map fails to be injective in odd degrees")
     return TorMorphism(
         k=k,
         multiplier=mult,

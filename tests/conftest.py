@@ -1,6 +1,6 @@
 import pytest
 
-from ramify.cochain import make_cochain_ring, minimum_series_precision
+from ramify.cochain import RingElement, make_cochain_ring, minimum_series_precision
 from ramify.fgl import make_honda_fgl, make_multiplicative_fgl
 
 _LAWS = {}
@@ -20,6 +20,11 @@ def law_for(p, n, max_r=2, N=8):
 
 def ring_for(p, n, r, N=8, max_r=2):
     return make_cochain_ring(law_for(p, n, max_r=max(max_r, r), N=N), r, N=N)
+
+
+def random_element(ring, rng):
+    """An element of ring with uniform coefficients drawn from rng."""
+    return RingElement(ring, tuple(rng.randrange(ring.modulus) for _ in range(ring.rank)))
 
 
 @pytest.fixture(scope="session")

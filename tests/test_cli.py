@@ -159,18 +159,23 @@ def test_each_command_builds_and_certifies_once(capsys, monkeypatch):
     assert run_cli(["tor", "--p", "3", "--n", "2", "--r", "1"], capsys)[0] == 0
     # every product tor makes is y q_r, which needs one row
     assert list(filled.values()) == [1]
-    degrees = []
-    component = homalg._component
-    monkeypatch.setattr(
-        homalg, "_component", lambda phi, s: degrees.append(s) or component(phi, s)
-    )
+    products = [0]
+    mul = cochain.RingElement.__mul__
+
+    def mul_spy(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(cochain.RingElement, "__mul__", mul_spy)
     rc, out, _ = run_cli(["compare", "--p", "2", "--k", "3", "--L", "7", "--format", "json"],
                          capsys)
     assert rc == 0
     # one substitution map, and one matrix of powers that apply reads
     assert calls == {"substitution_map": 1, "_powers_matrix": 1}
-    # one pass per distinct square, L |probes| squares certified
-    assert degrees and max(degrees) <= 2
+    # y q_r once per ring (A_3, A_1); the tower map's y Q, its one power
+    # of phi(y) (rank_1 = 2) and its relation check; the two chain-map
+    # identities.  tor_table forms none.  L |probes| squares certified
+    assert products == [7]
     assert json.loads(out)["result"]["squares_checked"] == 7 * (2 + homalg.RANDOM_PROBES)
     calls.clear()
     assert run_cli(["nakayama", "--m", "4", "--count", "5"], capsys)[0] == 0

@@ -1,11 +1,12 @@
 """Smith normal form, periodic resolutions, Tor pages, comparison maps."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
-from conftest import law_for, ring_for
+from conftest import law_for, random_element, ring_for
 from ramify import homalg
 from ramify.cochain import RingElement, substitution_map
 from ramify.homalg import (
@@ -250,7 +251,12 @@ def test_periodic_complex_checks_each_distinct_square_once(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(RingElement, "__mul__", counting)
-    PeriodicFreeComplex(ring, mults)  # y q and q y, each three times: one product
+    # y q and q y, each three times: the ring's own pair, whose product
+    # make_cochain_ring certified, so none is formed
+    PeriodicFreeComplex(ring, mults)
+    assert products[0] == 0
+    # an equal pair of other objects is still multiplied, once
+    PeriodicFreeComplex(ring, [ring.element([0, 1]), ring.q_elt, ring.element([0, 1])])
     assert products[0] == 1
 
 
@@ -375,6 +381,49 @@ def test_convergence_diagnostic_short_window():
 # -------------------------------------------------------------- comparison
 
 
+def _component(phi, s):
+    """Degree-s component of the comparison map over phi."""
+    if s % 2 == 0:
+        return phi.apply
+    return lambda x: phi.apply(x) * phi.cofactor
+
+
+def _probe_squares(phi, L, seed=0):
+    """Oracle for comparison_chain_map: evaluate the squares at degrees
+    1..min(L, 2) and the augmentation square on the monomial basis of
+    A_1 plus RANDOM_PROBES seeded random elements, raising ChainMapError
+    on the first failure.  Returns the L |probes| squares this covers."""
+    a1, ak = phi.source, phi.target
+    c1, ck = build_resolution(a1), build_resolution(ak)
+    rng = random.Random(seed)
+    probes = [
+        a1.element([1 if i == j else 0 for i in range(a1.rank)])
+        for j in range(a1.rank)
+    ]
+    probes += [random_element(a1, rng) for _ in range(homalg.RANDOM_PROBES)]
+    for s in range(1, min(L, 2) + 1):
+        rho_s, rho_sm1 = _component(phi, s), _component(phi, s - 1)
+        m1, mk = c1.multipliers[s - 1], ck.multipliers[s - 1]
+        for x in probes:
+            if rho_sm1(m1 * x) != mk * rho_s(x):
+                raise ChainMapError("square at degree %d fails on %r" % (s, x))
+    for x in probes:
+        if ak.augmentation(phi.apply(x)) != a1.augmentation(x):
+            raise ChainMapError("augmentation square fails on %r" % x)
+    return L * len(probes)
+
+
+# the compare points of the benchmark's tower workload, (3, 2, 3) among them
+TOWER_COMPARE = [(p, n, k) for p in (2, 3) for n in (1, 2) for k in (2, 3)]
+
+
+@pytest.mark.parametrize("p,n,k", TOWER_COMPARE)
+def test_identities_agree_with_the_probe_oracle(p, n, k):
+    cm = comparison_chain_map(law_for(p, n, max_r=k), k, 6)
+    for seed in (0, 1):
+        assert _probe_squares(cm.morphism, 6, seed) == cm.squares_checked
+
+
 def test_comparison_chain_map_p2_k2():
     cm = comparison_chain_map(law_for(2, 1), 2, 6)
     assert cm.length == 6
@@ -382,8 +431,8 @@ def test_comparison_chain_map_p2_k2():
     assert cm.squares_checked == 6 * (2 + 6)
     phi = cm.morphism
     y = phi.source.y_elt
-    assert homalg._component(phi, 0)(y).coeffs == phi.apply(y).coeffs
-    assert homalg._component(phi, 1)(y).coeffs == (phi.apply(y) * phi.cofactor).coeffs
+    assert _component(phi, 0)(y).coeffs == phi.apply(y).coeffs
+    assert _component(phi, 1)(y).coeffs == (phi.apply(y) * phi.cofactor).coeffs
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -402,6 +451,67 @@ def test_comparison_chain_map_honda():
 def test_comparison_chain_map_validation():
     with pytest.raises(ValueError):
         comparison_chain_map(law_for(2, 1), 2, 0)
+
+
+def _shifted_cofactor(phi):
+    """phi with its cofactor Q replaced by Q + 1."""
+    return dataclasses.replace(phi, cofactor=phi.cofactor + phi.target.one)
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 1, 2), (3, 1, 3), (2, 2, 2)])
+def test_a_perturbed_target_q_fails_the_degree_2_identity(p, n, k, monkeypatch):
+    F = law_for(p, n, max_r=k)
+    ak = ring_for(p, n, k, max_r=k)
+    phi = substitution_map(F, k)
+    assert phi.target is ak
+    monkeypatch.setattr(ak, "q_elt", ak.q_elt + ak.element([0, p]))
+    with pytest.raises(ChainMapError, match=r"^square at degree 2 fails: phi\(q_1\) Q != q_k$"):
+        comparison_chain_map(F, k, 6)
+    with pytest.raises(ChainMapError, match="^square at degree 2 fails on "):
+        _probe_squares(phi, 6)
+    # a chain map of length 1 has no degree-2 square
+    assert comparison_chain_map(F, k, 1).squares_checked == (
+        phi.source.rank + homalg.RANDOM_PROBES)
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 1, 2), (3, 1, 3), (2, 2, 2)])
+def test_a_perturbed_cofactor_fails_the_degree_1_identity(p, n, k, monkeypatch):
+    F = law_for(p, n, max_r=k)
+    build = homalg.substitution_map
+    monkeypatch.setattr(homalg, "substitution_map",
+                        lambda *args: _shifted_cofactor(build(*args)))
+    with pytest.raises(ChainMapError, match=r"^square at degree 1 fails: phi\(y\) != y Q$"):
+        comparison_chain_map(F, k, 6)
+    with pytest.raises(ChainMapError, match="^square at degree 1 fails on "):
+        _probe_squares(_shifted_cofactor(build(F, k)), 6)
+
+
+def test_a_wrong_multiplier_fails_the_induced_map():
+    phi = _shifted_cofactor(substitution_map(law_for(2, 1), 2))
+    with pytest.raises(ChainMapError,
+                       match=r"^odd-degree multiplier is 3, expected p\^\(k-1\) = 2$"):
+        induced_tor_morphism(phi, 6)
+
+
+def test_a_wrong_torsion_order_fails_odd_injectivity(monkeypatch):
+    # target odd Tor read as Z/p^(k+1): the image of p^(k-1) there has
+    # order p^2, not the order p of the source Z/p
+    p, k = 3, 2
+    phi = substitution_map(law_for(p, 1), k)
+    table = homalg.tor_table
+
+    def wrong(ring, s_max):
+        got = table(ring, s_max)
+        if ring is not phi.target:
+            return got
+        entries = tuple(ModuleDescriptor(e.free, tuple(t * p for t in e.torsion))
+                        for e in got.entries)
+        return dataclasses.replace(got, entries=entries)
+
+    monkeypatch.setattr(homalg, "tor_table", wrong)
+    with pytest.raises(ChainMapError,
+                       match="^induced map fails to be injective in odd degrees$"):
+        induced_tor_morphism(phi, 6)
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
