@@ -345,6 +345,8 @@ def _cmd_kunneth(args):
 
 
 def _cmd_compare(args):
+    if args.smax < 0:  # before the law, both rings and the chain map
+        raise ValueError("s_max must be >= 0")
     F = _build_law(args, "k")
     cmap = homalg.comparison_chain_map(F, args.k, args.L, N=args.N)
     tmor = homalg.induced_tor_morphism(cmap.morphism, args.smax)

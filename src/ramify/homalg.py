@@ -5,9 +5,10 @@ The ring A_r resolves its residue object by the two-periodic complex
 with multipliers alternating between y and q_r, a matrix factorization
 of y q_r (Eisenbud, Trans. AMS 260, 1980).  Only its period (y, q_r) is
 built.  Tensored down along the augmentation it gives two 1x1 integer
-matrices, [[0]] and [[p^r]]; one Smith normal form of each gives Tor in
-every degree, which is compared against the closed form: free of rank
-one in degree zero, Z/p^r in each odd degree, zero otherwise.
+matrices, [[0]] and [[p^r]], whose Smith normal forms give Tor in every
+degree.  That is compared against the closed form, the one certificate
+of the Tor facts used below: free of rank one in degree zero, Z/p^r in
+each odd degree, zero otherwise.
 
 Lifting the mod-p^N entries to canonical integers is legitimate here
 because the only values that occur are 0 and p^r with r < N, so the
@@ -17,7 +18,7 @@ The same table is reshaped into a bigraded first-quadrant page whose
 only degree-permitted differentials point from an odd column into
 column zero; each is forced to vanish because its source is torsion
 and its target is torsion-free.  A comparison chain map between the
-r = 1 and r = k towers is certified by two ring identities and then
+r = 1 and r = k towers is certified by one ring identity and then
 tensored down, giving multiplication by p^(k-1) on the odd torsion
 classes.
 """
@@ -123,90 +124,21 @@ def build_resolution(ring):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over the integers
+# Smith normal form of a tensored-down differential
 
 
 def smith_normal_form(mat):
-    """Invariant factors of an integer matrix, ascending divisibility.
+    """Invariant factors of a 1x1 integer matrix [[a]]: [|a|] when
+    a != 0 and [] when a = 0.
 
-    Plain elementary row and column operations over Python ints; no
-    transform matrices are kept.  Returns the list of nonzero diagonal
-    entries (absolute values).
+    Every differential of the period, tensored down, is 1x1, and
+    tor_table gives this nothing larger; any other shape raises
+    ValueError.  The general elimination is the tests' oracle.
     """
-    a = [[int(x) for x in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag = []
-    t = 0
-    while t < m and t < n:
-        # smallest nonzero entry of the trailing submatrix to (t, t)
-        bi = bj = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (bi is None or abs(a[i][j]) < abs(a[bi][bj])):
-                    bi, bj = i, j
-        if bi is None:
-            break
-        while True:
-            a[t], a[bi] = a[bi], a[t]
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
-            piv = a[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] % piv:
-                    q = a[i][t] // piv
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                    dirty = True
-            if not dirty:
-                for j in range(t + 1, n):
-                    if a[t][j] % piv:
-                        q = a[t][j] // piv
-                        for i in range(t, m):
-                            a[i][j] -= q * a[i][t]
-                        dirty = True
-            if dirty:
-                bi = bj = None
-                for i in range(t, m):
-                    for j in range(t, n):
-                        if a[i][j] and (
-                            bi is None or abs(a[i][j]) < abs(a[bi][bj])
-                        ):
-                            bi, bj = i, j
-                continue
-            # pivot divides its row and column: clear them exactly
-            for i in range(t + 1, m):
-                q = a[i][t] // piv
-                if q:
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-            for j in range(t + 1, n):
-                q = a[t][j] // piv
-                if q:
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-            # divisibility sweep over the rest of the submatrix
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % piv:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            for j in range(t, n):
-                a[t][j] += a[bad][j]
-            bi, bj = t, t
-            for i in range(t, m):
-                for j in range(t, n):
-                    if a[i][j] and abs(a[i][j]) < abs(a[bi][bj]):
-                        bi, bj = i, j
-        diag.append(abs(a[t][t]))
-        t += 1
-    return diag
+    if len(mat) != 1 or len(mat[0]) != 1:
+        raise ValueError("smith_normal_form takes a 1x1 matrix")
+    a = abs(int(mat[0][0]))
+    return [a] if a else []
 
 
 # ---------------------------------------------------------------------------
@@ -313,25 +245,20 @@ class KunnethPage:
 
 
 def kunneth_page(ring, s_max):
+    """The page of the Tor table through s_max.  Each d^rho (odd
+    rho >= 3) into column zero is forced to vanish: tor_table certified
+    that its source Z/p^r is torsion and its target Z is not."""
     table = tor_table(ring, s_max)
-    diffs = []
-    for rho in range(3, s_max + 1, 2):
-        src = table.entry(rho)
-        tgt = table.entry(0)
-        forced = src.free == 0 and not tgt.torsion
-        if not forced:
-            raise HomologyError(
-                "differential d^%d is not forced to vanish" % rho
-            )
-        diffs.append(
-            DifferentialRecord(
-                index=rho,
-                source=(rho, 0),
-                target=(0, 0),
-                forced_zero=True,
-                reason="torsion source, torsion-free target",
-            )
+    diffs = tuple(
+        DifferentialRecord(
+            index=rho,
+            source=(rho, 0),
+            target=(0, 0),
+            forced_zero=True,
+            reason="torsion source, torsion-free target",
         )
+        for rho in range(3, s_max + 1, 2)
+    )
     witnesses = tuple(
         (s, table.entry(s))
         for s in range(1, s_max + 1, 2)
@@ -343,7 +270,7 @@ def kunneth_page(ring, s_max):
         rank=ring.rank,
         s_max=s_max,
         entries=table.entries,
-        differentials=tuple(diffs),
+        differentials=diffs,
         odd_witnesses=witnesses,
     )
 
@@ -381,10 +308,12 @@ def comparison_chain_map(F, k, L, N=8):
     2 alone, so the squares at degrees 1 and 2 are every square.  phi is
     a ring map (substitution_map), so each square holds for every x
     exactly when it holds at x = 1:
-      - degree 1: phi(y x) = phi(y) phi(x), so phi(y) = y Q certifies it;
-      - degree 2: phi(q_1 x) Q = phi(q_1) Q phi(x), so phi(q_1) Q = q_k;
+      - degree 1: phi(y x) = phi(y) phi(x), so it is phi(y) = y Q, which
+        holds by construction (substitution_map builds phi(y) as y Q);
+      - degree 2: phi(q_1 x) Q = phi(q_1) Q phi(x), so phi(q_1) Q = q_k,
+        the one identity checked here;
       - augmentation: e_k phi and e_1 are ring maps that agree on y,
-        since substitution_map checks e_k(phi(y)) = 0.
+        as e_k(y Q) = 0 (e_k is a ring map since w(0) = 0).
     By the comparison theorem (Weibel, An Introduction to Homological
     Algebra, Thm. 2.2.6) these squares make rho the chain map over phi,
     unique up to homotopy.  A failed identity raises ChainMapError.
@@ -394,8 +323,6 @@ def comparison_chain_map(F, k, L, N=8):
         raise ValueError("L must be >= 1")
     phi = substitution_map(F, k, N)
     a1, ak, Q = phi.source, phi.target, phi.cofactor
-    if phi.apply(a1.y_elt) != ak.y_elt * Q:
-        raise ChainMapError("square at degree 1 fails: phi(y) != y Q")
     if L >= 2 and phi.apply(a1.q_elt) * Q != ak.q_elt:
         raise ChainMapError("square at degree 2 fails: phi(q_1) Q != q_k")
     return ChainMap(
@@ -479,9 +406,10 @@ def convergence_diagnostic(ring, s_max=6, rational=False):
     concentrated in even parity.
 
     Integrally the odd torsion classes survive and the verdict is
-    MISMATCH, with the witnesses listed.  Rationally all odd entries
-    vanish and the verdict is MATCH.  A window too short to contain an
-    odd column returns INCONCLUSIVE.
+    MISMATCH, with the witnesses listed; there is at least one, since
+    tor_table certified Tor_1 = Z/p^r with r >= 1.  Rationally all odd
+    entries vanish and the verdict is MATCH.  A window too short to
+    contain an odd column returns INCONCLUSIVE.
     """
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
@@ -506,8 +434,6 @@ def convergence_diagnostic(ring, s_max=6, rational=False):
             notes="all odd-degree rational entries vanish",
         )
     page = kunneth_page(ring, s_max)
-    if not page.odd_witnesses:
-        raise HomologyError("expected odd torsion witnesses are missing")
     return ConvergenceReport(
         mode="integral",
         s_max=s_max,

@@ -173,9 +173,10 @@ def test_each_command_builds_and_certifies_once(capsys, monkeypatch):
     # one substitution map, and one matrix of powers that apply reads
     assert calls == {"substitution_map": 1, "_powers_matrix": 1}
     # y q_r once per ring (A_3, A_1); the tower map's y Q, its one power
-    # of phi(y) (rank_1 = 2) and its relation check; the two chain-map
-    # identities.  tor_table forms none.  L |probes| squares certified
-    assert products == [7]
+    # of phi(y) (rank_1 = 2) and its relation check; the degree-2
+    # chain-map identity.  tor_table forms none.  L |probes| squares
+    # certified
+    assert products == [6]
     assert json.loads(out)["result"]["squares_checked"] == 7 * (2 + homalg.RANDOM_PROBES)
     calls.clear()
     assert run_cli(["nakayama", "--m", "4", "--count", "5"], capsys)[0] == 0
@@ -417,15 +418,26 @@ def test_negative_betti_smax_is_2(capsys):
     assert rc == 2 and out == "" and "s_max" in err
 
 
-def test_bad_emss_and_converge_sizes_are_2(capsys):
+def test_bad_emss_and_converge_sizes_are_2(capsys, monkeypatch):
+    built = []
+    for module, name in ((cli, "make_honda_fgl"), (homalg, "substitution_map")):
+        def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            built.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
     for argv, reason in [
         (["emss", "--p", "9", "--S", "1"], "p must be prime"),
         (["emss", "--p", "3", "--S", "-1"], "cutoff S must be >= 0"),
         (["converge", "--p", "2", "--smax", "-1"], "s_max must be >= 0"),
         (["rational", "--p", "3", "--smax", "-1"], "s_max must be >= 0"),
+        (["compare", "--p", "7", "--n", "2", "--k", "2", "--N", "8", "--smax", "-1"],
+         "s_max must be >= 0"),
     ]:
         rc, out, err = run_cli(argv, capsys)
         assert rc == 2 and out == "" and reason in err
+    # compare refuses before it builds the law or the tower map
+    assert built == []
     rc, out, _ = run_cli(["rational", "--p", "3", "--smax", "0"], capsys)
     assert rc == 0 and "rank s=0: 1" in out
 

@@ -1,5 +1,6 @@
 """Quotient rings A_r, their structure maps, and the tower morphisms."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -189,6 +190,38 @@ def test_a_factor_of_the_wrong_degree_is_refused(monkeypatch):
     for p, n, r, N in [(2, 2, 1, 8), (3, 2, 1, 5), (2, 3, 2, 9)]:
         with pytest.raises(WeierstrassError, match="wrong degree"):
             make_cochain_ring(_honda_law(p, n, r, N), r, N)
+
+
+def test_a_factor_that_is_not_monic_is_refused(monkeypatch):
+    def top(g, u, step):
+        g[-1] += step  # leading coefficient 1 + p^(N-1)
+
+    _mutate_preparation(monkeypatch, top)
+    for p, n, r, N in [(2, 2, 1, 8), (3, 2, 1, 5), (2, 3, 2, 9)]:
+        with pytest.raises(WeierstrassError, match="^relation is not monic$"):
+            make_cochain_ring(_honda_law(p, n, r, N), r, N)
+
+
+def test_a_factor_with_a_unit_below_its_top_is_refused(monkeypatch):
+    def unit(g, u, step):
+        g[0] += 1  # g_0 lies in (p), so g_0 + 1 is a unit
+
+    _mutate_preparation(monkeypatch, unit)
+    for p, n, r, N in [(2, 2, 1, 8), (3, 2, 1, 5), (2, 3, 2, 9)]:
+        with pytest.raises(WeierstrassError,
+                           match=r"^relation is not congruent to y\^rank mod p$"):
+            make_cochain_ring(_honda_law(p, n, r, N), r, N)
+
+
+def test_a_relation_with_a_constant_term_is_refused():
+    # make_cochain_ring installs w = y g, whose constant term is 0; a
+    # relation handed to the constructor directly is checked as well.
+    # w_0 = p lies in (p), so only the constant-term check refuses it
+    ring = ring_for(2, 2, 1)
+    w = (2,) + ring.w_coeffs[1:]
+    with pytest.raises(WeierstrassError, match="^relation must have zero constant term$"):
+        cochain.CyclicCochainRing(ring.fgl, ring.r, ring.context, w, ring.unit_series,
+                                  ring.distinguished)
 
 
 def test_a_wrong_unit_fails_the_cli_remultiplication(monkeypatch, capsys):
@@ -507,6 +540,36 @@ def test_substitution_refuses_a_source_relation_it_does_not_kill(monkeypatch):
     monkeypatch.setattr(a1, "w_coeffs", tuple(w))
     with pytest.raises(MorphismError, match="source relation"):
         substitution_map(F, 2)
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 1, 2), (3, 1, 3), (2, 2, 2)])
+def test_a_wrong_cofactor_series_fails_the_image_of_y(p, n, k, monkeypatch):
+    # q_(k-1) with p added to its constant term moves y Q by p y, which
+    # [p^(k-1)](y), reduced directly, does not
+    F = law_for(p, n, max_r=k)
+    make_cochain_ring(F, 1)  # both rings are built before the mutant
+    make_cochain_ring(F, k)
+    quotient = cochain.exact_quotient_by_y
+
+    def wrong(series):
+        q = quotient(series)
+        return dataclasses.replace(q, coeffs=(q.coeffs[0] + p,) + q.coeffs[1:])
+
+    monkeypatch.setattr(cochain, "exact_quotient_by_y", wrong)
+    with pytest.raises(MorphismError,
+                       match=r"^y \* q_\(k-1\) disagrees with \[p\^\(k-1\)\]y in A_k$"):
+        substitution_map(F, k)
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 1, 2), (3, 1, 3), (2, 2, 2)])
+def test_a_tower_map_that_kills_y_is_not_injective(p, n, k, monkeypatch):
+    # y |-> 0 is a ring map A_1 -> A_k: it sends w_1 to w_1(0) = 0, so the
+    # relation check passes and only the rank check refuses it
+    powers = cochain._powers_matrix
+    monkeypatch.setattr(cochain, "_powers_matrix",
+                        lambda x, count: powers(x.ring.element([0]), count))
+    with pytest.raises(MorphismError, match="^tower map is not injective$"):
+        substitution_map(law_for(p, n, max_r=k), k)
 
 
 def test_substitution_multiplies_rank_plus_one_times(monkeypatch):

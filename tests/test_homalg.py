@@ -20,7 +20,6 @@ from ramify.homalg import (
     induced_tor_morphism,
     kunneth_page,
     rational_tor,
-    smith_normal_form,
     tor_table,
 )
 
@@ -28,6 +27,93 @@ GRID = [(p, n, r) for p in (2, 3) for n in (1, 2) for r in (1, 2)]
 
 
 # ------------------------------------------------------------------------ SNF
+#
+# The oracle: the general integer Smith normal form.  tor_table only
+# ever takes the invariant factors of a 1x1 matrix, and the library's
+# smith_normal_form is the closed form of that case.
+
+
+def smith_normal_form(mat):
+    """Invariant factors of an integer matrix, ascending divisibility.
+
+    Plain elementary row and column operations over Python ints; no
+    transform matrices are kept.  Returns the list of nonzero diagonal
+    entries (absolute values).
+    """
+    a = [[int(x) for x in row] for row in mat]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    diag = []
+    t = 0
+    while t < m and t < n:
+        # smallest nonzero entry of the trailing submatrix to (t, t)
+        bi = bj = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] and (bi is None or abs(a[i][j]) < abs(a[bi][bj])):
+                    bi, bj = i, j
+        if bi is None:
+            break
+        while True:
+            a[t], a[bi] = a[bi], a[t]
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+            piv = a[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t] % piv:
+                    q = a[i][t] // piv
+                    for j in range(t, n):
+                        a[i][j] -= q * a[t][j]
+                    dirty = True
+            if not dirty:
+                for j in range(t + 1, n):
+                    if a[t][j] % piv:
+                        q = a[t][j] // piv
+                        for i in range(t, m):
+                            a[i][j] -= q * a[i][t]
+                        dirty = True
+            if dirty:
+                bi = bj = None
+                for i in range(t, m):
+                    for j in range(t, n):
+                        if a[i][j] and (
+                            bi is None or abs(a[i][j]) < abs(a[bi][bj])
+                        ):
+                            bi, bj = i, j
+                continue
+            # pivot divides its row and column: clear them exactly
+            for i in range(t + 1, m):
+                q = a[i][t] // piv
+                if q:
+                    for j in range(t, n):
+                        a[i][j] -= q * a[t][j]
+            for j in range(t + 1, n):
+                q = a[t][j] // piv
+                if q:
+                    for i in range(t, m):
+                        a[i][j] -= q * a[i][t]
+            # divisibility sweep over the rest of the submatrix
+            bad = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % piv:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            for j in range(t, n):
+                a[t][j] += a[bad][j]
+            bi, bj = t, t
+            for i in range(t, m):
+                for j in range(t, n):
+                    if a[i][j] and abs(a[i][j]) < abs(a[bi][bj]):
+                        bi, bj = i, j
+        diag.append(abs(a[t][t]))
+        t += 1
+    return diag
 
 
 def test_snf_frozen_cases():
@@ -111,6 +197,18 @@ def test_snf_of_diagonal_gives_elementary_divisors():
         assert math.prod(inv) == math.prod(entries)
         for a, b in zip(inv, inv[1:]):
             assert b % a == 0
+
+
+def test_library_snf_is_the_oracle_on_1x1_and_refuses_other_shapes():
+    rng = random.Random(1980)
+    values = [0, 1, -1]
+    values += [sign * p**r for p in (2, 3, 5, 7) for r in range(7) for sign in (1, -1)]
+    values += [rng.randrange(-10**12, 10**12) for _ in range(200)]
+    for a in values:
+        assert homalg.smith_normal_form([[a]]) == smith_normal_form([[a]]), a
+    for mat in ([], [[1, 0]], [[1], [0]], [[2, 0], [0, 3]]):
+        with pytest.raises(ValueError, match="^smith_normal_form takes a 1x1 matrix$"):
+            homalg.smith_normal_form(mat)
 
 
 # ------------------------------------------------------------ integer complex
@@ -475,12 +573,15 @@ def test_a_perturbed_target_q_fails_the_degree_2_identity(p, n, k, monkeypatch):
 
 
 @pytest.mark.parametrize("p,n,k", [(2, 1, 2), (3, 1, 3), (2, 2, 2)])
-def test_a_perturbed_cofactor_fails_the_degree_1_identity(p, n, k, monkeypatch):
+def test_a_perturbed_cofactor_fails_the_degree_2_identity(p, n, k, monkeypatch):
+    # phi(y) = y Q holds by construction of substitution_map, so a cofactor
+    # changed afterwards is caught by the identity phi(q_1) Q = q_k; the
+    # probes already see it at degree 1
     F = law_for(p, n, max_r=k)
     build = homalg.substitution_map
     monkeypatch.setattr(homalg, "substitution_map",
                         lambda *args: _shifted_cofactor(build(*args)))
-    with pytest.raises(ChainMapError, match=r"^square at degree 1 fails: phi\(y\) != y Q$"):
+    with pytest.raises(ChainMapError, match=r"^square at degree 2 fails: phi\(q_1\) Q != q_k$"):
         comparison_chain_map(F, k, 6)
     with pytest.raises(ChainMapError, match="^square at degree 1 fails on "):
         _probe_squares(_shifted_cofactor(build(F, k)), 6)
