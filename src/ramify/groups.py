@@ -10,7 +10,7 @@ is all the examples need).  Three questions are answered here:
     group order;
   * whether the conjugation action on the group algebra F_p[G] is
     nilpotent, by iterating M -> span{g.v - v} until the chain of
-    submodules stabilizes.
+    submodules stabilizes, one conjugacy class at a time.
 
 For the complement test the candidate subgroup N0 generated by the
 p'-elements is the only possibility: a normal complement K has
@@ -334,7 +334,11 @@ class ComplementReport:
 
 def has_normal_p_complement(G, p):
     """Decide existence of a normal p-complement; the subgroup
-    generated by the p'-order elements is returned either way."""
+    generated by the p'-order elements is returned either way.
+
+    When it exists its index is a p-power by arithmetic: |N0| = m, the
+    p'-part |G| / _p_part(|G|), so the index is _p_part(|G|), a power
+    of p by that function's loop."""
     if not _is_prime(p):
         raise GroupError("p must be prime")
     m = G.order // _p_part(G.order, p)
@@ -350,8 +354,6 @@ def has_normal_p_complement(G, p):
             if G.conjugate(g, x) not in members:
                 raise GroupError("complement candidate is not normal")
     exists = n0.order == m
-    if exists and not _is_p_power(G.order // n0.order, p):
-        raise GroupError("complement index is not a p-power")
     return ComplementReport(
         p=p,
         exists=exists,
@@ -381,6 +383,31 @@ class ConjugationReport:
         )
 
 
+def _conjugation_classes(G):
+    """Conjugation by each generator as an index permutation of
+    G.elements (row k sends x_i to x_conj[k, i]), and the conjugacy
+    classes as the orbits of those permutations: ascending index lists,
+    in the order of their least index."""
+    pos = {x: i for i, x in enumerate(G.elements)}
+    conj = []
+    for g in G.generators:
+        ginv = inverse(g)  # G.conjugate(g, x), with g inverted once
+        conj.append([pos[tuple([g[x[i]] for i in ginv])] for x in G.elements])
+    classes, seen = [], set()
+    for start in range(G.order):
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        for i in orbit:
+            for perm in conj:
+                if perm[i] not in seen:
+                    seen.add(perm[i])
+                    orbit.append(perm[i])
+        classes.append(sorted(orbit))
+    return np.array(conj, dtype=np.int64), classes
+
+
 def conjugation_nilpotent(G, p):
     """Iterate M_(i+1) = span{g.v - v : v in M_i} for the conjugation
     action of G on F_p[G].
@@ -391,63 +418,88 @@ def conjugation_nilpotent(G, p):
     applied along a generator word for w, rewrites any (w - 1)M inside
     sum over generators of (g - 1)M.
 
+    F_p[G] is the permutation module on G, so it is the direct sum of
+    the permutation modules F_p[C] on the conjugacy classes C.  Each
+    g - 1 maps F_p[C] into itself, so each M_i is the direct sum of its
+    blocks M_i(C) in F_p[C], each iterated on its own.  The classes are
+    the orbits of the generators' conjugations, each computed once.
+
+      * M_1(C) is the sum-zero subspace of F_p[C], with rref rows
+        e_i - e_last.  Each gx - x sums to zero, and the differences
+        gx - x over the generators g and the x in C are the edges of
+        the generators' Schreier graph on the orbit C, which is
+        connected, so they span every e_x - e_last.  A class of size 1
+        gives 0, so an abelian group gives the chain (n, 0).
+      * From M_2 on, each block row-reduces its (|gens| dim, |C|)
+        stack, all blocks in the same round.  M_(i+1)(C) <= M_i(C)
+        (checked as descent), so block dimensions never increase, and
+        the chain is stable once the summed dimension stops falling:
+        then no block's fell.  A block whose own dimension did not fall
+        is stable already, so later rounds carry it as it stands.
+      * Block rows sit on disjoint supports, each class in ascending
+        element order, so a block's pivots stay its leading entries and
+        no other row touches them: sorted by pivot, the rows of all
+        blocks are the unique rref of the direct sum.
+
     Returns nilpotent=True when the chain reaches zero; otherwise the
-    first stable nonzero submodule, checked to be G-invariant.  A p at
-    or past artin.P_LIMIT raises artin.AlgebraError: the F_p products
-    would leave int64.
+    first stable nonzero submodule, each block checked to be invariant
+    under every generator's conjugation.  A p at or past artin.P_LIMIT
+    raises artin.AlgebraError: the F_p products would leave int64.
     """
     artin.check_exact(p)
     if not _is_prime(p):
         raise GroupError("p must be prime")
     n = G.order
-    pos = {g: i for i, g in enumerate(G.elements)}
-
-    # conjugation by g as a coordinate permutation of the basis G
-    conj_perm = {}
-    for g in G.generators:
-        conj_perm[g] = np.array(
-            [pos[G.conjugate(g, x)] for x in G.elements], dtype=np.int64
-        )
-
-    rows = np.eye(n, dtype=np.int64)
-    dims = [n]
-    while True:
-        new_rows = []
-        for g in G.generators:
-            permuted = np.zeros_like(rows)
-            permuted[:, conj_perm[g]] = rows
-            new_rows.append((permuted - rows) % p)
-        red, piv = artin.rref(np.vstack(new_rows), p)
-        # descent: g.v stays in the current module, so the new one sits
-        # inside it; M_0 = F_p[G] holds every vector, so it starts at M_1
-        if len(dims) > 1 and artin.residual(red, rows, pivots, p).any():
-            raise GroupError("conjugation chain failed to descend")
-        if len(red) == 0:
-            dims.append(0)
-            return ConjugationReport(
-                p=p,
-                nilpotent=True,
-                chain_dims=tuple(dims),
-                stable_dim=0,
-                stable_basis=(),
-            )
-        if len(red) == dims[-1]:
-            # stable: confirm invariance under every generator, each
-            # conjugation recomputed as a coordinate permutation
-            moved = np.zeros((len(G.generators),) + red.shape, dtype=np.int64)
-            for k, g in enumerate(G.generators):
-                gi = np.array(
-                    [pos[G.conjugate(g, x)] for x in G.elements], dtype=np.int64
-                )
-                moved[k][:, gi] = red
-            if artin.residual(moved.reshape(-1, n), red, piv, p).any():
-                raise GroupError("stable submodule is not G-invariant")
+    conj, classes = _conjugation_classes(G)
+    dims = [n, n - len(classes)]
+    classes = [cls for cls in classes if len(cls) > 1]  # M_1 is 0 on the rest
+    place = np.empty(n, dtype=np.int64)  # an element's index in its class
+    bases = []
+    for cls in classes:
+        place[cls] = range(len(cls))
+        rows = np.eye(len(cls) - 1, len(cls), dtype=np.int64)
+        rows[:, -1] = p - 1
+        bases.append((rows, list(range(len(cls) - 1))))
+    # per class: read[k, j] is the local index that conjugation by the
+    # k-th generator moves to j, so g.v = v[:, read[k]]
+    back = np.argsort(conj, axis=1)
+    reads = [place[back[:, cls]] for cls in classes]
+    falling = [True] * len(classes)
+    while dims[-1]:
+        for b, (rows, pivots) in enumerate(bases):
+            if not falling[b]:
+                continue
+            moved = rows[:, reads[b]] - rows[:, None, :]
+            red, piv = artin.rref(moved.reshape(-1, rows.shape[1]) % p, p)
+            if artin.residual(red, rows, pivots, p).any():
+                raise GroupError("conjugation chain failed to descend")
+            bases[b] = (red, piv)
+            falling[b] = 0 < len(red) < len(rows)
+        total = sum(len(rows) for rows, _ in bases)
+        if total == dims[-1]:
+            for (rows, pivots), read in zip(bases, reads):
+                moved = rows[:, read].reshape(-1, rows.shape[1])
+                if artin.residual(moved, rows, pivots, p).any():
+                    raise GroupError("stable submodule is not G-invariant")
+            full = np.zeros((total, n), dtype=np.int64)
+            leads, at = [], 0
+            for cls, (rows, pivots) in zip(classes, bases):
+                full[at:at + len(rows), cls] = rows
+                leads += [cls[c] for c in pivots]
+                at += len(rows)
+            stable = full[np.argsort(leads)]
             return ConjugationReport(
                 p=p,
                 nilpotent=False,
                 chain_dims=tuple(dims),
-                stable_dim=len(red),
-                stable_basis=tuple(map(tuple, red.tolist())),
+                stable_dim=total,
+                stable_basis=tuple(map(tuple, stable.tolist())),
             )
-        dims.append(len(red))
-        rows, pivots = red, piv
+        dims.append(total)
+    return ConjugationReport(
+        p=p,
+        nilpotent=True,
+        chain_dims=tuple(dims),
+        stable_dim=0,
+        stable_basis=(),
+    )

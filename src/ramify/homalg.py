@@ -25,7 +25,6 @@ classes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .cochain import substitution_map
@@ -351,20 +350,20 @@ class TorMorphism:
 
 def induced_tor_morphism(phi, s_max):
     """Tensor the comparison map over the tower morphism phi down and
-    read off the induced map on each Tor degree, with injectivity
-    certified by an order check.
+    read off the induced map on each Tor degree.
 
     phi is the morphism comparison_chain_map has certified
-    (ChainMap.morphism), so it is not built or checked again here."""
-    k, p = phi.k, phi.source.p
+    (ChainMap.morphism), so it is not built or checked again here.  The
+    odd-degree multiplier is eps(Q) = p^(k-1) with no check: Q is
+    phi.target.one for k = 1, and otherwise the image of q_(k-1), whose
+    coefficient 0 is the coefficient of y in [p^(k-1)](y), which the
+    p-series certificate fixes and reduction leaves alone (see
+    make_cochain_ring).  Multiplication by p^(k-1) from Z/p to Z/p^k is
+    injective, and the two tor_table calls certify those odd torsion
+    orders against their closed form."""
     mult = phi.target.augmentation(phi.cofactor)
-    if mult != p ** (k - 1):
-        raise ChainMapError(
-            "odd-degree multiplier is %d, expected p^(k-1) = %d"
-            % (mult, p ** (k - 1))
-        )
-    src = tor_table(phi.source, s_max)
-    tgt = tor_table(phi.target, s_max)
+    tor_table(phi.source, s_max)
+    tor_table(phi.target, s_max)
     entries = []
     for s in range(s_max + 1):
         if s == 0:
@@ -372,14 +371,11 @@ def induced_tor_morphism(phi, s_max):
             entries.append(("identity", 1, True))
         elif s % 2 == 1:
             # Z/p -> Z/p^k, multiplication by p^(k-1)
-            target_order = tgt.entry(s).torsion[0]
-            if target_order // math.gcd(mult, target_order) != src.entry(s).torsion[0]:
-                raise ChainMapError("induced map fails to be injective in odd degrees")
             entries.append(("times-p^(k-1)", mult, True))
         else:
             entries.append(("zero", 0, True))
     return TorMorphism(
-        k=k,
+        k=phi.k,
         multiplier=mult,
         s_max=s_max,
         entries=tuple(entries),

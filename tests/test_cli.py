@@ -59,6 +59,12 @@ GOLDEN = {
     "group_conjnil_p3_s3.txt": [
         "group", "conjnil", "--p", "3", "--gens", "(1,2);(1,2,3)",
     ],
+    "group_conjnil_s5.txt": [
+        "group", "conjnil", "--gens", "(1,2);(1,2,3,4,5)", "--p", "2",
+    ],
+    "group_conjnil_p3_s5.txt": [
+        "group", "conjnil", "--p", "3", "--gens", "(1,2);(1,2,3,4,5)",
+    ],
 }
 
 

@@ -78,10 +78,19 @@ def test_parse_cycles():
 
 
 def test_parse_cycles_rejects_garbage():
-    for bad in ["", "(1,2", "1,2)", "(1,x)", "(1,1)", "(0,1)", "[1,2]"]:
-        with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="^no generators given$"):
+        parse_cycles("")
+    with pytest.raises(GroupError, match="^unbalanced parenthesis in "):
+        parse_cycles("(1,2")
+    for bad in ["1,2)", "[1,2]"]:
+        with pytest.raises(GroupError, match="^malformed cycle text: "):
             parse_cycles(bad)
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="^non-integer point in "):
+        parse_cycles("(1,x)")
+    for bad in ["(1,1)", "(0,1)"]:
+        with pytest.raises(GroupError, match="^cycle points must be distinct and >= 1$"):
+            parse_cycles(bad)
+    with pytest.raises(GroupError, match="^degree 3 too small for the points used$"):
         parse_cycles("(1,5)", degree=3)
 
 
@@ -115,16 +124,27 @@ def test_group_membership_and_conjugation():
 
 
 def test_group_validation():
-    with pytest.raises(GroupError):
-        FiniteGroup(3, [(0, 0, 1)])
-    with pytest.raises(GroupError):
-        FiniteGroup(3, [(0, 1)])
-    with pytest.raises(GroupError):
+    for bad in [(0, 0, 1), (0, 1)]:
+        with pytest.raises(GroupError, match=r"^not a permutation of 0\.\.2$"):
+            FiniteGroup(3, [bad])
+    with pytest.raises(GroupError, match="^order must be >= 1$"):
         cyclic_group(0)
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="^need m >= 3$"):
         dihedral_group(2)
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="^degree must be >= 1$"):
+        symmetric_group(0)
+    with pytest.raises(GroupError, match="^need m >= 3$"):
+        alternating_group(2)
+    with pytest.raises(GroupError, match="^group order exceeds cap 200$"):
         symmetric_group(6)  # order 720 > cap
+
+
+def test_a_wrong_quaternion_table_fails_the_construction(monkeypatch):
+    # every product read as its right factor: each left translation is
+    # the identity, and i, j generate the trivial group
+    monkeypatch.setattr(groups, "_qmul", lambda a, b: b)
+    with pytest.raises(GroupError, match="^quaternion construction came out wrong$"):
+        quaternion_group()
 
 
 def test_quaternion_has_unique_involution():
@@ -165,8 +185,17 @@ def test_sylow_seed_independence():
 
 
 def test_sylow_rejects_composite():
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="^p must be prime$"):
         sylow_subgroup(symmetric_group(3), 4)
+
+
+def test_a_wrong_element_order_stalls_sylow_growth(monkeypatch):
+    # every order read as 6: no element is a 2-element, so nothing can
+    # grow the trivial subgroup towards order 2
+    G = symmetric_group(3)
+    monkeypatch.setattr(groups, "perm_order", lambda a: 6)
+    with pytest.raises(GroupError, match="^greedy Sylow growth stalled; should not happen$"):
+        sylow_subgroup(G, 2)
 
 
 # --------------------------------------------------------------- complements
@@ -207,6 +236,22 @@ def test_s5_complement_candidate_is_a5():
     assert not rep.exists
     assert rep.expected_order == 15
     assert rep.candidate_order == 60  # odd-order permutations generate A5
+
+
+def test_complement_rejects_composite():
+    with pytest.raises(GroupError, match="^p must be prime$"):
+        has_normal_p_complement(symmetric_group(3), 6)
+
+
+def test_a_wrong_element_order_fails_complement_normality(monkeypatch):
+    # at p = 3 only (1,2) is read as a 3'-element: it generates a
+    # subgroup of order 2 that conjugation by (1,2,3) moves
+    G = symmetric_group(3)
+    order = groups.perm_order
+    monkeypatch.setattr(groups, "perm_order",
+                        lambda a: order(a) if a in (G.identity, (1, 0, 2)) else 3)
+    with pytest.raises(GroupError, match="^complement candidate is not normal$"):
+        has_normal_p_complement(G, 3)
 
 
 def test_cyclic_six_splits_at_both_primes():
@@ -283,40 +328,40 @@ def test_s3_conjugation_chain_at_two():
 _RREF = artin.rref
 
 
-def _rref_answering(monkeypatch, spans):
-    """Make artin.rref return the rref of spans[i] on its i-th call."""
-    answers = iter(spans)
-    monkeypatch.setattr(artin, "rref", lambda rows, p: _RREF(next(answers), p))
+def _rref_answering(monkeypatch, answers):
+    """Make artin.rref reduce, in place of its i-th stack with c
+    columns, the rows answers[c][i]; other stacks reduce as given."""
+    queues = {c: iter(rows) for c, rows in answers.items()}
+
+    def fake(rows, p):
+        return _RREF(next(queues.get(rows.shape[1], iter(())), rows), p)
+
+    monkeypatch.setattr(artin, "rref", fake)
 
 
-def _unit_rows(n, *indices):
-    rows = np.zeros((len(indices), n), dtype=np.int64)
-    rows[range(len(indices)), indices] = 1
-    return rows
+# S3's classes: the identity, three transpositions, two 3-cycles; the
+# rows below are on the transpositions, in element order
 
 
 def test_conjugation_chain_certifies_descent(monkeypatch):
-    G = symmetric_group(3)
-    swap = next(i for i, g in enumerate(G.elements) if perm_order(g) == 2)
-    ident = G.elements.index(G.identity)
-    # M_1 = <e_swap>, then M_2 = <e_1>, which is not inside M_1
-    _rref_answering(monkeypatch, [_unit_rows(6, swap), _unit_rows(6, ident)])
-    with pytest.raises(GroupError, match="failed to descend"):
-        conjugation_nilpotent(G, 2)
+    # M_2 on the transpositions claimed to be <e_0>, which is not inside
+    # M_1 there, the sum-zero vectors
+    _rref_answering(monkeypatch, {3: [[[1, 0, 0]]]})
+    with pytest.raises(GroupError, match="^conjugation chain failed to descend$"):
+        conjugation_nilpotent(symmetric_group(3), 2)
 
 
 def test_conjugation_chain_certifies_invariance(monkeypatch):
-    G = symmetric_group(3)
-    swap = next(i for i, g in enumerate(G.elements) if perm_order(g) == 2)
-    # <e_swap> claimed stable: it descends into itself, but conjugation
-    # moves the transposition
-    _rref_answering(monkeypatch, [_unit_rows(6, swap), _unit_rows(6, swap)])
-    with pytest.raises(GroupError, match="not G-invariant"):
-        conjugation_nilpotent(G, 2)
-    # the same claim for a central element passes both checks
-    ident = G.elements.index(G.identity)
-    _rref_answering(monkeypatch, [_unit_rows(6, ident), _unit_rows(6, ident)])
-    assert conjugation_nilpotent(G, 2).stable_dim == 1
+    # <e_0 + e_1> claimed as M_2 and M_3 on the transpositions: it lies in
+    # M_1 and then in itself, but conjugation moves it
+    _rref_answering(monkeypatch, {3: [[[1, 1, 0]]] * 2})
+    with pytest.raises(GroupError, match="^stable submodule is not G-invariant$"):
+        conjugation_nilpotent(symmetric_group(3), 2)
+    # the class sum in the same place passes both checks at p = 3, where
+    # it sums to zero; the 3-cycles keep their M_1
+    _rref_answering(monkeypatch, {3: [[[1, 1, 1]]] * 2})
+    rep = conjugation_nilpotent(symmetric_group(3), 3)
+    assert rep.chain_dims == (6, 3, 2) and rep.stable_dim == 2
 
 
 def test_conjugation_refuses_primes_past_int64_exactness():
@@ -376,10 +421,23 @@ def _all_elements_chain(G, p):
         rows = red
 
 
+def _relabeled(G, seed):
+    """G with its points relabeled by a seeded permutation."""
+    points = list(range(G.degree))
+    random.Random(seed).shuffle(points)
+    s = tuple(points)
+    return FiniteGroup(G.degree, [compose(compose(inverse(s), g), s) for g in G.generators])
+
+
 def test_s5_generator_path_matches_small_group_path():
-    # acting by generators only spans the same chain as acting by every
-    # element, up to a stable submodule given by the same rref basis
-    groups = [
+    # acting by generators only, class by class, spans the same chain as
+    # acting by every element on all of F_p[G], up to a stable submodule
+    # given by the same rref basis.  Relabeled points put the classes out
+    # of element order; M_1 is the sum-zero part of each class
+    c5_s3 = FiniteGroup(8, parse_cycles("(1,2,3,4,5);(6,7);(6,7,8)"))
+    trivial = [FiniteGroup(len(gens[0]), gens)
+               for gens in (parse_cycles("()"), parse_cycles("(1)"))]
+    cases = [
         (symmetric_group(5), 2),
         (symmetric_group(4), 2),
         (symmetric_group(4), 3),
@@ -389,13 +447,22 @@ def test_s5_generator_path_matches_small_group_path():
         (dihedral_group(6), 3),
         (quaternion_group(), 2),
         (cyclic_group(9), 3),
+        (c5_s3, 5),
+        (dihedral_group(8), 2),
     ]
-    for G, p in groups:
+    cases += [(_relabeled(G, p), p) for G in (symmetric_group(5), alternating_group(5))
+              for p in (2, 3, 5)]
+    cases += [(G, p) for G in trivial for p in (2, 3)]
+    for G, p in cases:
         rep = conjugation_nilpotent(G, p)
-        assert (rep.chain_dims, rep.stable_basis) == _all_elements_chain(G, p)
+        dims, basis = _all_elements_chain(G, p)
+        assert (rep.chain_dims, rep.stable_basis, rep.nilpotent) == (dims, basis, dims[-1] == 0)
         assert all(type(x) is int for row in rep.stable_basis for x in row)
-        assert rep.nilpotent == (rep.stable_dim == 0)
-    with pytest.raises(GroupError):
+        classes = {frozenset(G.conjugate(g, x) for g in G.elements) for x in G.elements}
+        assert rep.chain_dims[1] == G.order - len(classes)
+    assert [G.degree for G in trivial] == [0, 1]
+    assert conjugation_nilpotent(dihedral_group(8), 2).chain_dims == (16, 9, 4, 2, 0)
+    with pytest.raises(GroupError, match="^p must be prime$"):
         conjugation_nilpotent(symmetric_group(3), 6)
 
 

@@ -587,34 +587,6 @@ def test_a_perturbed_cofactor_fails_the_degree_2_identity(p, n, k, monkeypatch):
         _probe_squares(_shifted_cofactor(build(F, k)), 6)
 
 
-def test_a_wrong_multiplier_fails_the_induced_map():
-    phi = _shifted_cofactor(substitution_map(law_for(2, 1), 2))
-    with pytest.raises(ChainMapError,
-                       match=r"^odd-degree multiplier is 3, expected p\^\(k-1\) = 2$"):
-        induced_tor_morphism(phi, 6)
-
-
-def test_a_wrong_torsion_order_fails_odd_injectivity(monkeypatch):
-    # target odd Tor read as Z/p^(k+1): the image of p^(k-1) there has
-    # order p^2, not the order p of the source Z/p
-    p, k = 3, 2
-    phi = substitution_map(law_for(p, 1), k)
-    table = homalg.tor_table
-
-    def wrong(ring, s_max):
-        got = table(ring, s_max)
-        if ring is not phi.target:
-            return got
-        entries = tuple(ModuleDescriptor(e.free, tuple(t * p for t in e.torsion))
-                        for e in got.entries)
-        return dataclasses.replace(got, entries=entries)
-
-    monkeypatch.setattr(homalg, "tor_table", wrong)
-    with pytest.raises(ChainMapError,
-                       match="^induced map fails to be injective in odd degrees$"):
-        induced_tor_morphism(phi, 6)
-
-
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_induced_tor_morphism(p, k):
     tm = induced_tor_morphism(substitution_map(law_for(p, 1, max_r=max(k, 2)), k), 6)

@@ -33,7 +33,7 @@ from ramify.fgl import TruncatedSeries
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.dirname(os.path.abspath(homalg.__file__))
 
-MODULES = ("homalg.py", "cochain.py")
+MODULES = ("homalg.py", "cochain.py", "groups.py")
 
 PROVOKED = {
     "homalg.py": {
@@ -49,10 +49,6 @@ PROVOKED = {
             "test_homalg.py::test_tor_table_certifies_the_periodic_reading",
         ("comparison_chain_map", "square at degree 2 fails: phi(q_1) Q != q_k"):
             "test_homalg.py::test_a_perturbed_target_q_fails_the_degree_2_identity",
-        ("induced_tor_morphism", "odd-degree multiplier is %d, expected p^(k-1) = %d"):
-            "test_homalg.py::test_a_wrong_multiplier_fails_the_induced_map",
-        ("induced_tor_morphism", "induced map fails to be injective in odd degrees"):
-            "test_homalg.py::test_a_wrong_torsion_order_fails_odd_injectivity",
         ("convergence_diagnostic", "s_max must be >= 0"):
             "test_homalg.py::test_convergence_diagnostic_short_window",
     },
@@ -79,6 +75,48 @@ PROVOKED = {
             "test_cochain.py::test_substitution_refuses_a_source_relation_it_does_not_kill",
         ("substitution_map", "tower map is not injective"):
             "test_cochain.py::test_a_tower_map_that_kills_y_is_not_injective",
+    },
+    "groups.py": {
+        ("parse_cycles", "no generators given"):
+            "test_groups.py::test_parse_cycles_rejects_garbage",
+        ("parse_cycles", "malformed cycle text: %r"):
+            "test_groups.py::test_parse_cycles_rejects_garbage",
+        ("parse_cycles", "unbalanced parenthesis in %r"):
+            "test_groups.py::test_parse_cycles_rejects_garbage",
+        ("parse_cycles", "non-integer point in %r"):
+            "test_groups.py::test_parse_cycles_rejects_garbage",
+        ("parse_cycles", "cycle points must be distinct and >= 1"):
+            "test_groups.py::test_parse_cycles_rejects_garbage",
+        ("parse_cycles", "degree %d too small for the points used"):
+            "test_groups.py::test_parse_cycles_rejects_garbage",
+        ("_closure", "group order exceeds cap %d"):
+            "test_groups.py::test_group_validation",
+        ("FiniteGroup.__init__", "not a permutation of 0..%d"):
+            "test_groups.py::test_group_validation",
+        ("cyclic_group", "order must be >= 1"):
+            "test_groups.py::test_group_validation",
+        ("dihedral_group", "need m >= 3"):
+            "test_groups.py::test_group_validation",
+        ("symmetric_group", "degree must be >= 1"):
+            "test_groups.py::test_group_validation",
+        ("alternating_group", "need m >= 3"):
+            "test_groups.py::test_group_validation",
+        ("quaternion_group", "quaternion construction came out wrong"):
+            "test_groups.py::test_a_wrong_quaternion_table_fails_the_construction",
+        ("sylow_subgroup", "p must be prime"):
+            "test_groups.py::test_sylow_rejects_composite",
+        ("sylow_subgroup", "greedy Sylow growth stalled; should not happen"):
+            "test_groups.py::test_a_wrong_element_order_stalls_sylow_growth",
+        ("has_normal_p_complement", "p must be prime"):
+            "test_groups.py::test_complement_rejects_composite",
+        ("has_normal_p_complement", "complement candidate is not normal"):
+            "test_groups.py::test_a_wrong_element_order_fails_complement_normality",
+        ("conjugation_nilpotent", "p must be prime"):
+            "test_groups.py::test_s5_generator_path_matches_small_group_path",
+        ("conjugation_nilpotent", "conjugation chain failed to descend"):
+            "test_groups.py::test_conjugation_chain_certifies_descent",
+        ("conjugation_nilpotent", "stable submodule is not G-invariant"):
+            "test_groups.py::test_conjugation_chain_certifies_invariance",
     },
 }
 
@@ -117,6 +155,7 @@ ALLOWED = {
         ("substitution_map", "k must be >= 1"):
             CLASS_ONLY + "test_cochain.py::test_substitution_validation",
     },
+    "groups.py": {},
 }
 
 ALLOWED_MAX = 13
