@@ -689,8 +689,9 @@ def socle_series(module):
     the images of the stage-k rows, stacked over G, must have full row
     rank.  Then S_k = soc^k: a vector outside S_k has a top stage j > k,
     so some g x lies outside S_(j-2), which holds soc^(k-1) = S_(k-1).
-    Growth and k0 <= e are checked on the way; a violation raises
-    AlgebraError, as only a broken action gives one.
+    k0 <= e is checked on the way, and catches a stage that does not
+    grow too, as it leaves Q as it was; a violation raises AlgebraError,
+    as only a broken action gives one.
     """
     p, n, rho_g = module.algebra.p, module.dim, module.gen_act
     e = nilpotency_exponent(module.algebra)
@@ -700,15 +701,13 @@ def socle_series(module):
         if len(sizes) == e:
             raise AlgebraError("socle series fails to terminate by J-nilpotency")
         red, piv = rref(null_space(act.reshape(-1, cols.size), p), p)
-        if not len(red):
-            raise AlgebraError("socle series is not strictly increasing")
         basis[n - cols.size:][: len(red), cols] = red
         sizes.append(len(red))
         f = np.delete(np.arange(cols.size), piv)
         # the correction changes only the rows where red[:, f] is nonzero
         hit = np.flatnonzero(red[:, f].any(axis=0))
         nxt = act[:, f[:, None], f]
-        top = act[:, np.array(piv)[:, None], f]
+        top = act[:, np.array(piv, dtype=np.intp)[:, None], f]
         nxt[:, hit] = (nxt[:, hit] - _matmul_mod(red[:, f[hit]].T, top, p)) % p
         act, cols = nxt, cols[f]
     stage = np.repeat(np.arange(len(sizes)), sizes)

@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from . import __version__, artin, emss, groups, homalg
-from .cochain import make_cochain_ring, minimum_series_precision, mod_m_reduction
+from .cochain import MorphismError, make_cochain_ring, minimum_series_precision, mod_m_reduction
 from .coeff import ContextMismatch, NonUnitError
 from .fgl import (
     PrecisionError,
@@ -57,6 +57,7 @@ _COMPUTE_ERRORS = (
     artin.AlgebraError,
     homalg.HomologyError,
     homalg.ChainMapError,
+    MorphismError,
     emss.CutoffError,
     groups.GroupError,
 )

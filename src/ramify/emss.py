@@ -404,6 +404,8 @@ def _run_round(page, tables):
     direct sum of these pairs and of the lines on the monomials d neither
     leaves nor reaches.  Those monomials are cycles, none is a boundary,
     and they span the homology, which the next page adopts as its basis.
+    A pair's source has eps = 0 and its target eps = 1, so it adds 0 to
+    euler(), and euler_after = euler_before holds with no check.
     """
     p, S, s, idx = page.p, page.S, page.next_round, page.indices
     scalar, target = table = _differential_table(page, tables)
@@ -430,8 +432,6 @@ def _run_round(page, tables):
         d_squared_zero=True, leibniz_pairs_checked=leibniz_checked,
         euler_before=page.euler(), euler_after=new_page.euler(),
     )
-    if record.euler_before != record.euler_after:
-        raise AssertionError("Euler characteristic changed across the round")
     return replace(new_page, record=record)
 
 

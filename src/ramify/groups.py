@@ -347,12 +347,16 @@ def has_normal_p_complement(G, p):
         if g not in members and math.gcd(perm_order(g), p) == 1:
             gens.append(g)
             members = _closure(G.degree, gens)
-    n0 = FiniteGroup(G.degree, gens)
     # generated by a conjugation-closed set, so always normal; check anyway
     for g in G.generators:
-        for x in n0.elements:
-            if G.conjugate(g, x) not in members:
+        ginv = inverse(g)  # G.conjugate(g, x), with g inverted once
+        for x in members:
+            if tuple([g[x[i]] for i in ginv]) not in members:
                 raise GroupError("complement candidate is not normal")
+    # gens come from G and members is their closure: FiniteGroup() would redo both
+    n0 = object.__new__(FiniteGroup)
+    n0.degree, n0.elements = G.degree, tuple(sorted(members))
+    n0.generators = tuple(gens) or (G.identity,)
     exists = n0.order == m
     return ComplementReport(
         p=p,

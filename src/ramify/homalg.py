@@ -1,14 +1,17 @@
-"""Periodic resolutions, Tor via Smith normal form, and the page
-bookkeeping built on top of them.
+"""Tor of the residue object via Smith normal form, and the page
+bookkeeping built on top of it.
 
 The ring A_r resolves its residue object by the two-periodic complex
 with multipliers alternating between y and q_r, a matrix factorization
-of y q_r (Eisenbud, Trans. AMS 260, 1980).  Only its period (y, q_r) is
-built.  Tensored down along the augmentation it gives two 1x1 integer
+of y q_r (Eisenbud, Trans. AMS 260, 1980).  Its period is read off the
+ring (ring.y_elt, ring.q_elt), whose certificates make it a minimal
+resolution: make_cochain_ring certified y q_r = 0, e(y) = 0 by
+construction, and the p-series certificate fixes e(q_r) = p^r.
+Tensored down along the augmentation e it gives two 1x1 integer
 matrices, [[0]] and [[p^r]], whose Smith normal forms give Tor in every
 degree.  That is compared against the closed form, the one certificate
-of the Tor facts used below: free of rank one in degree zero, Z/p^r in
-each odd degree, zero otherwise.
+of the Tor facts used below (a unit multiplier fails it too): free of
+rank one in degree zero, Z/p^r in each odd degree, zero otherwise.
 
 Lifting the mod-p^N entries to canonical integers is legitimate here
 because the only values that occur are 0 and p^r with r < N, so the
@@ -33,8 +36,6 @@ __all__ = [
     "HomologyError",
     "ChainMapError",
     "ModuleDescriptor",
-    "PeriodicFreeComplex",
-    "build_resolution",
     "smith_normal_form",
     "TorTable",
     "tor_table",
@@ -78,48 +79,6 @@ class ModuleDescriptor:
             parts.append("Z^%d" % self.free)
         parts.extend("Z/%d" % t for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-# ---------------------------------------------------------------------------
-# complexes
-
-
-class PeriodicFreeComplex:
-    """Rank-one free complex over a cochain ring.
-
-    multipliers[i] is the differential C_(i+1) -> C_i, acting by ring
-    multiplication.  Construction checks d o d = 0 inside the ring and
-    minimality: every multiplier augments into (p).  The product of the
-    ring's own pair (y, q_r) is not formed again: make_cochain_ring
-    certified y q_r = 0 when it built the ring.
-    """
-
-    def __init__(self, ring, multipliers):
-        self.ring = ring
-        self.multipliers = tuple(multipliers)
-        if not self.multipliers:
-            raise ValueError("complex needs at least one differential")
-        for m in self.multipliers:
-            if m.ring is not ring:
-                raise ValueError("multiplier from a different ring")
-            if ring.augmentation(m) % ring.p:
-                raise HomologyError("non-minimal multiplier: unit augmentation")
-        # one product per distinct unordered adjacent pair: d o d repeats
-        # with the period, and the ring is commutative
-        pairs = {frozenset(ab): ab for ab in zip(self.multipliers, self.multipliers[1:])}
-        y, q = ring.y_elt, ring.q_elt
-        for a, b in pairs.values():
-            if {id(a), id(b)} == {id(y), id(q)}:
-                continue  # the ring's own y q_r = 0, certified on construction
-            if not (a * b).is_zero:
-                raise HomologyError("d o d is nonzero in the ring")
-
-
-def build_resolution(ring):
-    """The period (y, q_r) of the resolution of the residue object:
-    multiplier s (1-based) of the full resolution is y for odd s and
-    q_r for even s."""
-    return PeriodicFreeComplex(ring, (ring.y_elt, ring.q_elt))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +140,7 @@ def tor_table(ring, s_max):
         raise ValueError("s_max must be >= 0")
     # invariants[s % 2] is the Smith normal form of d_(s+1)
     invariants = [
-        smith_normal_form([[ring.augmentation(m)]])
-        for m in build_resolution(ring).multipliers
+        smith_normal_form([[ring.augmentation(m)]]) for m in (ring.y_elt, ring.q_elt)
     ]
     entries = []
     rank_out = 0
@@ -282,12 +240,9 @@ def kunneth_page(ring, s_max):
 class ChainMap:
     """Certified chain map over the tower morphism phi: components are
     phi itself in even degrees and (image of q_(k-1)) * phi in odd
-    degrees.  source and target are the periods of the two resolutions
-    (build_resolution); length is the L whose squares are certified."""
+    degrees.  length is the L whose squares are certified."""
 
     morphism: object
-    source: PeriodicFreeComplex
-    target: PeriodicFreeComplex
     length: int
     squares_checked: int
 
@@ -302,7 +257,7 @@ def comparison_chain_map(F, k, L, N=8):
 
     The square at degree s compares rho_(s-1)(m1_s x) with
     mk_s rho_s(x), where the multipliers m1_s, mk_s are y for odd s and
-    q for even s (build_resolution) and the component rho_s is phi for
+    q for even s (each ring's period) and the component rho_s is phi for
     even s and phi times the cofactor Q for odd s.  Both depend on s mod
     2 alone, so the squares at degrees 1 and 2 are every square.  phi is
     a ring map (substitution_map), so each square holds for every x
@@ -326,8 +281,6 @@ def comparison_chain_map(F, k, L, N=8):
         raise ChainMapError("square at degree 2 fails: phi(q_1) Q != q_k")
     return ChainMap(
         morphism=phi,
-        source=build_resolution(a1),
-        target=build_resolution(ak),
         length=L,
         squares_checked=L * (a1.rank + RANDOM_PROBES),
     )

@@ -1111,6 +1111,15 @@ def test_socle_series_certifies_each_stage(monkeypatch):
     assert len(kernels[0]) == 2
 
 
+def test_a_socle_stage_that_does_not_grow_fails_to_terminate(monkeypatch):
+    # an empty stage leaves the quotient as it was, so the J-nilpotency
+    # bound stops the loop within e stages
+    monkeypatch.setattr(artin, "null_space",
+                        lambda mat, p: np.zeros((0, np.shape(mat)[1]), dtype=np.int64))
+    with pytest.raises(AlgebraError, match="fails to terminate by J-nilpotency"):
+        socle_series(regular_module(truncated_polynomial_algebra(3, 4)))
+
+
 def test_socle_series_carries_the_quotient(monkeypatch):
     # a return to a fresh quotient map of M per stage, the m^4 path, must
     # fail here, not only in timing: stage k works at the width 41 - k of

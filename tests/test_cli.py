@@ -554,6 +554,19 @@ def test_memory_error_without_a_message_is_named(capsys, monkeypatch):
     assert err == "error: out of memory: allocation failed\n"
 
 
+def test_a_failed_tower_map_certificate_is_2(capsys, monkeypatch):
+    # y |-> 0 passes the relation check; substitution_map's rank check
+    # refuses it inside compare, and main reports it like any failed
+    # computation
+    powers = cochain._powers_matrix
+    monkeypatch.setattr(cochain, "_powers_matrix",
+                        lambda x, count: powers(x.ring.element([0]), count))
+    rc, out, err = run_cli(["compare", "--p", "2", "--k", "2"], capsys)
+    assert rc == 2 and out == ""
+    assert "Traceback" not in err
+    assert err == "error: tower map is not injective\n"
+
+
 def test_help_exits_zero(capsys):
     rc, out, _ = run_cli(["--help"], capsys)
     assert rc == 0

@@ -37,10 +37,6 @@ MODULES = ("homalg.py", "cochain.py", "groups.py")
 
 PROVOKED = {
     "homalg.py": {
-        ("PeriodicFreeComplex.__init__", "complex needs at least one differential"):
-            "test_raises.py::test_input_checks_no_other_test_provokes",
-        ("PeriodicFreeComplex.__init__", "d o d is nonzero in the ring"):
-            "test_homalg.py::test_periodic_complex_validation",
         ("smith_normal_form", "smith_normal_form takes a 1x1 matrix"):
             "test_homalg.py::test_library_snf_is_the_oracle_on_1x1_and_refuses_other_shapes",
         ("tor_table", "s_max must be >= 0"):
@@ -124,10 +120,6 @@ CLASS_ONLY = "input validation; the class is asserted by "
 
 ALLOWED = {
     "homalg.py": {
-        ("PeriodicFreeComplex.__init__", "multiplier from a different ring"):
-            CLASS_ONLY + "test_homalg.py::test_periodic_complex_validation",
-        ("PeriodicFreeComplex.__init__", "non-minimal multiplier: unit augmentation"):
-            CLASS_ONLY + "test_homalg.py::test_periodic_complex_validation",
         ("comparison_chain_map", "L must be >= 1"):
             CLASS_ONLY + "test_homalg.py::test_comparison_chain_map_validation",
     },
@@ -158,7 +150,7 @@ ALLOWED = {
     "groups.py": {},
 }
 
-ALLOWED_MAX = 13
+ALLOWED_MAX = 11
 
 TEST_ID = re.compile(r"(test_\w+\.py)::(test_\w+)")
 
@@ -254,9 +246,6 @@ def test_allowlist_only_shrinks():
 
 
 def test_input_checks_no_other_test_provokes():
-    ring = ring_for(2, 1, 1)
-    with pytest.raises(ValueError, match="^complex needs at least one differential$"):
-        homalg.PeriodicFreeComplex(ring, [])
     with pytest.raises(TypeError, match="^expected a FormalGroupLaw$"):
         cochain.make_cochain_ring("a law", 1)
     # an exact series over a p-adic context other than the ring's

@@ -63,6 +63,7 @@ ALLOWED = {
         "ComplementReport.__str__": "repr",
         "ConjugationReport.__str__": "repr",
         "FiniteGroup.__contains__": "test oracle",
+        "FiniteGroup.conjugate": "test oracle",
         "FiniteGroup.__repr__": "repr",
         "_qmul": "README API",  # the named groups of acceptance criterion 9
         "alternating_group": "README API",
