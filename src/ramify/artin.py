@@ -19,6 +19,7 @@ spot, so all results are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,9 +183,10 @@ _FLOAT_EXACT = 1 << 53
 
 
 def _matmul_mod(a, b, p, axes=None):
-    """a @ b mod p, or np.tensordot(a, b, axes) mod p for axes = (axis
-    of a, axis of b), as int64; the entries of a and b lie in [0, p).
-    Every F_p product of this module and of groups goes through here.
+    """a @ b mod p, or for axes = (i, j) axis i of a contracted with
+    axis j of b (free axes of a first) as one 2-D @; int64, entries in
+    [0, p), zeros at k = 0.  Every F_p product of this module and of
+    groups goes through here.
 
     Each entry of the product is a sum of k products of two residues, k
     the contracted length, so an integer x with 0 <= x <= (p - 1)^2 k.
@@ -221,21 +223,22 @@ def _matmul_mod(a, b, p, axes=None):
     socle and resolution loops keep their int64 calls.
     """
     k = a.shape[-1 if axes is None else axes[0]]
+    if axes is not None:
+        i, j = axes
+        a = a.transpose([x for x in range(a.ndim) if x != i] + [i])
+        b = b.transpose([j] + [x for x in range(b.ndim) if x != j])
+        shape = a.shape[:-1] + b.shape[1:]
+        a, b = a.reshape(math.prod(a.shape[:-1]), k), b.reshape(k, math.prod(b.shape[1:]))
     if not k or a.size * b.size < k * _FLOAT_MADDS or (p - 1) ** 2 * k >= _FLOAT_EXACT:
-        return (a @ b if axes is None else np.tensordot(a, b, axes)) % p
-    if axes is None:
-        x = a.astype(np.float64) @ b.astype(np.float64)
+        x = a @ b % p
     else:
-        free_a = [i for i in range(a.ndim) if i != axes[0]]
-        free_b = [i for i in range(b.ndim) if i != axes[1]]
-        fa = a.transpose(free_a + [axes[0]]).astype(np.float64, order="C").reshape(-1, k)
-        fb = b.transpose([axes[1]] + free_b).astype(np.float64, order="C").reshape(k, -1)
-        x = (fa @ fb).reshape([a.shape[i] for i in free_a] + [b.shape[i] for i in free_b])
-    q = x / p
-    np.floor(q, out=q)
-    q *= p
-    x -= q
-    return x.astype(np.int64)
+        x = a.astype(np.float64) @ b.astype(np.float64)
+        q = x / p
+        np.floor(q, out=q)
+        q *= p
+        x -= q
+        x = x.astype(np.int64)
+    return x if axes is None else x.reshape(shape)
 
 
 def residual(vecs, reduced, pivots, p):
@@ -256,16 +259,27 @@ def coords_in_rref(vecs, reduced, pivots, p):
 
 
 def null_space(mat, p):
-    """Basis of {x : mat @ x = 0 mod p}, as the rows of a (k, ncols)
-    int64 array: one per free column f, 1 at f and -red[i, f] at the
-    pivot c_i."""
-    red, pivots = rref(mat, p)
-    ncols = red.shape[1]
-    free = np.delete(np.arange(ncols), pivots)
-    basis = np.zeros((free.size, ncols), dtype=np.int64)
+    """The rref of {x : mat @ x = 0 mod p}, as the rows of a (k, ncols)
+    int64 array, from one elimination: that of mat[:, ::-1], whose
+    kernel is the kernel of mat read backwards.
+
+    In the reversed columns, with (red, piv) that rref, the kernel has
+    one row per free column f': 1 at f' and -red[i, f'] at each pivot
+    c_i, nonzero only for c_i < f' as row i is zero left of c_i.  These
+    rows are independent (each alone is nonzero at its f'), and there
+    are ncols - rank of them, the nullity.  Read back, with f = ncols -
+    1 - f' and the rows in increasing f, each row has 1 at its free
+    column f and other nonzeros only at pivot columns right of f.  So
+    its lead is the 1 at f, and every other row is zero at f: the rows
+    are in rref, the unique one of the kernel, and its pivots are the
+    free columns in increasing order, each row's first nonzero."""
+    a = np.atleast_2d(np.asarray(mat, dtype=np.int64))[:, ::-1]
+    red, piv = rref(a, p)
+    free = np.delete(np.arange(a.shape[1]), piv)
+    basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = -red[:, free].T % p
-    return basis
+    basis[:, piv] = -red[:, free].T % p
+    return np.ascontiguousarray(basis[::-1, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +376,7 @@ class FinAlgebra:
         # G and its products g e_j, shared by the certificates below,
         # free_module and the resolution
         rad = radical_basis(self)
-        self.generators, self.words = self._generators(rad)
-        self.gen_products = _matmul_mod(self.generators, tbl, p, axes=(1, 0))
+        self.generators, self.words, self.gen_products, j2 = self._generators(rad)
         self._check_associative(self.gen_products)
         # augmentation is an algebra map
         if self.aug[0] != 1:
@@ -374,13 +387,14 @@ class FinAlgebra:
         if ((par == 1) & (self.aug != 0)).any():
             raise AlgebraError("augmentation does not vanish on odd part")
         # ker(aug) must be nilpotent, otherwise not local in our sense
-        self._check_radical_nilpotent(rad, self.gen_products)
+        self._check_radical_nilpotent(rad, j2, self.gen_products)
 
     def _generators(self, rad):
-        """(G, words): the lifts of a basis of J/J^2 and the words a
-        breadth-first search from the unit keeps, if those span A;
-        otherwise the basis of J and its words 1, g.  Each round keeps,
-        by one rref of the transposed stack as in _lift_generators, the
+        """(G, words, gen_products, J^2 in rref): the lifts of a basis of
+        J/J^2 and the words a breadth-first search from the unit keeps,
+        if those span A; otherwise the basis of J and its words 1, g.
+        gen_products[g, j] = G[g] e_j.  Each round keeps, by one
+        rref of the transposed stack as in _lift_generators, the
         products g w (w from the last round) outside the span of the
         words and of the products before them.  So g w lies in the span
         of the words for every kept w: the words span a G-stable space."""
@@ -407,9 +421,10 @@ class FinAlgebra:
             words += [(last[k // len(gens)], k % len(gens)) for k in keep]
             rows = np.vstack([rows, cand[keep]])
             last = list(range(n, rows.shape[0]))
-        if rows.shape[0] == d:
-            return gens, tuple(words)
-        return rad, tuple((0, i) for i in range(d - 1))
+        if rows.shape[0] < d:
+            gens, words = rad, [(0, i) for i in range(d - 1)]
+            left = _matmul_mod(rad, self.table, p, axes=(1, 0))
+        return gens, tuple(words), left, j2
 
     def _check_associative(self, ge):
         """(g e_j) e_k = g (e_j e_k) for g in the generators and all j,
@@ -424,22 +439,23 @@ class FinAlgebra:
                 "associativity fails at generator %d and (%d,%d)" % tuple(bad[0])
             )
 
-    def _check_radical_nilpotent(self, rad, ge):
+    def _check_radical_nilpotent(self, rad, j2, ge):
         """J^(k+1) = sum_g g J^k (class docstring; associativity,
         commutativity and a multiplicative augmentation are certified
         before this runs), one stacked product of ge[g, j] = g e_j and
-        one rref per power; the powers of a nilpotent J shrink strictly
-        until they die."""
+        one rref per power from J^3 on; the powers of a nilpotent J
+        shrink strictly until they die.  J^2 = J J is the rref j2 that
+        _generators reduced, for either G it returns, as it is spanned
+        by the products of basis elements of J."""
         p, d = self.p, self.dim
-        cur = rad
-        e = 1
+        cur, nxt, e = rad, j2, 1
         while cur.shape[0] > 0:
-            # row (v, g) is g v
-            nxt, _ = rref(_matmul_mod(cur, ge, p, axes=(1, 1)).reshape(-1, d), p)
             if nxt.shape[0] >= cur.shape[0]:
                 raise AlgebraError("augmentation kernel is not nilpotent")
-            cur = nxt
-            e += 1
+            cur, e = nxt, e + 1
+            if cur.shape[0]:
+                # row (v, g) is g v
+                nxt, _ = rref(_matmul_mod(cur, ge, p, axes=(1, 1)).reshape(-1, d), p)
         self.nilpotency = e
 
     def __repr__(self):
@@ -675,11 +691,12 @@ def socle_series(module):
     g(ax) = +-a(gx), so Gx in S gives Jx = sum_g g(Ax) in S.  So soc(Q)
     is the common kernel of the d x d actions A_g induced on Q, held at
     the coordinates F of M that Q keeps.  With (red, piv) the rref of
-    soc(Q) and f its free columns, x -> x[f] - red[:, f]^T x[piv] maps Q
-    onto Q / soc(Q), with the section y at f, 0 at piv; so the next
-    action is A_g[f][:, f] - red[:, f]^T A_g[piv][:, f], O(d^2 s) for
-    the s new rows, and the next F is F[f].  The sections compose to
-    placing at F, so red placed at F is block k of the adapted basis B.
+    soc(Q), as null_space returns it, and f its free columns,
+    x -> x[f] - red[:, f]^T x[piv] maps Q onto Q / soc(Q), with the
+    section y at f, 0 at piv; so the next action is A_g[f][:, f] -
+    red[:, f]^T A_g[piv][:, f], O(d^2 s) for the s new rows, and the
+    next F is F[f].  The sections compose to placing at F, so red
+    placed at F is block k of the adapted basis B.
 
     Certified once against rho(G) itself by the rref of [B^T | rho(g) B^T
     for g in G]: its pivots must be its first n columns, so B is
@@ -700,14 +717,15 @@ def socle_series(module):
     while cols.size:
         if len(sizes) == e:
             raise AlgebraError("socle series fails to terminate by J-nilpotency")
-        red, piv = rref(null_space(act.reshape(-1, cols.size), p), p)
+        red = null_space(act.reshape(-1, cols.size), p)
+        piv = (red != 0).argmax(axis=1)  # the leads of an rref
         basis[n - cols.size:][: len(red), cols] = red
         sizes.append(len(red))
         f = np.delete(np.arange(cols.size), piv)
         # the correction changes only the rows where red[:, f] is nonzero
         hit = np.flatnonzero(red[:, f].any(axis=0))
         nxt = act[:, f[:, None], f]
-        top = act[:, np.array(piv, dtype=np.intp)[:, None], f]
+        top = act[:, piv[:, None], f]
         nxt[:, hit] = (nxt[:, hit] - _matmul_mod(red[:, f[hit]].T, top, p)) % p
         act, cols = nxt, cols[f]
     stage = np.repeat(np.arange(len(sizes)), sizes)
@@ -805,10 +823,10 @@ def minimal_free_resolution(alg, s_max):
         # generator coordinate augments to zero
         if _matmul_mod(new_rows.reshape(-1, b, d), alg.aug, p).any():
             raise AlgebraError("resolution is not minimal")
-        rank = b
+        rank, k_rows = b, new_rows
         # the kernel of a module map is a submodule; a cheap self-check
         # that its span is G-stable
-        k_rows, k_piv = rref(new_rows, p)
+        k_piv = (k_rows != 0).argmax(axis=1)  # the leads of an rref
         if residual(gen_images(k_rows), k_rows, k_piv, p).any():
             raise AlgebraError("kernel failed to be a submodule")
     return tuple(betti[: s_max + 1])

@@ -158,9 +158,9 @@ def _closure(degree, gens, cap=MAX_ORDER):
 
 class FiniteGroup:
     """Generated subgroup of Sym(degree); elements enumerated at
-    construction time."""
+    construction time, unless members, their closure, is known."""
 
-    def __init__(self, degree, generators):
+    def __init__(self, degree, generators, members=None):
         self.degree = degree
         gens = []
         for g in generators:
@@ -168,7 +168,7 @@ class FiniteGroup:
                 raise GroupError("not a permutation of 0..%d" % (degree - 1))
             gens.append(tuple(g))
         self.generators = tuple(gens) if gens else (identity_perm(degree),)
-        self.elements = tuple(sorted(_closure(degree, self.generators)))
+        self.elements = tuple(sorted(members or _closure(degree, self.generators)))
 
     @property
     def order(self):
@@ -312,7 +312,7 @@ def sylow_subgroup(G, p, seed=0):
                     break
         if not progressed:
             raise GroupError("greedy Sylow growth stalled; should not happen")
-    return FiniteGroup(G.degree, accepted)
+    return FiniteGroup(G.degree, accepted, current)
 
 
 @dataclass(frozen=True)
@@ -353,10 +353,7 @@ def has_normal_p_complement(G, p):
         for x in members:
             if tuple([g[x[i]] for i in ginv]) not in members:
                 raise GroupError("complement candidate is not normal")
-    # gens come from G and members is their closure: FiniteGroup() would redo both
-    n0 = object.__new__(FiniteGroup)
-    n0.degree, n0.elements = G.degree, tuple(sorted(members))
-    n0.generators = tuple(gens) or (G.identity,)
+    n0 = FiniteGroup(G.degree, gens, members)
     exists = n0.order == m
     return ComplementReport(
         p=p,

@@ -181,6 +181,35 @@ def test_null_space_randomized():
                 assert kred.shape[0] == len(basis)  # independent
 
 
+def _null_space_inputs(p, rng):
+    """Matrices at the edges null_space must handle, and random ones."""
+    yield np.zeros((0, 5), dtype=np.int64)  # no rows: the kernel is everything
+    yield np.zeros((4, 0), dtype=np.int64)  # no columns: the kernel is zero
+    yield np.zeros((3, 6), dtype=np.int64)
+    yield np.eye(5, dtype=np.int64)  # full rank: the kernel is zero
+    yield np.hstack([np.eye(4, dtype=np.int64), rng.integers(0, p, (4, 3))])
+    yield np.full((3, 7), p - 1, dtype=np.int64)
+    for _ in range(20):
+        m, n = rng.integers(1, 9, 2)
+        yield rng.integers(0, p, (m, n)) * (rng.random((m, n)) < 0.6)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_null_space_is_the_rref_of_the_kernel(p):
+    rng = np.random.default_rng(p)
+    for mat in _null_space_inputs(p, rng):
+        rows = null_space(mat, p)
+        ncols = mat.shape[1]
+        assert rows.dtype == np.int64 and rows.shape[1] == ncols
+        assert not (mat @ rows.T % p).any()
+        rank = len(rref(mat, p)[1]) if mat.shape[0] else 0
+        assert rank + rows.shape[0] == ncols
+        red, piv = rref(rows, p)
+        assert np.array_equal(rows, red)
+        # its pivots are each row's first nonzero, as socle_series reads them
+        assert piv == [int(np.flatnonzero(row)[0]) for row in rows]
+
+
 def test_coords_in_rref_roundtrip():
     rng = random.Random(31)
     p = 3
@@ -234,6 +263,7 @@ _PRODUCT_FORMS = (
     (lambda n: ((n,), (n, n * n)), None),  # one vector, as in residual
     (lambda n: ((3, n, n), (n, n)), None),  # stacked rows, as in coords_in_rref
     (lambda n: ((n, n), (3, n, n)), None),  # q @ rho(G)
+    (lambda n: ((3, n, n), (3, n, n)), None),  # batched on both sides
     (lambda n: ((n, n, n), (n,)), None),  # the augmentation products
     (lambda n: ((3, n), (n, n, n)), (1, 0)),
     (lambda n: ((n, n), (n, n, n)), (1, 1)),
@@ -269,6 +299,13 @@ def test_matmul_mod_matches_the_int64_product(p):
     # a transposed operand, as in spanned_submodule's word blocks
     a, b = rng.integers(0, p, (40, 50)), rng.integers(0, p, (40, 50))
     assert np.array_equal(artin._matmul_mod(a, b.T, p), a @ b.T % p)
+    # an empty contraction, k = 0, gives zeros of the oracle's shape
+    for sa, sb, axes in (((3, 0), (0, 4), None), ((2, 3, 0), (0, 5), None),
+                         ((2, 0), (0, 3, 3), (1, 0)), ((2, 0), (3, 0, 3), (1, 1)),
+                         ((2, 3, 0), (0, 3, 4), (2, 0)), ((2, 3, 0), (4, 0, 3), (2, 1))):
+        a, b = np.zeros(sa, dtype=np.int64), np.zeros(sb, dtype=np.int64)
+        got, want = artin._matmul_mod(a, b, p, axes), _product_oracle(a, b, p, axes)
+        assert got.dtype == np.int64 and got.shape == want.shape and not got.any()
 
 
 @pytest.mark.parametrize("past", [False, True])
@@ -329,6 +366,15 @@ def _products_outside_matmul_mod(name):
 def test_every_fp_product_goes_through_matmul_mod():
     found = _products_outside_matmul_mod("artin.py") | _products_outside_matmul_mod("groups.py")
     assert found == set(_PRODUCTS_ALLOWED)
+    # inside it, the int64 and the float64 path each take one @ of the
+    # same reshaped operands, and no other numpy product is left
+    with open(artin.__file__) as f:
+        tree = ast.parse(f.read())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_matmul_mod"]
+    ops = [n for n in ast.walk(fn) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)]
+    names = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    names |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+    assert len(ops) == 2 and not names & set(_PRODUCTS)
 
 
 # ------------------------------------------------------------------ algebras
@@ -459,7 +505,7 @@ def test_j2_from_the_pairs_v_le_w_is_the_span_of_every_product(monkeypatch):
         p, rad = alg.p, radical_basis(alg)
         stacks = []
         monkeypatch.setattr(artin, "rref", lambda rows, p: stacks.append(rows) or rref_(rows, p))
-        gens, words = alg._generators(rad)
+        gens, words, gen_products, j2 = alg._generators(rad)
         monkeypatch.undo()
         assert len(stacks[0]) == len(rad) * (len(rad) + 1) // 2
         right = np.tensordot(rad, alg.table, axes=(1, 1)) % p
@@ -467,7 +513,10 @@ def test_j2_from_the_pairs_v_le_w_is_the_span_of_every_product(monkeypatch):
         want, want_piv = rref(every, p)
         got, got_piv = rref(stacks[0], p)
         assert got_piv == want_piv and np.array_equal(got, want)
+        # the J^2 handed to the nilpotency check is that rref
+        assert np.array_equal(j2, want)
         assert np.array_equal(gens, alg.generators) and words == alg.words
+        assert np.array_equal(gen_products, alg.gen_products)
 
 
 def _tensor_table_oracle(a, b):
@@ -688,12 +737,13 @@ def _spy_on_fallback(monkeypatch):
     lifts_or_basis = FinAlgebra._generators
 
     def spy(self, rad):
-        gens, words = lifts_or_basis(self, rad)
+        gens, words, gen_products, j2 = lifts_or_basis(self, rad)
         fell_back.append(gens is rad)
         if gens is rad:
             # the words 1 and g 1 = g for the basis of J
             assert words == tuple((0, i) for i in range(len(rad)))
-        return gens, words
+        assert np.array_equal(gen_products, np.tensordot(gens, self.table, axes=(1, 0)) % self.p)
+        return gens, words, gen_products, j2
 
     monkeypatch.setattr(FinAlgebra, "_generators", spy)
     return fell_back
@@ -1403,10 +1453,60 @@ def test_generator_actions_stack_at_most_dim_times_g_rows(monkeypatch):
 
     monkeypatch.setattr(artin, "rref", recording)
     monkeypatch.setattr(artin, "_lift_generators", recording_jk)
-    alg._check_radical_nilpotent(radical_basis(alg), alg.gen_products)
+    rad = radical_basis(alg)
+    # J^2 = (y^2) is spanned by the radical rows y^2, ..., y^39
+    alg._check_radical_nilpotent(rad, rad[1:], alg.gen_products)
     socle_series(module)
     # every syzygy of F_p over F_2[y]/(y^40) lies in A^1, of dimension 40
     assert minimal_free_resolution(alg, 6) == (1,) * 7
     assert rows and max(rows) <= bound
     assert len(jk_rows) == 6
     assert all(jk <= k * len(alg.generators) for jk, k in jk_rows)
+
+
+@pytest.mark.parametrize("m", [2, 5, 12])
+def test_each_subspace_is_reduced_once(m, monkeypatch):
+    # one elimination per kernel and per power of J: the socle series of
+    # F_2[y]/(y^m) makes m + 2 rref calls (one kernel per stage, two in
+    # its certificate), each resolution step two (the lifts, the
+    # kernel), and the nilpotency check e - 2 (J^3, ..., J^e)
+    alg = truncated_polynomial_algebra(2, m)
+    rad = radical_basis(alg)
+    calls = []
+    real = artin.rref
+    monkeypatch.setattr(artin, "rref", lambda rows, p: calls.append(1) or real(rows, p))
+    assert socle_series(regular_module(alg)).dims == tuple(range(1, m + 1))
+    assert len(calls) == m + 2
+    for s in range(1, 4):
+        calls.clear()
+        assert minimal_free_resolution(alg, s) == (1,) * (s + 1)
+        assert len(calls) == 2 * s
+    calls.clear()
+    alg._check_radical_nilpotent(rad, rad[1:], alg.gen_products)
+    assert alg.nilpotency == m and len(calls) == m - 2
+
+
+def test_validation_reduces_j2_and_multiplies_g_by_the_table_once(monkeypatch):
+    # _generators hands J^2 to the nilpotency check, which reduces only
+    # J^3, ..., J^e, and its G e_j are the gen_products: one product of
+    # G by the table, on axes (1, 0), per validation
+    real_rref, real_check = artin.rref, FinAlgebra._check_radical_nilpotent
+    matmul = artin._matmul_mod
+    calls, left = [], []
+
+    def counting_check(self, rad, j2, ge):
+        before = len(calls)
+        real_check(self, rad, j2, ge)
+        calls.append(("check", self.nilpotency, len(calls) - before))
+
+    monkeypatch.setattr(artin, "rref", lambda rows, p: calls.append(1) or real_rref(rows, p))
+    monkeypatch.setattr(FinAlgebra, "_check_radical_nilpotent", counting_check)
+    monkeypatch.setattr(artin, "_matmul_mod", lambda a, b, p, axes=None:
+                        left.append(axes == (1, 0)) or matmul(a, b, p, axes))
+    for p, _, text in _workload_algebra_files():
+        calls.clear()
+        left.clear()
+        alg = cli._parse_algebra_file(text, p)
+        (e, reduced), = [c[1:] for c in calls if c != 1]
+        assert e == alg.nilpotency >= 3 and reduced == e - 2
+        assert sum(left) == 1

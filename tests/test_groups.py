@@ -304,6 +304,22 @@ def test_subgroups_from_generating_sets_match_all_element_closures():
                 assert 2 ** len(P.generators) <= max(2, P.order)
 
 
+def test_sylow_and_complement_keep_the_closure_they_built(monkeypatch):
+    # both subgroups are built from the closure their loops already hold:
+    # no generating set is closed twice, and the group is the one its
+    # generators generate
+    G = symmetric_group(5)
+    closure, closed = groups._closure, []
+    monkeypatch.setattr(groups, "_closure", lambda degree, gens, **kw:
+                        closed.append(tuple(gens)) or closure(degree, gens, **kw))
+    for p in (2, 3, 5):
+        for build in (sylow_subgroup, lambda G, p: has_normal_p_complement(G, p).subgroup):
+            closed.clear()
+            H = build(G, p)
+            assert closed and len(set(closed)) == len(closed)
+            assert H.elements == tuple(sorted(closure(G.degree, H.generators)))
+
+
 # --------------------------------------------------------------- conjugation
 
 
