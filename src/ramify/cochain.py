@@ -8,14 +8,12 @@ tower is
 where g_r is the distinguished (monic, degree p^(rn) - 1) Weierstrass
 factor of the cofactor q_r(y) = [p^r](y)/y.  Elements are canonical
 coefficient vectors of length rank = p^(rn).  A product is the exact
-convolution of two such vectors, whose part of degree >= rank folds
-back by one matrix product with the ring's fold table (row i is
-y^(rank+i) mod w, built from w by Euclidean steps); a long series is
-reduced by Euclidean division over the nonzero terms of w.  Both are
-exact, so every ring operation is exact mod p^N.  Arrays take the dtype
-fgl._dtype gives for p^N and rank: int64 when (p^N - 1)^2 rank < 2^63,
-which bounds every sum they form, and numpy arrays of Python ints
-otherwise.
+convolution of two such vectors, reduced like a long series by one
+Euclidean division by w over the nonzero terms of w
+(fgl._divmod_monic, on Python ints), so every ring operation is exact
+mod p^N.  Arrays take the dtype fgl._dtype gives for p^N and rank:
+int64 when (p^N - 1)^2 rank < 2^63, which bounds every sum they form,
+and numpy arrays of Python ints otherwise.
 
 Tail bound.  Reducing a coefficient y^m by w drops its degree by at
 most deg(w) - 1 per step while gaining a factor of p each step (every
@@ -45,6 +43,7 @@ from .fgl import (
     PrecisionError,
     TruncatedSeries,
     WeierstrassError,
+    _divmod_monic,
     _dtype,
     exact_quotient_by_y,
     validated_series,
@@ -143,8 +142,6 @@ class CyclicCochainRing:
         # which every coefficient vanishes mod p^N (module docstring)
         self._w_terms = [(j, c) for j, c in enumerate(self.w_coeffs[:-1]) if c]
         self._tail = (context.prec + 1) * (self.rank - 1) + 1
-        self._fold = np.zeros((self.rank - 1, self.rank), self.dtype)
-        self._fold_len = 0  # rows of _fold filled so far
         self.q_elt = None  # installed by make_cochain_ring
 
     def _check_relation(self):
@@ -161,59 +158,27 @@ class CyclicCochainRing:
 
     # -- canonical reduction
 
-    def _fold_rows(self, rows):
-        """Rows 0 .. rows - 1 of the fold table: row i is y^(rank+i)
-        mod w, a canonical vector.
-
-        Row 0 is -w below y^rank.  Row i+1 is y times row i, reduced by
-        one Euclidean step: row i shifted up one degree, plus its old top
-        coefficient times row 0.  The table grows only as far as a
-        product has reached, so a y * q product needs one row.
-        """
-        fold, m = self._fold, self.modulus
-        for i in range(self._fold_len, rows):
-            if i == 0:
-                fold[0] = [-c % m for c in self.w_coeffs[:-1]]
-            else:
-                row = fold[0] * fold[i - 1, -1]
-                row[1:] += fold[i - 1, :-1]
-                fold[i] = row % m
-        self._fold_len = max(self._fold_len, rows)
-        return fold[:rows]
-
     def _product(self, a, b):
-        """Canonical tuple of a * b for canonical coefficient vectors.
-
-        Entries below m = p^N keep every sum below (m - 1)^2 rank, so
-        int64 arrays are exact: the convolution, and the fold of its
-        degrees >= rank, reduced mod m first, onto its lower part.
-        """
-        m, rank = self.modulus, self.rank
+        """Canonical tuple of a * b for canonical coefficient vectors:
+        their convolution, exact in the ring's dtype since every sum
+        stays below (m - 1)^2 rank, reduced by _reduce_poly."""
         conv = np.convolve(np.asarray(a, self.dtype), np.asarray(b, self.dtype))
-        nonzero = np.flatnonzero(conv)
-        top = nonzero[-1] + 1 if len(nonzero) else 0
-        low = conv[: min(top, rank)] % m
-        if top > rank:
-            low = (low + (conv[rank:top] % m) @ self._fold_rows(top - rank)) % m
-        return tuple(low.tolist()) + (0,) * (rank - len(low))
+        return self._reduce_poly(conv.tolist())
 
     def _reduce_poly(self, coeffs):
-        """Euclidean reduction of an integer coefficient list by the
-        monic relation; exact, returns a canonical tuple.  Used for the
-        long series a ring reduces once (q_r, from_series).  The input
-        is cut at (N + 1)(rank - 1) + 1, past which every coefficient
-        reduces to 0 mod p^N, and a step subtracts only w's nonzero
-        terms below y^rank."""
-        m, rank = self.modulus, self.rank
-        c = [int(x) for x in coeffs[: self._tail]]
-        c += [0] * (rank - len(c))
-        for deg in range(len(c) - 1, rank - 1, -1):
-            t = c[deg] % m
-            if t:
-                base = deg - rank
-                for j, wj in self._w_terms:
-                    c[base + j] -= t * wj
-        return tuple(x % m for x in c[:rank])
+        """Canonical tuple of an integer coefficient list mod w: the
+        remainder of fgl._divmod_monic by w's nonzero terms below
+        y^rank, with the input cut at (N + 1)(rank - 1) + 1, past which
+        every coefficient reduces to 0 mod p^N."""
+        _, rem = _divmod_monic(coeffs[: self._tail], self._w_terms, self.rank, self.modulus)
+        return tuple(rem)
+
+    def _times_y(self, x):
+        """y * x for a canonical tuple x, in closed form from w_coeffs
+        and no division: x shifted up one degree, minus x_(rank-1)
+        times w below y^rank."""
+        m, top = self.modulus, x[-1]
+        return tuple((a - top * c) % m for a, c in zip((0,) + x[:-1], self.w_coeffs))
 
     # -- element constructors
 
@@ -285,14 +250,13 @@ def make_cochain_ring(F, r, N=8):
     fgl.certify_honda_pseries (or the closed form of the multiplicative
     law) already fixes.
 
-    The identity y * q_r = 0 certifies g_r.  q_r is reduced by the
-    Euclidean division of _reduce_poly, and the product y * q_r by the
-    ring's product, which folds degree rank back through row 0 of the
-    fold table: -w below y^rank, read off w alone (later rows follow
-    from it by Euclidean steps).  Neither shares code with the Hensel
-    lifting of fgl.weierstrass_preparation.  Let d = rank - 1 and c be
-    q_r below y^T, T = (N + 1) d + 1, where _reduce_poly cuts the M - 1
-    known coefficients.  What it uses:
+    The identity y * q_r = 0 certifies g_r.  q_r is reduced to rho by
+    _reduce_poly, whose division fgl._divmod_monic is also the division
+    step of the Hensel lifting in fgl.weierstrass_preparation, so the
+    certificate trusts that division to give rho = q_r mod w.  y * rho
+    is read by _times_y, in closed form from w_coeffs with no division.
+    Let d = rank - 1 and c be q_r below y^T, T = (N + 1) d + 1, where
+    _reduce_poly cuts the M - 1 known coefficients.  What it uses:
       - g = g_r is monic of degree d with lower terms in (p), which the
         ring constructor checks on w;
       - q_r has its first unit coefficient at degree d: preparation
@@ -347,7 +311,7 @@ def make_cochain_ring(F, r, N=8):
     q_elt = ring.element(q_series.coeffs)
     ring.q_elt = q_elt
 
-    if not (ring.y_elt * q_elt).is_zero:
+    if any(ring._times_y(q_elt.coeffs)):
         raise WeierstrassError("y * q_r is nonzero in the quotient ring")
 
     F._ring_cache[(r, N)] = ring

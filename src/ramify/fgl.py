@@ -551,22 +551,25 @@ class WeierstrassFactorization:
     degree: int
 
 
-def _weier_divide(h, g, d, modulus, work, N):
-    """h = g * q + a with deg a < d, for monic g with g - y^d in (p).
+def _divmod_monic(c, w_terms, d, modulus):
+    """(q, rem) with c = w q + rem mod modulus and deg rem < d, for w
+    monic of degree d given by w_terms, its nonzero (j, w_j) below y^d.
 
-    The shift iteration contracts p-adically: successive q differ by
-    the shift of gamma times their previous difference, gamma = g - y^d
-    in (p), so pass k + 1 repeats pass k once p^k = 0 mod p^N.
+    Schoolbook division on Python ints, from the top degree down: a
+    step subtracts t y^(deg - d) w through the terms of w_terms only.
+    q has max(len(c) - d, 0) entries and rem d, both reduced mod modulus.
     """
-    gamma = g[:d]
-    q = np.zeros(work, h.dtype)
-    for _ in range(N + 1):
-        t = (h - _mul(gamma, q, modulus, work)) % modulus
-        qn = np.concatenate([t[d:], np.zeros(d, h.dtype)])
-        if np.array_equal(qn, q):
-            return q, t[:d]
-        q = qn
-    raise WeierstrassError("division fixed point did not stabilize")
+    c = [int(x) for x in c]
+    c += [0] * (d - len(c))
+    q = [0] * (len(c) - d)
+    for deg in range(len(c) - 1, d - 1, -1):
+        t = c[deg] % modulus
+        if t:
+            base = deg - d
+            q[base] = t
+            for j, wj in w_terms:
+                c[base + j] -= t * wj
+    return q, [x % modulus for x in c[:d]]
 
 
 def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
@@ -579,14 +582,23 @@ def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
 
     Lifting.  Let c be s below y^work, the working length.  With g
     monic of degree d, u a polynomial and the residual e = c - g u mod
-    (p^N, y^work), a step divides h = e u^-1 as h = g b + a, deg a < d
-    (_weier_divide), and sets g += a, u += u b.  As u h = e, the new
-    residual is -a u b mod y^work.  The start g = y^d, u = (c - c_<d) / y^d
-    leaves e = c_<d, divisible by p.  A power of p that divides e
-    divides h, a and b, so v_p(e) at least doubles each step: after
+    (p^N, y^work), a step divides h = e u^-1 as h = g b + a, deg a < d,
+    and sets g += a, u += u b.  As u h = e, the new residual is -a u b
+    mod y^work.  The start g = y^d, u = (c - c_<d) / y^d leaves
+    e = c_<d, divisible by p.  A power of p that divides e divides h,
+    a and b, so v_p(e) at least doubles each step: after
     (N - 1).bit_length() steps e = 0 mod p^N, and rounds, one more test
     than that, never runs out.  Every a lies in (p), so g stays
     distinguished.
+
+    Division.  Write g = y^d + gamma, gamma in (p) of degree < d.  The
+    pair (b, a) with h = g b + a mod (p^N, y^work), deg b < work - d and
+    deg a < d is unique: if g b + a = 0 there, then at degrees >= d,
+    b = -S_d(gamma b) with S_d the shift down by d, so a power of p that
+    divides b divides it once more, b = 0 mod p^N, and then a = 0.  So
+    the p-adic contraction b <- S_d(h - gamma b) converges to it, and
+    schoolbook division of h (deg h < work) by the monic g
+    (_divmod_monic) gives it directly.
 
     Stopping rule.  The loop stops at the first residual on the slope
     v_p(e_m) >= min(N, floor((work - 1 - m) / d)) for all m < work.
@@ -606,12 +618,12 @@ def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
     Introduction to Cyclotomic Fields, 7.1) gives G = g mod p^N.
 
     u is right below y^unit_len, unit_len = work - (N + 1) d.  As G = g
-    mod p^N, delta = U - u solves g delta = E.  Write g = y^d + gamma,
-    gamma in (p) of degree < d.  If v_p(delta_m) >= min(j, floor((work -
-    1 - d - m) / d)) for all m, then gamma delta and E obey that bound
-    with j + 1 and d added to the numerator, hence so does y^d delta =
-    E - gamma delta, and delta obeys it with j + 1.  From j = 0 to N:
-    delta_m = 0 mod p^N once work - 1 - d - m >= N d, that is m < unit_len.
+    mod p^N, delta = U - u solves g delta = E.  If v_p(delta_m) >=
+    min(j, floor((work - 1 - d - m) / d)) for all m, then gamma delta
+    and E obey that bound with j + 1 and d added to the numerator,
+    hence so does y^d delta = E - gamma delta, and delta obeys it with
+    j + 1.  From j = 0 to N: delta_m = 0 mod p^N once work - 1 - d - m
+    >= N d, that is m < unit_len.
 
     z-form.  Let t be the gcd of the degrees where s is nonzero, so t
     divides d and s = Q(z) with z = y^t.  Preparing Q = G(z) V(z) gives
@@ -670,9 +682,10 @@ def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
         if not np.any(e % slope):
             break
         h = _mul(e, _inv(u, modulus, W), modulus, W)
-        bprime, a = _weier_divide(h, g, dz, modulus, W, N)
-        g[:dz] = (g[:dz] + a) % modulus
-        u = (u + _mul(u, bprime, modulus, W)) % modulus
+        gamma = [(j, x) for j, x in enumerate(g[:dz].tolist()) if x]
+        b, a = _divmod_monic(h.tolist(), gamma, dz, modulus)
+        g[:dz] = (g[:dz] + np.array(a, dtype)) % modulus
+        u = (u + _mul(u, np.array(b, dtype), modulus, W)) % modulus
     else:
         raise WeierstrassError("Hensel lifting did not converge")
     unit_len = work - (N + 1) * d

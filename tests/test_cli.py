@@ -153,18 +153,17 @@ def test_each_command_builds_and_certifies_once(capsys, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
-    filled = {}  # ring -> fold-table rows filled
-    fold_rows = cochain.CyclicCochainRing._fold_rows
+    ring_calls = {}
+    for name in ("_product", "_times_y"):
+        def ring_spy(*args, _fn=getattr(cochain.CyclicCochainRing, name), _name=name):
+            ring_calls[_name] = ring_calls.get(_name, 0) + 1
+            return _fn(*args)
 
-    def fold_spy(ring, rows):
-        table = fold_rows(ring, rows)
-        filled[ring] = ring._fold_len
-        return table
-
-    monkeypatch.setattr(cochain.CyclicCochainRing, "_fold_rows", fold_spy)
+        monkeypatch.setattr(cochain.CyclicCochainRing, name, ring_spy)
     assert run_cli(["tor", "--p", "3", "--n", "2", "--r", "1"], capsys)[0] == 0
-    # every product tor makes is y q_r, which needs one row
-    assert list(filled.values()) == [1]
+    # tor builds one ring and reads its y q_r off the closed form: no
+    # ring product
+    assert ring_calls == {"_times_y": 1}
     products = [0]
     mul = cochain.RingElement.__mul__
 
@@ -178,11 +177,11 @@ def test_each_command_builds_and_certifies_once(capsys, monkeypatch):
     assert rc == 0
     # one substitution map, and one matrix of powers that apply reads
     assert calls == {"substitution_map": 1, "_powers_matrix": 1}
-    # y q_r once per ring (A_3, A_1); the tower map's y Q, its one power
-    # of phi(y) (rank_1 = 2) and its relation check; the degree-2
-    # chain-map identity.  tor_table forms none.  L |probes| squares
-    # certified
-    assert products == [6]
+    # the tower map's y Q, its one power of phi(y) (rank_1 = 2) and its
+    # relation check; the degree-2 chain-map identity.  y q_r of each
+    # ring (A_3, A_1) is _times_y, and tor_table forms no product.
+    # L |probes| squares certified
+    assert products == [4]
     assert json.loads(out)["result"]["squares_checked"] == 7 * (2 + homalg.RANDOM_PROBES)
     calls.clear()
     assert run_cli(["nakayama", "--m", "4", "--count", "5"], capsys)[0] == 0
@@ -295,6 +294,20 @@ def test_compare_at_rank_729_has_the_closed_form(capsys):
     assert "multiplier: 9" in lines
     for s in (1, 3, 5):
         assert "Tor_%d map: times-p^(k-1) (x9) injective=True" % s in lines
+    assert lines[-1] == "verdict: OK"
+
+
+def test_compare_at_rank_2401_has_the_closed_form(capsys):
+    # A_1 -> A_2 at p = 7, n = 2: ring products at rank 2,401, the
+    # multiplier p^(k-1) = 7 on every odd Tor, and L = 6 squares of the
+    # 49 monomials of A_1 plus the random probes
+    rc, out, _ = run_cli(["compare", "--p", "7", "--n", "2", "--k", "2", "--N", "8"], capsys)
+    assert rc == 0
+    lines = out.splitlines()
+    assert "squares checked: 330" in lines and 330 == 6 * (49 + homalg.RANDOM_PROBES)
+    assert "multiplier: 7" in lines
+    for s in (1, 3, 5):
+        assert "Tor_%d map: times-p^(k-1) (x7) injective=True" % s in lines
     assert lines[-1] == "verdict: OK"
 
 

@@ -332,6 +332,11 @@ def test_reduce_poly_matches_sympy_remainder(p, n, r):
     lengths = (rank, rank + 1, 2 * rank, 3 * rank, tail - 1, tail, tail + 1, 3 * (N + 1) * rank)
     inputs += [[m - 1] * length for length in lengths]
     inputs += [[rng.randrange(m) for _ in range(length)] for length in range(rank)]
+    # the unreduced convolutions _product hands over: length 2 rank - 1,
+    # entries up to (m - 1)^2 rank
+    big = (m - 1) ** 2 * rank
+    inputs += [[big] * (2 * rank - 1)]
+    inputs += [[rng.randrange(big + 1) for _ in range(2 * rank - 1)] for _ in range(5)]
     for coeffs in inputs:
         want = _reduce_poly_oracle(ring, coeffs)
         assert ring._reduce_poly(coeffs) == want, len(coeffs)
@@ -367,7 +372,7 @@ def test_from_series_contract():
         ring.from_series([1, 2, 3])
 
 
-# ------------------------------------------------ products and the fold table
+# --------------------------------------------- products and the closed form y x
 
 # (p, n, r, N): int64 rings, among them (3, 1, 1, 19) with (m - 1)^2 rank
 # near 2^62, and object rings: (3, 1, 2, 19), whose (m - 1)^2 rank lies
@@ -422,29 +427,52 @@ def test_apply_is_the_sum_of_scaled_powers(p, n, k, N):
 
 @pytest.mark.parametrize("p,n,r", GRID)
 def test_fold_row_i_is_y_to_the_rank_plus_i(p, n, r):
+    # y^(rank+i) mod w by i + 1 steps of the closed form y x that the
+    # ring certificate reads, against the Euclidean division
     ring = ring_for(p, n, r)
     rank = ring.rank
-    table = ring._fold_rows(rank - 1)
+    row = ring._reduce_poly([0] * (rank - 1) + [1])
     for i in range(rank - 1):
-        assert tuple(table[i].tolist()) == ring._reduce_poly([0] * (rank + i) + [1]), i
+        row = ring._times_y(row)
+        assert row == ring._reduce_poly([0] * (rank + i) + [1]), i
 
 
 @pytest.mark.parametrize("j", [0, -1])
 def test_a_wrong_fold_row_fails_the_ring_certificate(j, monkeypatch):
-    # the certificate y * q_r = 0 reads row 0 of the table it guards
-    fold_rows = cochain.CyclicCochainRing._fold_rows
+    # the certificate y * q_r = 0 reads w below y^rank from w_coeffs;
+    # the division keeps the correct _w_terms
+    init = cochain.CyclicCochainRing.__init__
 
-    def wrong(ring, rows):
-        table = fold_rows(ring, rows).copy()
-        table[0, j] = (table[0, j] + 1) % ring.modulus
-        return table
+    def wrong(ring, *args):
+        init(ring, *args)
+        w = list(ring.w_coeffs)
+        w[j % ring.rank] = (w[j % ring.rank] + 1) % ring.modulus
+        ring.w_coeffs = tuple(w)
 
-    monkeypatch.setattr(cochain.CyclicCochainRing, "_fold_rows", wrong)
+    monkeypatch.setattr(cochain.CyclicCochainRing, "__init__", wrong)
     cases = [(make_multiplicative_fgl(2, M=5), 2, 8), (_honda_law(2, 2, 1, 8), 1, 8),
              (_honda_law(3, 2, 1, 5), 1, 5)]
     for F, r, N in cases:
         with pytest.raises(WeierstrassError, match=r"y \* q_r is nonzero"):
             make_cochain_ring(F, r, N)
+
+
+def test_a_ring_holds_no_rank_squared_array():
+    # after products in every ring of GRID and of compare --p 3 --n 2
+    # --k 2, no array a ring holds grows past (N + 2) rank cells
+    rings = [ring_for(p, n, r) for p, n, r in GRID]
+    phi = substitution_map(law_for(3, 2), 2)
+    rings += [phi.source, phi.target]
+    rng = random.Random(5)
+    for ring in rings:
+        elts = [ring.y_elt, ring.q_elt, random_element(ring, rng)]
+        for a in elts:
+            for b in elts:
+                a * b
+        cells = (ring.context.prec + 2) * ring.rank
+        for value in vars(ring).values():
+            assert not isinstance(value, np.ndarray) or value.size <= cells, ring
+    assert max(ring.rank for ring in rings) == 81
 
 
 # ------------------------------------------------------------ mod-p reduction

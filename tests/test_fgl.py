@@ -626,6 +626,72 @@ def test_series_products_run_at_the_stride(monkeypatch):
     assert lengths and max(lengths) <= (len(q.coeffs) - 1) // 7 + 1
 
 
+def _times_monic(w_terms, d, q):
+    """w q as an exact integer list, for w monic of degree d given by
+    its nonzero (j, w_j) below y^d."""
+    out = [0] * d + list(q)
+    for j, wj in w_terms:
+        for i, x in enumerate(q):
+            out[i + j] += wj * x
+    return out
+
+
+@pytest.mark.parametrize("modulus", [2**8, 3**19, 2**61 - 1, 7**24])
+def test_divmod_monic_is_euclidean_division(modulus):
+    # c = w q + rem mod m with deg rem < d, on moduli whose squares lie
+    # on both sides of 2^63 and past it; random and all-(m - 1) values,
+    # inputs shorter than, as long as and much longer than d
+    rng = random.Random(modulus % 997)
+    m1 = modulus - 1
+    for d in (1, 2, 5, 13):
+        lowers = [[rng.randrange(modulus) for _ in range(d)], [m1] * d,
+                  [0] + [rng.choice((0, rng.randrange(modulus))) for _ in range(d - 1)]]
+        for lower in lowers:
+            w_terms = [(j, c) for j, c in enumerate(lower) if c]
+            for length in (0, d - 1, d, d + 1, 7 * d + 3):
+                for c in ([rng.randrange(modulus) for _ in range(length)], [m1] * length,
+                          [rng.randrange(m1 * m1 * d + 1) for _ in range(length)]):
+                    q, rem = fgl._divmod_monic(c, w_terms, d, modulus)
+                    assert len(q) == max(length - d, 0) and len(rem) == d
+                    assert all(0 <= x < modulus for x in q + rem)
+                    back = _times_monic(w_terms, d, q)
+                    back = [x + (rem[i] if i < d else 0) for i, x in enumerate(back)]
+                    back += [0] * (max(length, d) - len(back))
+                    padded = list(c) + [0] * (len(back) - length)
+                    assert all((x - y) % modulus == 0 for x, y in zip(back, padded))
+
+
+def test_weierstrass_divisions_are_the_unique_pairs(monkeypatch):
+    # every (b, a) the Hensel lifting takes on the Honda grid:
+    # h = g b + a mod (p^N, z^W), deg b < W - dz, deg a < dz, and
+    # g - z^dz in (p), which makes the pair unique
+    divmod_monic = fgl._divmod_monic
+    seen = []
+
+    def spy(c, w_terms, d, modulus):
+        q, a = divmod_monic(c, w_terms, d, modulus)
+        seen.append((list(c), list(w_terms), d, modulus, q, a))
+        return q, a
+
+    monkeypatch.setattr(fgl, "_divmod_monic", spy)
+    checked = 0
+    for p, n, r, N in _accepted_grid(8):
+        if n == 1:
+            continue
+        F = make_honda_fgl(p, n, minimum_series_precision(p, n, r, N, False), N)
+        seen.clear()
+        weierstrass_preparation(exact_quotient_by_y(F.p_series(r)))
+        for h, w_terms, d, modulus, q, a in seen:
+            W = len(h)
+            assert modulus == p**N and all(c % p == 0 for _, c in w_terms)
+            assert len(q) == W - d and len(a) == d
+            back = _times_monic(w_terms, d, q)
+            back[:d] = [x + y for x, y in zip(back, a)]
+            assert all((x - y) % modulus == 0 for x, y in zip(back[:W], h)), (p, n, r, N)
+        checked += len(seen)
+    assert checked > 50
+
+
 def test_formal_sum_multiplicative():
     F = make_multiplicative_fgl(2)
     y = TruncatedSeries(ZZ, (0, 1), True)
