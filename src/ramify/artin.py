@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import _is_prime
+from .coeff import is_prime
 
 __all__ = [
     "AlgebraError",
@@ -301,7 +301,7 @@ def check_exact(p):
 def check_prime(p):
     """Refuse a p that is not a prime below P_LIMIT."""
     check_exact(p)
-    if not _is_prime(p):
+    if not is_prime(p):
         raise AlgebraError("p must be prime")
 
 

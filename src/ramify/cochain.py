@@ -7,13 +7,11 @@ tower is
 
 where g_r is the distinguished (monic, degree p^(rn) - 1) Weierstrass
 factor of the cofactor q_r(y) = [p^r](y)/y.  Elements are canonical
-coefficient vectors of length rank = p^(rn).  A product is the exact
-convolution of two such vectors, reduced like a long series by one
-Euclidean division by w over the nonzero terms of w
-(fgl._divmod_monic, on Python ints), so every ring operation is exact
-mod p^N.  Arrays take the dtype fgl._dtype gives for p^N and rank:
-int64 when (p^N - 1)^2 rank < 2^63, which bounds every sum they form,
-and numpy arrays of Python ints otherwise.
+coefficient vectors of length rank = p^(rn).  A product is the
+convolution of two such vectors mod p^N (coeff.mul_list), reduced
+like a long series by one Euclidean division by w over the nonzero
+terms of w (coeff.divmod_monic), so every ring operation is exact mod
+p^N.  Arrays take the dtype coeff.dtype_for gives for p^N and rank.
 
 Tail bound.  Reducing a coefficient y^m by w drops its degree by at
 most deg(w) - 1 per step while gaining a factor of p each step (every
@@ -37,14 +35,12 @@ from functools import cached_property
 import numpy as np
 
 from . import artin
-from .coeff import ContextMismatch, padic_context
+from .coeff import ContextMismatch, divmod_monic, dtype_for, mul_list, padic_context
 from .fgl import (
     FormalGroupLaw,
     PrecisionError,
     TruncatedSeries,
     WeierstrassError,
-    _divmod_monic,
-    _dtype,
     exact_quotient_by_y,
     validated_series,
     weierstrass_preparation,
@@ -137,7 +133,7 @@ class CyclicCochainRing:
         self.unit_series = unit_series
         self.distinguished = distinguished
         self._check_relation()
-        self.dtype = _dtype(self.modulus, self.rank)
+        self.dtype = dtype_for(self.modulus, self.rank)
         # the nonzero (j, w_j) below y^rank, and the input length past
         # which every coefficient vanishes mod p^N (module docstring)
         self._w_terms = [(j, c) for j, c in enumerate(self.w_coeffs[:-1]) if c]
@@ -160,17 +156,14 @@ class CyclicCochainRing:
 
     def _product(self, a, b):
         """Canonical tuple of a * b for canonical coefficient vectors:
-        their convolution, exact in the ring's dtype since every sum
-        stays below (m - 1)^2 rank, reduced by _reduce_poly."""
-        conv = np.convolve(np.asarray(a, self.dtype), np.asarray(b, self.dtype))
-        return self._reduce_poly(conv.tolist())
+        their whole product, 2 rank - 1 terms, reduced by _reduce_poly."""
+        return self._reduce_poly(mul_list(a, b, self.modulus, 2 * self.rank - 1))
 
     def _reduce_poly(self, coeffs):
         """Canonical tuple of an integer coefficient list mod w: the
-        remainder of fgl._divmod_monic by w's nonzero terms below
-        y^rank, with the input cut at (N + 1)(rank - 1) + 1, past which
-        every coefficient reduces to 0 mod p^N."""
-        _, rem = _divmod_monic(coeffs[: self._tail], self._w_terms, self.rank, self.modulus)
+        remainder of coeff.divmod_monic by w's nonzero terms below y^rank,
+        of the input cut where the tail bound (module docstring) puts it."""
+        _, rem = divmod_monic(coeffs[: self._tail], self._w_terms, self.rank, self.modulus)
         return tuple(rem)
 
     def _times_y(self, x):
@@ -198,8 +191,7 @@ class CyclicCochainRing:
 
         Exact polynomial series over an integer context reduce
         directly.  A non-exact series must match the ring context and
-        carry at least (N + 1)(rank - 1) + 1 known coefficients so the
-        unknown tail is invisible mod p^N.
+        know the prefix that the tail bound (module docstring) asks.
         """
         if not isinstance(series, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")
@@ -251,7 +243,7 @@ def make_cochain_ring(F, r, N=8):
     law) already fixes.
 
     The identity y * q_r = 0 certifies g_r.  q_r is reduced to rho by
-    _reduce_poly, whose division fgl._divmod_monic is also the division
+    _reduce_poly, whose division coeff.divmod_monic is also the division
     step of the Hensel lifting in fgl.weierstrass_preparation, so the
     certificate trusts that division to give rho = q_r mod w.  y * rho
     is read by _times_y, in closed form from w_coeffs with no division.

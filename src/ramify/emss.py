@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coeff import _is_prime
+from .coeff import is_prime
 
 __all__ = [
     "CutoffError",
@@ -99,10 +99,6 @@ class DPBasisElement:
             raise ValueError("eps must be 0 or 1")
         if any(a < 0 for a in self.exponents):
             raise ValueError("negative exponent")
-
-    def bidegree(self, p):
-        m = sum(a * p ** j for j, a in enumerate(self.exponents))
-        return (self.eps + m, -2 * self.eps - m)
 
     def __str__(self):
         parts = []
@@ -240,9 +236,6 @@ class BigradedPage:
         """The basis as DPBasisElements in index order, decoded on read."""
         return _decode(self.indices, self.p, self.S)
 
-    def dimension(self, s, t):
-        return sum(1 for m in self.monomials if m.bidegree(self.p) == (s, t))
-
     @property
     def total_dimension(self):
         return len(self.indices)
@@ -255,7 +248,7 @@ class BigradedPage:
 def _check_odd_prime(p):
     if p == 2:
         raise ValueError("only odd primes are supported here")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError("p must be prime")
 
 

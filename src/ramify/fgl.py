@@ -37,7 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coeff import ZZ, Context, ContextMismatch, NonUnitError, _is_prime, padic_context
+from .coeff import (ZZ, Context, ContextMismatch, divmod_monic, dtype_for, inverse, is_prime,
+                    mul, mul_list, padic_context, power, residues)
 
 
 class PrecisionError(Exception):
@@ -49,78 +50,6 @@ class WeierstrassError(Exception):
 
 
 _INF = float("inf")
-
-
-def _dtype(modulus, length):
-    """int64 when every partial sum of a convolution of length-term
-    vectors of residues mod modulus fits in it; numpy arrays of Python
-    ints otherwise, and for exact ZZ (modulus None)."""
-    if modulus is not None and (modulus - 1) ** 2 * max(length, 1) < 2**63:
-        return np.int64
-    return object
-
-
-def _mul(a, b, modulus, out_len):
-    """The first out_len coefficients of a b, mod modulus (None: exact),
-    for nonempty 1-d arrays of one dtype that _dtype allows for the
-    shorter one's length; the result has that dtype and length out_len."""
-    conv = np.convolve(a[:out_len], b[:out_len])[:out_len]
-    if modulus is not None:
-        conv %= modulus
-    if len(conv) < out_len:
-        conv = np.concatenate([conv, np.zeros(out_len - len(conv), conv.dtype)])
-    return conv
-
-
-def _mul_raw(a, b, modulus, out_len):
-    """_mul on coefficient lists, in the dtype _dtype picks for the call."""
-    if out_len <= 0:
-        return []
-    la, lb = min(len(a), out_len), min(len(b), out_len)
-    if la == 0 or lb == 0:
-        return [0] * out_len
-    dtype = _dtype(modulus, min(la, lb))
-    return _mul(np.asarray(a[:la], dtype), np.asarray(b[:lb], dtype), modulus, out_len).tolist()
-
-
-def _vec(vals, length, modulus, dtype):
-    """vals mod modulus, cut or zero-padded to length, as an array."""
-    out = np.zeros(length, dtype)
-    head = [v % modulus for v in vals[:length]]
-    out[: len(head)] = head
-    return out
-
-
-def _pow(a, e, modulus, out_len):
-    """a^e mod (modulus, z^out_len), e >= 1, for a reduced array a of
-    length out_len."""
-    result = None
-    while True:
-        if e & 1:
-            result = a if result is None else _mul(result, a, modulus, out_len)
-        e >>= 1
-        if not e:
-            return result
-        a = _mul(a, a, modulus, out_len)
-
-
-def _inv(c, modulus, length, v=None):
-    """c^-1 mod (modulus, z^length) for a unit array c of length at least
-    length, by Newton doublings v <- v (2 - c v) from v, the inverse
-    known below z^len(v) (the constant term's inverse when None)."""
-    if v is None:
-        try:
-            v = np.array([pow(int(c[0]), -1, modulus)], c.dtype)
-        except ValueError:
-            raise NonUnitError("constant term %d is not a unit mod %d" % (c[0], modulus))
-    v = v[:length]
-    cur = len(v)
-    while cur < length:
-        cur = min(length, 2 * cur)
-        t = -_mul(c[:cur], v, modulus, cur) % modulus
-        t[0] = (t[0] + 2) % modulus
-        v = _mul(v, t, modulus, cur)
-    return v
 
 
 @dataclass(frozen=True)
@@ -166,10 +95,10 @@ class TruncatedSeries:
         m = self.context.modulus
         if self.exact and other.exact:
             out_len = len(self.coeffs) + len(other.coeffs) - 1
-            vals = _mul_raw(self.coeffs, other.coeffs, m, out_len)
+            vals = mul_list(self.coeffs, other.coeffs, m, out_len)
             return validated_series(self.context, vals, True)
         L = int(min(self._eff(), other._eff()))
-        vals = _mul_raw(self.coeffs, other.coeffs, m, L)
+        vals = mul_list(self.coeffs, other.coeffs, m, L)
         return TruncatedSeries(self.context, tuple(vals), False)
 
     def compose(self, inner: "TruncatedSeries"):
@@ -188,7 +117,7 @@ class TruncatedSeries:
         acc = [0] * L
         kmax = min(len(self.coeffs), L)
         for k in range(kmax - 1, -1, -1):
-            acc = _mul_raw(acc, b, m, L)
+            acc = mul_list(acc, b, m, L)
             acc[0] = self.context.canon(acc[0] + self.coeffs[k])
         return TruncatedSeries(self.context, tuple(acc), False)
 
@@ -254,15 +183,15 @@ def _add_log(acc, f, p, n, imax, modulus, s):
     result is an array; its p^n-th powers are its own, not the chain
     of _solve_log, so the certificate evaluates L apart from the solver."""
     out_len = len(acc)
-    dtype = _dtype(modulus, out_len)
-    acc = _vec(acc, out_len, modulus, dtype)
-    cur = _vec(f, out_len, modulus, dtype)
+    dtype = dtype_for(modulus, out_len)
+    acc = residues(acc, out_len, modulus, dtype)
+    cur = residues(f, out_len, modulus, dtype)
     for i in range(imax + 1):
         shift = (p ** (n * i) - 1) // s
         if shift >= out_len:
             break
         if i > 0:
-            cur = _pow(cur[: out_len - shift], p**n, modulus, out_len - shift)
+            cur = power(cur[: out_len - shift], p**n, modulus, out_len - shift)
         acc[shift:] = (acc[shift:] + p ** (imax - i) * cur) % modulus
     return acc
 
@@ -335,13 +264,13 @@ def _solve_log(target, p, n, M, N):
     z^J never changes again: later steps only append to it.  So U(f) mod
     z^L is the same at every later step, and so is its inverse there;
     the step lifts the previous step's inverse to the new L by Newton
-    doublings v <- v (2 - U v) (_inv): one when L doubles, none when the
+    doublings v <- v (2 - U v) (coeff.inverse): one when L doubles, none when the
     last L is shorter.  The result equals inverting U(f) afresh.
 
     Arrays.  f, the target, the residual and the chain are 1-d arrays of
-    the dtype _dtype gives for p^(N + imax) at the z-length K; every
-    product in the solve has operands of length at most K, so int64
-    holds its partial sums whenever _dtype picks it.
+    the dtype coeff.dtype_for gives for p^(N + imax) at the z-length K;
+    every product in the solve has operands of length at most K, so
+    int64 holds its partial sums whenever dtype_for picks it.
     """
     imax = _honda_imax(p, n, M)
     scale = p**imax
@@ -349,8 +278,8 @@ def _solve_log(target, p, n, M, N):
     pn = p**n
     s = _stride(target, pn - 1, 1)
     K = len(target[1::s])
-    dtype = _dtype(modulus, K)
-    neg = -_vec(target[1::s], K, modulus, dtype) % modulus
+    dtype = dtype_for(modulus, K)
+    neg = -residues(target[1::s], K, modulus, dtype) % modulus
     f = np.zeros(K, dtype)
     f[0] = target[1] % modulus // scale
     v = None
@@ -367,10 +296,10 @@ def _solve_log(target, p, n, M, N):
                 break
             w = J2 - shift
             if i == 1:
-                g1 = g = _pow(f[:w], pn - 1, modulus, w)
+                g1 = g = power(f[:w], pn - 1, modulus, w)
             else:
-                g = _mul(_pow(g[:w], pn, modulus, w), g1, modulus, w)
-            res[shift:] = (res[shift:] + p ** (imax - i) * _mul(f, g, modulus, w)) % modulus
+                g = mul(power(g[:w], pn, modulus, w), g1, modulus, w)
+            res[shift:] = (res[shift:] + p ** (imax - i) * mul(f, g, modulus, w)) % modulus
             if shift < L:
                 c = p ** ((n - 1) * i) % modulus
                 unit[shift:] = (unit[shift:] + c * g[: L - shift]) % modulus
@@ -383,8 +312,8 @@ def _solve_log(target, p, n, M, N):
                 "functional equation correction not divisible by p^%d at degree %d"
                 % (imax, 1 + (J + odd[0]) * s)
             )
-        v = _inv(unit, modulus, L, v)
-        f[J:J2] = -_mul(res[J:] // scale, v, modulus, L) % modulus
+        v = inverse(unit, modulus, L, v)
+        f[J:J2] = -mul(res[J:] // scale, v, modulus, L) % modulus
         J = J2
     psi = [0] * M
     psi[1::s] = (f % p**N).tolist()
@@ -494,7 +423,7 @@ class FormalGroupLaw:
 
 def make_multiplicative_fgl(p: int, M: int = 16) -> FormalGroupLaw:
     """F(x, y) = x + y + x y over the exact integers."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError("p must be prime")
     if M < 2:
         raise ValueError("M must be at least 2")
@@ -551,27 +480,6 @@ class WeierstrassFactorization:
     degree: int
 
 
-def _divmod_monic(c, w_terms, d, modulus):
-    """(q, rem) with c = w q + rem mod modulus and deg rem < d, for w
-    monic of degree d given by w_terms, its nonzero (j, w_j) below y^d.
-
-    Schoolbook division on Python ints, from the top degree down: a
-    step subtracts t y^(deg - d) w through the terms of w_terms only.
-    q has max(len(c) - d, 0) entries and rem d, both reduced mod modulus.
-    """
-    c = [int(x) for x in c]
-    c += [0] * (d - len(c))
-    q = [0] * (len(c) - d)
-    for deg in range(len(c) - 1, d - 1, -1):
-        t = c[deg] % modulus
-        if t:
-            base = deg - d
-            q[base] = t
-            for j, wj in w_terms:
-                c[base + j] -= t * wj
-    return q, [x % modulus for x in c[:d]]
-
-
 def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
     """Factor s = distinguished * unit over a mod-p^N context.
 
@@ -598,7 +506,7 @@ def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
     divides b divides it once more, b = 0 mod p^N, and then a = 0.  So
     the p-adic contraction b <- S_d(h - gamma b) converges to it, and
     schoolbook division of h (deg h < work) by the monic g
-    (_divmod_monic) gives it directly.
+    (coeff.divmod_monic) gives it directly.
 
     Stopping rule.  The loop stops at the first residual on the slope
     v_p(e_m) >= min(N, floor((work - 1 - m) / d)) for all m < work.
@@ -670,22 +578,22 @@ def weierstrass_preparation(s: TruncatedSeries) -> WeierstrassFactorization:
         work = len(coeffs)
     t = _stride(coeffs, 0, 0)
     W, dz = (work - 1) // t + 1, d // t
-    dtype = _dtype(modulus, W)
-    c = _vec(coeffs[::t], W, modulus, dtype)
+    dtype = dtype_for(modulus, W)
+    c = residues(coeffs[::t], W, modulus, dtype)
     slope = np.array([p ** min(N, (work - 1 - j * t) // d) for j in range(W)], dtype)
     g = np.zeros(dz + 1, dtype)
     g[dz] = 1
     u = np.concatenate([c[dz:], np.zeros(dz, dtype)])
     rounds = (N - 1).bit_length() + 1
     for _ in range(rounds):
-        e = (c - _mul(g, u, modulus, W)) % modulus
+        e = (c - mul(g, u, modulus, W)) % modulus
         if not np.any(e % slope):
             break
-        h = _mul(e, _inv(u, modulus, W), modulus, W)
+        h = mul(e, inverse(u, modulus, W), modulus, W)
         gamma = [(j, x) for j, x in enumerate(g[:dz].tolist()) if x]
-        b, a = _divmod_monic(h.tolist(), gamma, dz, modulus)
+        b, a = divmod_monic(h.tolist(), gamma, dz, modulus)
         g[:dz] = (g[:dz] + np.array(a, dtype)) % modulus
-        u = (u + _mul(u, np.array(b, dtype), modulus, W)) % modulus
+        u = (u + mul(u, np.array(b, dtype), modulus, W)) % modulus
     else:
         raise WeierstrassError("Hensel lifting did not converge")
     unit_len = work - (N + 1) * d

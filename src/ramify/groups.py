@@ -1,6 +1,6 @@
 """Small permutation groups and p-nilpotence diagnostics.
 
-Groups are generated subgroups of a symmetric group on a handful of
+Groups are generated subgroups of a symmetric group on at most 1000
 points, stored as explicit element lists (capped at order 200, which
 is all the examples need).  Three questions are answered here:
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artin
-from .coeff import _is_prime
+from .coeff import is_prime
 
 __all__ = [
     "GroupError",
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 MAX_ORDER = 200
+MAX_DEGREE = 1000
 
 
 class GroupError(Exception):
@@ -78,12 +79,14 @@ def inverse(a):
 
 
 def perm_order(a):
-    n = 1
-    cur = a
-    ident = identity_perm(len(a))
-    while cur != ident:
-        cur = compose(cur, a)
-        n += 1
+    """The lcm of the lengths of the cycles of a."""
+    n, seen = 1, set()
+    for start in range(len(a)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x, length = a[x], length + 1
+        n = math.lcm(n, max(length, 1))
     return n
 
 
@@ -93,15 +96,16 @@ def parse_cycles(text, degree=None):
     Generators are separated by ';', each a product of parenthesized
     cycles, e.g. "(1,2);(1,2,3)".  Whitespace is ignored; an empty
     cycle list means the identity.  The degree defaults to the
-    largest point mentioned.
+    largest point mentioned.  Each permutation is returned once, and
+    none is built past MAX_DEGREE or MAX_ORDER distinct generators.
     """
     chunks = [c.strip() for c in text.split(";") if c.strip()]
     if not chunks:
         raise GroupError("no generators given")
-    parsed = []
+    moved = {}  # each generator's (point, image) pairs, once per permutation
     top = 0
     for chunk in chunks:
-        cycles = []
+        images = {}
         rest = chunk.replace(" ", "")
         while rest:
             if not rest.startswith("("):
@@ -119,19 +123,22 @@ def parse_cycles(text, degree=None):
                 raise GroupError("non-integer point in %r" % chunk)
             if any(x < 1 for x in pts) or len(set(pts)) != len(pts):
                 raise GroupError("cycle points must be distinct and >= 1")
-            cycles.append(pts)
+            images.update((x - 1, pts[(i + 1) % len(pts)] - 1) for i, x in enumerate(pts))
             top = max(top, max(pts))
-        parsed.append(cycles)
+        moved[tuple(sorted((x, y) for x, y in images.items() if x != y))] = None
     if degree is None:
         degree = top
     if degree < top:
         raise GroupError("degree %d too small for the points used" % degree)
+    if degree > MAX_DEGREE:
+        raise GroupError("degree %d exceeds cap %d" % (degree, MAX_DEGREE))
+    if len(moved) > MAX_ORDER:
+        raise GroupError("%d distinct generators exceed the order cap %d" % (len(moved), MAX_ORDER))
     perms = []
-    for cycles in parsed:
+    for pairs in moved:
         perm = list(range(degree))
-        for cyc in cycles:
-            for i, x in enumerate(cyc):
-                perm[x - 1] = cyc[(i + 1) % len(cyc)] - 1
+        for x, y in pairs:
+            perm[x] = y
         perms.append(tuple(perm))
     return perms
 
@@ -158,17 +165,23 @@ def _closure(degree, gens, cap=MAX_ORDER):
 
 class FiniteGroup:
     """Generated subgroup of Sym(degree); elements enumerated at
-    construction time, unless members, their closure, is known."""
+    construction time, unless members, their closure, is known.  An
+    enumeration keeps only generators outside the closure of the kept
+    ones before: each at least doubles the order, so at most 7 stay."""
 
     def __init__(self, degree, generators, members=None):
         self.degree = degree
-        gens = []
-        for g in generators:
+        gens, closed = [], members or {identity_perm(degree)}
+        for g in map(tuple, generators):
+            if members is None and g in closed:
+                continue
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise GroupError("not a permutation of 0..%d" % (degree - 1))
-            gens.append(tuple(g))
+            gens.append(g)
+            if members is None:
+                closed = _closure(degree, gens)
         self.generators = tuple(gens) if gens else (identity_perm(degree),)
-        self.elements = tuple(sorted(members or _closure(degree, self.generators)))
+        self.elements = tuple(sorted(closed))
 
     @property
     def order(self):
@@ -177,12 +190,6 @@ class FiniteGroup:
     @property
     def identity(self):
         return identity_perm(self.degree)
-
-    def conjugate(self, g, x):
-        return compose(compose(inverse(g), x), g)  # g x g^-1 read left-to-right
-
-    def __contains__(self, perm):
-        return tuple(perm) in set(self.elements)
 
     def __repr__(self):
         return "FiniteGroup(order=%d, degree=%d)" % (self.order, self.degree)
@@ -285,7 +292,7 @@ def sylow_subgroup(G, p, seed=0):
     an element of order p, and P<g> is then a p-group), so repeated
     passes over the candidates reach the full p-part.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise GroupError("p must be prime")
     target = _p_part(G.order, p)
     candidates = [
@@ -339,7 +346,7 @@ def has_normal_p_complement(G, p):
     When it exists its index is a p-power by arithmetic: |N0| = m, the
     p'-part |G| / _p_part(|G|), so the index is _p_part(|G|), a power
     of p by that function's loop."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise GroupError("p must be prime")
     m = G.order // _p_part(G.order, p)
     gens, members = [], {G.identity}
@@ -349,7 +356,7 @@ def has_normal_p_complement(G, p):
             members = _closure(G.degree, gens)
     # generated by a conjugation-closed set, so always normal; check anyway
     for g in G.generators:
-        ginv = inverse(g)  # G.conjugate(g, x), with g inverted once
+        ginv = inverse(g)  # g x g^-1 sends i to g[x[g^-1[i]]]
         for x in members:
             if tuple([g[x[i]] for i in ginv]) not in members:
                 raise GroupError("complement candidate is not normal")
@@ -392,7 +399,7 @@ def _conjugation_classes(G):
     pos = {x: i for i, x in enumerate(G.elements)}
     conj = []
     for g in G.generators:
-        ginv = inverse(g)  # G.conjugate(g, x), with g inverted once
+        ginv = inverse(g)  # g x g^-1 sends i to g[x[g^-1[i]]]
         conj.append([pos[tuple([g[x[i]] for i in ginv])] for x in G.elements])
     classes, seen = [], set()
     for start in range(G.order):
@@ -448,7 +455,7 @@ def conjugation_nilpotent(G, p):
     raises artin.AlgebraError: the F_p products would leave int64.
     """
     artin.check_exact(p)
-    if not _is_prime(p):
+    if not is_prime(p):
         raise GroupError("p must be prime")
     n = G.order
     conj, classes = _conjugation_classes(G)

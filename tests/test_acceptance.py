@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from test_emss import bidegree
 from ramify import artin, emss, groups, homalg
 from ramify.cochain import make_cochain_ring, minimum_series_precision
 from ramify.fgl import exact_quotient_by_y, make_honda_fgl, make_multiplicative_fgl
@@ -139,7 +140,7 @@ def test_criterion_6_emss():
         assert page2.total_dimension == 2 * p**S
         degrees = {}
         for m in page2.monomials:
-            deg = m.bidegree(p)
+            deg = bidegree(m, p)
             assert deg not in degrees
             degrees[deg] = m
         want_even = {(m, -m) for m in range(p**S)}

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from test_groups import conjugate
 from ramify import artin, cli, groups
 from ramify.artin import (
     AlgebraError,
@@ -140,7 +141,7 @@ def _rref_oracle_inputs(p, rng):
     S5 = groups.symmetric_group(5)
     pos = {x: i for i, x in enumerate(S5.elements)}
     eye = np.eye(S5.order, dtype=np.int64)
-    mats.append(np.vstack([eye[[pos[S5.conjugate(g, x)] for x in S5.elements]] - eye
+    mats.append(np.vstack([eye[[pos[conjugate(g, x)] for x in S5.elements]] - eye
                            for g in S5.generators]))
     shift = np.eye(40, k=1, dtype=np.int64) - np.eye(40, dtype=np.int64)
     mats += [np.vstack([shift, np.roll(shift, 7, axis=1)]), -shift[::-1]]

@@ -334,8 +334,16 @@ OBJECT_PATH = [
 
 def test_object_dtype_tor_has_the_closed_form(capsys, monkeypatch):
     dtypes = []
-    dtype = fgl._dtype
-    monkeypatch.setattr(fgl, "_dtype", lambda *args: dtypes.append(dtype(*args)) or dtypes[-1])
+    dtype = fgl.dtype_for
+
+    def spy(*args):
+        dtypes.append(dtype(*args))
+        return dtypes[-1]
+
+    # every module that picks a dtype holds dtype_for under that name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ramify") and hasattr(module, "dtype_for"):
+            monkeypatch.setattr(module, "dtype_for", spy)
     rc, out, _ = run_cli(OBJECT_PATH[0], capsys)
     assert rc == 0 and object in dtypes
     entries = json.loads(out)["result"]["entries"]
@@ -474,6 +482,27 @@ def test_emss_page_ceiling_and_huge_primes_are_refused_at_once(capsys):
         rc, _, err = run_cli(argv, capsys)
         assert time.perf_counter() - start < 2.0
         assert rc == code and reason in err
+
+
+def test_generator_strings_are_answered_or_refused_at_once(capsys):
+    # a point past MAX_DEGREE or more distinct generators than MAX_ORDER is
+    # refused before any permutation is built; groups at the order cap on
+    # MAX_DEGREE points, however many times a generator is written, are
+    # answered by every group subcommand
+    c200 = "(%s,1000)" % ",".join(map(str, range(1, 200)))
+    c100_c2 = "(%s,1000);(101,102)" % ",".join(map(str, range(1, 100)))
+    repeated = ";".join(["(1,2,3)", "(1,2,3,4,1000)(%d)"] * 500) % tuple(range(5, 505))
+    for gens, code, reason in [
+        ("(1,2,3,4,5);(6,4000000)", 65, "degree 4000000 exceeds cap 1000"),
+        ("(1,50000000)", 65, "degree 50000000 exceeds cap 1000"),
+        (";".join("(1,%d)" % k for k in range(2, 1001)), 65, "999 distinct generators exceed"),
+        (c200, 0, ""), (c100_c2, 0, ""), (repeated, 0, ""),
+    ]:
+        for sub in ("sylow", "complement", "conjnil"):
+            start = time.perf_counter()
+            rc, _, err = run_cli(["group", sub, "--gens", gens, "--p", "2"], capsys)
+            assert time.perf_counter() - start < 1.0
+            assert rc == code and reason in err
 
 
 def test_inconclusive_is_3(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ramify import fgl
+from ramify import coeff, fgl
 from ramify.cochain import minimum_series_precision
 from ramify.coeff import ZZ, ContextMismatch, NonUnitError, padic_context
 from ramify.fgl import (
@@ -154,13 +154,13 @@ def test_series_inverse_roundtrip_randomized():
         c = np.array([rng.randrange(m) for _ in range(rng.randrange(1, 9))], np.int64)
         if c[0] % 3 == 0:
             with pytest.raises(NonUnitError):
-                fgl._inv(c, m, len(c))
+                coeff.inverse(c, m, len(c))
             continue
-        v = fgl._inv(c, m, len(c))
-        assert fgl._mul(c, v, m, len(c)).tolist() == [1] + [0] * (len(c) - 1)
+        v = coeff.inverse(c, m, len(c))
+        assert coeff.mul(c, v, m, len(c)).tolist() == [1] + [0] * (len(c) - 1)
         # lifting an inverse known on a prefix gives the same inverse
         for k in range(1, len(c) + 1):
-            assert fgl._inv(c, m, len(c), fgl._inv(c, m, k)).tolist() == v.tolist()
+            assert coeff.inverse(c, m, len(c), coeff.inverse(c, m, k)).tolist() == v.tolist()
 
 
 def _convolve_oracle(a, b, modulus, out_len):
@@ -187,7 +187,7 @@ def _convolve_oracle(a, b, modulus, out_len):
 
 
 def _int64_edge(length):
-    """The largest modulus whose length-term products _mul_raw may sum
+    """The largest modulus whose length-term products mul_list may sum
     in int64, and the next one."""
     inside = math.isqrt((2**63 - 1) // length) + 1
     assert (inside - 1) ** 2 * length < 2**63 <= inside**2 * length
@@ -199,9 +199,9 @@ def test_mul_raw_matches_the_schoolbook_oracle(length):
     # length is the shorter operand's, which sets the dtype of the call;
     # moduli just inside and just outside int64, and exact ZZ
     inside, outside = _int64_edge(length)
-    assert fgl._dtype(inside, length) is np.int64
-    assert fgl._dtype(outside, length) is object
-    assert fgl._dtype(None, length) is object
+    assert coeff.dtype_for(inside, length) is np.int64
+    assert coeff.dtype_for(outside, length) is object
+    assert coeff.dtype_for(None, length) is object
     rng = random.Random(length)
     for modulus in (inside, outside, None):
         hi = modulus or 10**25
@@ -216,11 +216,11 @@ def test_mul_raw_matches_the_schoolbook_oracle(length):
                 full = length + lb - 1
                 for out_len in (1, length, full - 1, full, full + 4):
                     want = _convolve_oracle(a, b, modulus, out_len)
-                    assert fgl._mul_raw(a, b, modulus, out_len) == want
-                    assert fgl._mul_raw(b, a, modulus, out_len) == want
+                    assert coeff.mul_list(a, b, modulus, out_len) == want
+                    assert coeff.mul_list(b, a, modulus, out_len) == want
         for out_len in (0, 3):
-            assert fgl._mul_raw([], [1, 2], modulus, out_len) == [0] * out_len
-            assert fgl._mul_raw([1, 2], [], modulus, out_len) == [0] * out_len
+            assert coeff.mul_list([], [1, 2], modulus, out_len) == [0] * out_len
+            assert coeff.mul_list([1, 2], [], modulus, out_len) == [0] * out_len
 
 
 def test_exact_quotient_by_y():
@@ -343,10 +343,10 @@ def _pow_raw(base, e, modulus, out_len):
     result = None
     while e:
         if e & 1:
-            result = cur if result is None else fgl._mul_raw(result, cur, modulus, out_len)
+            result = cur if result is None else coeff.mul_list(result, cur, modulus, out_len)
         e >>= 1
         if e:
-            cur = fgl._mul_raw(cur, cur, modulus, out_len)
+            cur = coeff.mul_list(cur, cur, modulus, out_len)
     return [1] + [0] * (out_len - 1) if result is None else result
 
 
@@ -355,10 +355,10 @@ def _inv_raw(c, modulus, length):
     cur = 1
     while cur < length:
         cur = min(length, 2 * cur)
-        t = fgl._mul_raw(c[:cur], v, modulus, cur)
+        t = coeff.mul_list(c[:cur], v, modulus, cur)
         t = [(-x) % modulus for x in t]
         t[0] = (t[0] + 2) % modulus
-        v = fgl._mul_raw(v, t, modulus, cur)
+        v = coeff.mul_list(v, t, modulus, cur)
     return v + [0] * (length - len(v))
 
 
@@ -403,7 +403,7 @@ def _solve_log_oracle(target, p, n, M, N):
                 term = _pow_raw(f, q - 1, modulus, L - shift)
                 c = p ** ((n - 1) * i)
                 unit[shift:] = [(u + c * t) % modulus for u, t in zip(unit[shift:], term)]
-        eps = fgl._mul_raw([v // scale for v in res[J:]], _inv_raw(unit, modulus, L), modulus, L)
+        eps = coeff.mul_list([v // scale for v in res[J:]], _inv_raw(unit, modulus, L), modulus, L)
         f += [(-v) % modulus for v in eps]
         J = J2
     psi = [0] * M
@@ -432,7 +432,7 @@ def test_solver_matches_the_list_oracle_past_int64():
     for p, n, r, N in [(2, 2, 2, 40), (3, 2, 1, 30), (2, 1, 2, 62), (5, 1, 1, 28)]:
         target, M = _pseries_target(p, n, r, N)
         s = p**n - 1
-        assert fgl._dtype(p ** (N + _honda_imax(p, n, M)), (M - 2) // s + 1) is object
+        assert coeff.dtype_for(p ** (N + _honda_imax(p, n, M)), (M - 2) // s + 1) is object
         want = _solve_log_oracle(target, p, n, M, N)
         assert fgl._solve_log(target, p, n, M, N) == want, (p, n, r, N)
 
@@ -552,12 +552,12 @@ def _stride_one(coeffs, s, offset):
 def test_p_series_in_z_matches_the_stride_one_solver(p, monkeypatch):
     # every grid point with N <= 16, solved in z = y^(p^n - 1) and in y;
     # some of them overflow int64 even at length M / (p^n - 1), so
-    # _mul_raw's convolution of Python-int object arrays runs in both forms
+    # mul_list's convolution of Python-int object arrays runs in both forms
     objects = 0
     for _, n, r, N in [pt for pt in _accepted_grid(16) if pt[0] == p]:
         M = minimum_series_precision(p, n, r, N, False)
         imax = _honda_imax(p, n, M)
-        objects += fgl._dtype(p ** (N + imax), (M - 2) // (p**n - 1) + 1) is object
+        objects += coeff.dtype_for(p ** (N + imax), (M - 2) // (p**n - 1) + 1) is object
         z_form = make_honda_fgl(p, n, M, N).p_series(r).coeffs
         with monkeypatch.context() as m:
             m.setattr(fgl, "_stride", _stride_one)
@@ -607,9 +607,9 @@ def test_weierstrass_in_z_matches_the_stride_one_preparation(monkeypatch):
 
 def test_series_products_run_at_the_stride(monkeypatch):
     # a refactor that drops the stride must fail here, not only in timing;
-    # every series product goes through _mul, and each half makes some
+    # every series product goes through coeff.mul, and each half makes some
     lengths = []
-    mul = fgl._mul
+    mul = coeff.mul
 
     def recording(a, b, modulus, out_len):
         lengths.append(max(len(a), len(b)))
@@ -618,7 +618,8 @@ def test_series_products_run_at_the_stride(monkeypatch):
     p, n, r, N = 2, 3, 2, 14
     M = minimum_series_precision(p, n, r, N, False)
     F = make_honda_fgl(p, n, M, N)
-    monkeypatch.setattr(fgl, "_mul", recording)
+    for module in (coeff, fgl):  # coeff.power and coeff.inverse call it too
+        monkeypatch.setattr(module, "mul", recording)
     q = exact_quotient_by_y(F.p_series(r))
     assert lengths and max(lengths) <= (M - 2) // 7 + 1
     lengths.clear()
@@ -651,7 +652,7 @@ def test_divmod_monic_is_euclidean_division(modulus):
             for length in (0, d - 1, d, d + 1, 7 * d + 3):
                 for c in ([rng.randrange(modulus) for _ in range(length)], [m1] * length,
                           [rng.randrange(m1 * m1 * d + 1) for _ in range(length)]):
-                    q, rem = fgl._divmod_monic(c, w_terms, d, modulus)
+                    q, rem = coeff.divmod_monic(c, w_terms, d, modulus)
                     assert len(q) == max(length - d, 0) and len(rem) == d
                     assert all(0 <= x < modulus for x in q + rem)
                     back = _times_monic(w_terms, d, q)
@@ -665,7 +666,7 @@ def test_weierstrass_divisions_are_the_unique_pairs(monkeypatch):
     # every (b, a) the Hensel lifting takes on the Honda grid:
     # h = g b + a mod (p^N, z^W), deg b < W - dz, deg a < dz, and
     # g - z^dz in (p), which makes the pair unique
-    divmod_monic = fgl._divmod_monic
+    divmod_monic = coeff.divmod_monic
     seen = []
 
     def spy(c, w_terms, d, modulus):
@@ -673,7 +674,7 @@ def test_weierstrass_divisions_are_the_unique_pairs(monkeypatch):
         seen.append((list(c), list(w_terms), d, modulus, q, a))
         return q, a
 
-    monkeypatch.setattr(fgl, "_divmod_monic", spy)
+    monkeypatch.setattr(fgl, "divmod_monic", spy)
     checked = 0
     for p, n, r, N in _accepted_grid(8):
         if n == 1:

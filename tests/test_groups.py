@@ -38,17 +38,17 @@ def test_compose_convention():
     assert inverse((1, 2, 0)) == (2, 0, 1)
 
 
-def _order_by_cycles(a):
-    """The lcm of the lengths of the cycles of a."""
-    order, seen = 1, set()
-    for start in range(len(a)):
-        length, x = 0, start
-        while x not in seen:
-            seen.add(x)
-            x = a[x]
-            length += 1
-        order = math.lcm(order, max(length, 1))
-    return order
+def conjugate(g, x):
+    """g x g^-1: apply g^-1, then x, then g."""
+    return compose(compose(inverse(g), x), g)
+
+
+def _order_by_powers(a):
+    """The least n >= 1 with a^n the identity."""
+    n, cur = 1, a
+    while cur != identity_perm(len(a)):
+        cur, n = compose(cur, a), n + 1
+    return n
 
 
 def test_perm_order():
@@ -60,7 +60,7 @@ def test_perm_order():
     for G in (symmetric_group(5), alternating_group(5), quaternion_group(),
               dihedral_group(5), c5_s3):
         orders = [perm_order(g) for g in G.elements]
-        assert orders == [_order_by_cycles(g) for g in G.elements]
+        assert orders == [_order_by_powers(g) for g in G.elements]
         assert max(orders) == {120: 6, 60: 5, 8: 4, 10: 5, 30: 15}[G.order]
 
 
@@ -94,6 +94,22 @@ def test_parse_cycles_rejects_garbage():
         parse_cycles("(1,5)", degree=3)
 
 
+def test_parse_cycles_refuses_past_the_caps():
+    # no permutation is built on more than MAX_DEGREE points, nor for more
+    # distinct generators than MAX_ORDER elements can hold
+    assert len(parse_cycles("(1,1000)")[0]) == groups.MAX_DEGREE
+    with pytest.raises(GroupError, match="^degree 4000000 exceeds cap 1000$"):
+        parse_cycles("(1,2,3,4,5);(6,4000000)")
+    with pytest.raises(GroupError, match="^degree 1001 exceeds cap 1000$"):
+        parse_cycles("(1,2)", degree=1001)
+    # one generator per permutation, however it is written
+    assert parse_cycles("(1,2);(2,1);(1,2)(3);(1,2)()") == [(1, 0, 2)]
+    many = ";".join("(1,%d)" % k for k in range(2, 203))
+    assert len(parse_cycles(many[: many.rindex(";")])) == groups.MAX_ORDER
+    with pytest.raises(GroupError, match="^201 distinct generators exceed the order cap 200$"):
+        parse_cycles(many)
+
+
 # -------------------------------------------------------------------- groups
 
 
@@ -116,11 +132,23 @@ def test_alternating_three_elements():
 def test_group_membership_and_conjugation():
     G = symmetric_group(3)
     swap = (1, 0, 2)
-    assert swap in G
-    assert (1, 0) not in G
+    assert swap in G.elements
+    assert (1, 0) not in G.elements
     g = (1, 2, 0)
     # conjugate of a transposition is a transposition
-    assert perm_order(G.conjugate(g, swap)) == 2
+    assert perm_order(conjugate(g, swap)) == 2
+
+
+def test_an_enumerated_group_keeps_only_the_generators_it_needs():
+    # every element of S4 given as a generator: a kept one lies outside
+    # the group its predecessors generate, so it at least doubles the order
+    S4 = symmetric_group(4)
+    G = FiniteGroup(4, S4.elements)
+    assert G.elements == S4.elements and 2 <= len(G.generators) <= 4
+    for i, g in enumerate(G.generators):
+        assert g not in FiniteGroup(4, G.generators[:i]).elements
+    # a group given with its members keeps the generators it is given
+    assert FiniteGroup(4, [G.generators[0]] * 2, S4.elements).generators == (G.generators[0],) * 2
 
 
 def test_group_validation():
@@ -175,7 +203,7 @@ def test_sylow_orders(maker, p, expected):
     P = sylow_subgroup(G, p)
     assert P.order == expected
     for g in P.elements:
-        assert g in G
+        assert g in G.elements
 
 
 def test_sylow_seed_independence():
@@ -426,7 +454,7 @@ def _all_elements_chain(G, p):
         moved = []
         for g in G.elements:
             permuted = np.zeros_like(rows)
-            permuted[:, [pos[G.conjugate(g, x)] for x in G.elements]] = rows
+            permuted[:, [pos[conjugate(g, x)] for x in G.elements]] = rows
             moved.append((permuted - rows) % p)
         red, _ = artin.rref(np.vstack(moved), p)
         if len(red) in (0, dims[-1]):
@@ -474,7 +502,7 @@ def test_s5_generator_path_matches_small_group_path():
         dims, basis = _all_elements_chain(G, p)
         assert (rep.chain_dims, rep.stable_basis, rep.nilpotent) == (dims, basis, dims[-1] == 0)
         assert all(type(x) is int for row in rep.stable_basis for x in row)
-        classes = {frozenset(G.conjugate(g, x) for g in G.elements) for x in G.elements}
+        classes = {frozenset(conjugate(g, x) for g in G.elements) for x in G.elements}
         assert rep.chain_dims[1] == G.order - len(classes)
     assert [G.degree for G in trivial] == [0, 1]
     assert conjugation_nilpotent(dihedral_group(8), 2).chain_dims == (16, 9, 4, 2, 0)

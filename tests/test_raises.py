@@ -33,7 +33,7 @@ from ramify.fgl import TruncatedSeries
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.dirname(os.path.abspath(homalg.__file__))
 
-MODULES = ("homalg.py", "cochain.py", "groups.py")
+MODULES = ("homalg.py", "cochain.py", "groups.py", "coeff.py")
 
 PROVOKED = {
     "homalg.py": {
@@ -85,6 +85,10 @@ PROVOKED = {
             "test_groups.py::test_parse_cycles_rejects_garbage",
         ("parse_cycles", "degree %d too small for the points used"):
             "test_groups.py::test_parse_cycles_rejects_garbage",
+        ("parse_cycles", "degree %d exceeds cap %d"):
+            "test_groups.py::test_parse_cycles_refuses_past_the_caps",
+        ("parse_cycles", "%d distinct generators exceed the order cap %d"):
+            "test_groups.py::test_parse_cycles_refuses_past_the_caps",
         ("_closure", "group order exceeds cap %d"):
             "test_groups.py::test_group_validation",
         ("FiniteGroup.__init__", "not a permutation of 0..%d"):
@@ -113,6 +117,23 @@ PROVOKED = {
             "test_groups.py::test_conjugation_chain_certifies_descent",
         ("conjugation_nilpotent", "stable submodule is not G-invariant"):
             "test_groups.py::test_conjugation_chain_certifies_invariance",
+    },
+    "coeff.py": {
+        ("is_prime", "cannot decide whether %d is prime: it passes the strong probable-prime "
+         "tests to bases 2..41, which prove primality only below %d"):
+            "test_coeff.py::test_is_prime_refuses_past_the_proven_bound",
+        ("Context.__post_init__", "int context takes no parameters"):
+            "test_coeff.py::test_context_validation",
+        ("Context.__post_init__", "mod-p^N context needs a prime p"):
+            "test_coeff.py::test_context_validation",
+        ("Context.__post_init__", "mod-p^N context needs N >= 1"):
+            "test_coeff.py::test_context_validation",
+        ("Context.__post_init__", "unknown context kind %r"):
+            "test_coeff.py::test_context_validation",
+        ("Context.canon", "%s context wants int, got %r"):
+            "test_coeff.py::test_canonical_form_mod",
+        ("inverse", "constant term %d is not a unit mod %d"):
+            "test_coeff.py::test_inverse_refuses_a_non_unit_constant_term",
     },
 }
 
@@ -148,6 +169,7 @@ ALLOWED = {
             CLASS_ONLY + "test_cochain.py::test_substitution_validation",
     },
     "groups.py": {},
+    "coeff.py": {},
 }
 
 ALLOWED_MAX = 11
